@@ -26,7 +26,6 @@ __all__ = [
     "as_tensor",
     "constant",
     "param",
-    "forward_primitive",
     "backward",
     "grad_check",
     "add",
@@ -629,47 +628,8 @@ def backward(root: Tensor, seed=None) -> Tape:
 
 
 # ---------------------------------------------------------------------------
-# primitive registry and gradient checking
+# gradient checking
 # ---------------------------------------------------------------------------
-
-PRIMITIVES: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "matmul": matmul,
-    "bmm": bmm,
-    "exp": exp,
-    "log": log,
-    "power": power,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "max": reduce_max,
-    "min": reduce_min,
-    "softmax": softmax,
-    "log-sum-exp": logsumexp,
-    "euclidean-norm": norm,
-    "gather": gather,
-    "concat": concat,
-    "clip": clip,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "reshape": reshape,
-    "transpose": transpose,
-    "cos": cos,
-    "sin": sin,
-}
-
-
-def forward_primitive(op_name: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch a primitive by name, recording it on the graph."""
-    fn = PRIMITIVES.get(op_name)
-    if fn is None:
-        raise ContractError(f"unknown primitive '{op_name}'")
-    return fn(*inputs, **kwargs)
-
 
 class GradCheckReport:
     """Outcome of comparing tape gradients against central differences."""

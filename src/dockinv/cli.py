@@ -24,7 +24,7 @@ from .inversion import prepare_receptor, run_inversion
 from .model import PipelineModel
 from .pretrain import prepare_sample, pretrain_run
 from .structures import StructureError, parse_molecule, parse_pdb, write_molecule
-from .surface import SurfaceError, build_surface, fps, knn, pool_patch_stats, sdf_value_grad
+from .surface import SurfaceError, build_patches, build_surface, sdf_value_grad
 
 
 def _effective_config(args) -> RunConfig:
@@ -96,15 +96,7 @@ def _load_pretrain_corpus(args, cfg: RunConfig, mdl: PipelineModel):
     samples = []
     for f in files:
         cloud = fileio.read_pointcloud(f)
-        n_centers = max(1, int(round(cfg.rho * len(cloud))))
-        centers = fps(cloud.points, n_centers)
-        members, relaxed = knn(cloud.points[centers], cloud.points, cfg.patch_k, cfg.r_patch)
-        mean, var = pool_patch_stats(cloud.features, members)
-        from .surface import PatchSet
-
-        patches = PatchSet(centers, members, mean, var,
-                           np.zeros(len(centers)), relaxed, labeled=False)
-        samples.append(prepare_sample(cloud, patches, mdl))
+        samples.append(prepare_sample(cloud, build_patches(cloud, cfg), mdl))
     return samples
 
 
@@ -383,9 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Count options that must be at least 1 wherever a subcommand has them.
+_POSITIVE_COUNTS = ("steps", "batch_size", "corpus_size", "runs")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in _POSITIVE_COUNTS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            print(f"error: --{name.replace('_', '-')} must be >= 1, got {value}", file=sys.stderr)
+            return 1
     try:
         return args.fn(args)
     except (StructureError, ConfigError, FileNotFoundError, fileio.FormatError) as err:

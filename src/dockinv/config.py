@@ -92,10 +92,6 @@ class RunConfig:
     motif_bias: float = 0.5        # strength of motif-template logit bias
     assert_descent: bool = False   # enable per-step descent assertions
 
-    # -- shared ----------------------------------------------------------------
-    seed: int = 0
-    grad_check_tol: float = 1e-4
-
     def validate(self) -> "RunConfig":
         ratios = {"rho": self.rho, "mask_ratio": self.mask_ratio}
         for name, v in ratios.items():

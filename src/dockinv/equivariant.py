@@ -229,14 +229,6 @@ class IrrepsField:
             for l, ch in self.channels.items()
         }
 
-    def rotated(self, rotation: np.ndarray) -> "IrrepsField":
-        out = {}
-        for l, ch in self.channels.items():
-            d = rotation_operator(l, rotation)
-            arr = ch.values if isinstance(ch, Tensor) else np.asarray(ch)
-            out[l] = arr @ d.T
-        return IrrepsField(out)
-
 
 def rotate_field(l: int, rotation: np.ndarray, channel: np.ndarray) -> np.ndarray:
     """Rotate one order-``l`` channel (identity for l=0)."""
@@ -409,7 +401,7 @@ class ConvLayer:
 # encoder
 # ---------------------------------------------------------------------------
 
-def encoder_input(features: np.ndarray, points, center=None) -> IrrepsField:
+def encoder_input(features: np.ndarray, points) -> IrrepsField:
     """Build the encoder input field from a stage-1 feature matrix.
 
     All feature columns except the trailing coordinates enter as scalars; the
@@ -426,11 +418,8 @@ def encoder_input(features: np.ndarray, points, center=None) -> IrrepsField:
     if isinstance(points, Tensor):
         scalars = feats[:, :-3] if isinstance(feats, Tensor) else ad.constant(feats[:, :-3])
         n, c = scalars.shape
-        if center is None:
-            rel = ad.sub(points, points[:1])
-            rel = ad.sub(rel, ad.reduce_mean(rel, axis=0, keepdims=True))
-        else:
-            rel = ad.sub(points, center)
+        rel = ad.sub(points, points[:1])
+        rel = ad.sub(rel, ad.reduce_mean(rel, axis=0, keepdims=True))
         centered = ad.mul(rel, 0.1)
         vec = ad.concat(
             [ad.reshape(centered[:, 1], (-1, 1)), ad.reshape(centered[:, 2], (-1, 1)),
@@ -444,11 +433,8 @@ def encoder_input(features: np.ndarray, points, center=None) -> IrrepsField:
     feats = np.asarray(feats, dtype=float)
     pts = np.asarray(points, dtype=float)
     scalars = feats[:, :-3]
-    if center is None:
-        rel = pts - pts[:1]
-        rel = rel - rel.mean(axis=0, keepdims=True)
-    else:
-        rel = pts - center
+    rel = pts - pts[:1]
+    rel = rel - rel.mean(axis=0, keepdims=True)
     centered = rel * 0.1
     vec = centered[:, [1, 2, 0]]
     return IrrepsField({

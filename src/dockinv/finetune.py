@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
-from .model import PipelineModel, adam_step, as_tensors, collect_grads
+from .model import PipelineModel, adam_step, as_tensors, collect_grads, mean_terms, train_loop
 from .structures import parse_molecule, parse_pdb
 from .surface import PatchSet, SurfacePointCloud, build_surface
 
@@ -121,7 +121,11 @@ def affinity_loss(gate: Tensor, pred_dg: Tensor, target_dg: float, tau_conf: flo
 # ---------------------------------------------------------------------------
 
 def complex_forward(mdl: PipelineModel, params_t: dict, sample: ComplexSample, cfg: RunConfig):
-    """Encode both clouds, fuse, and run all three heads.
+    """Encode both clouds, then fuse and run the heads.
+
+    The heads are ``PipelineModel.complex_heads``, and the loss terms below
+    score them; stage 4's ``composite_objective`` calls the same method and
+    the same terms, so generation optimises against the trained objective.
 
     Returns (pocket probabilities, interaction probability, predicted
     affinity, gate tensor used by the affinity loss).
@@ -130,20 +134,7 @@ def complex_forward(mdl: PipelineModel, params_t: dict, sample: ComplexSample, c
                     "protein", geom=sample.receptor_geom)
     zl = mdl.encode(params_t, sample.ligand.features, sample.ligand.points,
                     sample.ligand.molecule_type, geom=sample.ligand_geom)
-    attended, fused, _ = mdl.fuse(params_t, zr, zl)
-    d = mdl.d0
-    orig0 = ad.reshape(zr.channels[0], (-1, d))
-    att0 = ad.reshape(attended.channels[0], (-1, d))
-    per_point = ad.concat([orig0, att0], axis=1)
-    pocket = mdl.pocket_head(params_t, per_point)
-    if cfg.interaction_mode == "per-point":
-        y_int_hat = ad.reshape(mdl._mlp_head(params_t, "int", per_point, ad.sigmoid), (-1,))
-        gate = ad.reduce_max(ad.mul(pocket, y_int_hat))
-    else:
-        y_int_hat = mdl.interaction_head(params_t, fused)
-        gate = ad.mul(ad.reduce_max(pocket), y_int_hat)
-    dg_hat = mdl.affinity_head(params_t, fused)
-    return pocket, y_int_hat, dg_hat, gate
+    return mdl.complex_heads(params_t, zr, zl)
 
 
 def finetune_loss(mdl: PipelineModel, params_t: dict, batch: list[ComplexSample],
@@ -160,9 +151,9 @@ def finetune_loss(mdl: PipelineModel, params_t: dict, batch: list[ComplexSample]
         if sample.delta_g is not None:
             terms_g.append(affinity_loss(gate, dg_hat, sample.delta_g, cfg.tau_conf))
             labeled += 1
-    lp = _mean(terms_p)
-    li = _mean(terms_i)
-    lg = _mean(terms_g) if terms_g else ad.constant(0.0)
+    lp = mean_terms(terms_p)
+    li = mean_terms(terms_i)
+    lg = mean_terms(terms_g) if terms_g else ad.constant(0.0)
     total = ad.add(ad.add(ad.mul(lp, cfg.alpha), ad.mul(li, cfg.beta)), lg)
     parts = {
         "pocket": lp.item(), "interaction": li.item(),
@@ -172,13 +163,6 @@ def finetune_loss(mdl: PipelineModel, params_t: dict, batch: list[ComplexSample]
         if not np.isfinite(parts[name]):
             raise ad.DomainError(f"non-finite fine-tuning loss term '{name}'")
     return total, parts
-
-
-def _mean(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return ad.mul(acc, 1.0 / len(terms))
 
 
 def finetune_step(mdl: PipelineModel, params: dict, opt_state: dict,
@@ -198,16 +182,9 @@ def finetune_run(samples: list[ComplexSample], cfg: RunConfig, steps: int, seed:
     mdl = mdl or PipelineModel(cfg)
     params = params if params is not None else mdl.init_params(seed)
     opt_state: dict = {}
-    order_rng = np.random.default_rng(np.random.SeedSequence([seed, 29]))
-    history = []
-    for step in range(steps):
-        idx = order_rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
-        batch = [samples[i] for i in np.sort(idx)]
-        record = finetune_step(mdl, params, opt_state, batch, cfg)
-        record["step"] = step
-        history.append(record)
-        if log is not None:
-            log(record)
+    history = train_loop(
+        samples, steps, batch_size, [seed, 29],
+        lambda batch, _: finetune_step(mdl, params, opt_state, batch, cfg), log)
     return params, history
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
-from .finetune import bce, geometric_pseudolabels
+from .finetune import affinity_loss, geometric_pseudolabels, interaction_loss, pocket_loss
 from .model import PipelineModel
 from .structures import (
     AA_ELEMENT_PROFILE,
@@ -306,6 +306,11 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
     """Evaluate F = alpha * pocket + beta * interaction + affinity and its
     gradients with respect to the ligand state.
 
+    F is stage 3's objective for one complex with the receptor field fixed:
+    ``PipelineModel.complex_heads`` with fine-tuning's ``pocket_loss``
+    (against the geometric pseudo-labels), ``interaction_loss`` (target 1)
+    and ``affinity_loss`` (target ``dg_target``).
+
     Neighborhood structure (conv KNN, pseudo-labels) is frozen per call in
     ``frozen`` so finite-difference checks see a smooth function; pass the
     returned dict back in to reuse it.
@@ -316,41 +321,21 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
 
     x_t = Tensor(state.x, requires_grad=need_grad, op="param")
     f_t = Tensor(state.f, requires_grad=need_grad, op="param")
+    enc, _ = mdl.encoder_for(state.molecule_type)
     if frozen is None:
-        enc, _ = mdl.encoder_for(state.molecule_type)
         frozen = {
             "nbr": knn_indices(state.x, enc.conv_k),
             "y_geom": geometric_pseudolabels(ctx.points, state.x,
                                              cfg.interface_cutoff_ligand),
         }
     feats = state_features(x_t, f_t, state.molecule_type, cfg)
-    enc, _ = mdl.encoder_for(state.molecule_type)
     geom = conv_geometry(x_t, frozen["nbr"], enc.basis, enc.max_order)
     z_l = mdl.encode(params, feats, x_t, state.molecule_type, geom=geom)
-    z_r = ctx.field()
-    attended, fused, _ = mdl.fuse(params, z_r, z_l)
-    d = mdl.d0
-    orig0 = ctx.field_values[0].reshape(-1, d)
-    att0 = ad.reshape(attended.channels[0], (-1, d))
-    per_point = ad.concat([ad.constant(orig0), att0], axis=1)
-    pocket = mdl.pocket_head(params, per_point)
-
+    pocket, y_int, dg_hat, gate = mdl.complex_heads(params, ctx.field(), z_l)
     y_geom = frozen["y_geom"]
-    l_pocket = ad.add(
-        ad.reduce_mean(bce(pocket, y_geom)),
-        ad.mul(ad.reduce_mean(ad.power(ad.sub(ad.clip(pocket, 1e-7, 1 - 1e-7), y_geom), 2.0)),
-               cfg.lambda_p),
-    )
-    if cfg.interaction_mode == "per-point":
-        y_int = ad.reshape(mdl._mlp_head(params, "int", per_point, ad.sigmoid), (-1,))
-        gate = ad.reduce_max(ad.mul(pocket, y_int))
-    else:
-        y_int = mdl.interaction_head(params, fused)
-        gate = ad.mul(ad.reduce_max(pocket), y_int)
-    l_int = ad.reduce_mean(ad.mul(pocket, bce(y_int, 1.0)))
-    dg_hat = mdl.affinity_head(params, fused)
-    err = ad.sub(dg_hat, cfg.dg_target)
-    l_dg = ad.mul(ad.clip(gate, cfg.tau_conf, None), ad.mul(err, err))
+    l_pocket = pocket_loss(pocket, y_geom, y_geom, cfg.lambda_p)
+    l_int = interaction_loss(pocket, y_int, 1.0)
+    l_dg = affinity_loss(gate, dg_hat, cfg.dg_target, cfg.tau_conf)
     total = ad.add(ad.add(ad.mul(l_pocket, cfg.alpha), ad.mul(l_int, cfg.beta)), l_dg)
 
     parts = {
@@ -373,20 +358,23 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
 # continuous-state repair and the PGD step
 # ---------------------------------------------------------------------------
 
-def _greedy_bonds(dist: np.ndarray, budgets: np.ndarray, bond_min: float, bond_max: float):
-    """Provisional single bonds: pairs within range accepted by ascending
-    distance subject to per-point valence budgets."""
+def _close_pairs(dist: np.ndarray, lo: float, hi: float) -> list[tuple]:
+    """Pairs (d, i, j) with i < j and lo <= d <= hi, sorted by (d, i, j)."""
     n = dist.shape[0]
-    pairs = [
+    return sorted(
         (dist[i, j], i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if dist[i, j] <= bond_max
-    ]
-    pairs.sort(key=lambda t: (t[0], t[1], t[2]))
+        if lo <= dist[i, j] <= hi
+    )
+
+
+def _greedy_bonds(dist: np.ndarray, budgets: np.ndarray, bond_max: float):
+    """Provisional single bonds: pairs within range accepted by ascending
+    distance subject to per-point valence budgets."""
     remaining = budgets.astype(float).copy()
     accepted = []
-    for _, i, j in pairs:
+    for _, i, j in _close_pairs(dist, -np.inf, bond_max):
         if remaining[i] >= 1.0 and remaining[j] >= 1.0:
             accepted.append((i, j))
             remaining[i] -= 1.0
@@ -408,28 +396,25 @@ def _pair_target(d: float, is_bonded: bool, cfg: RunConfig) -> float:
     return d if d >= cfg.clash_floor else cfg.clash_floor * _REPAIR_MARGIN
 
 
-def _geometric_sweeps(pts: np.ndarray, bonded: np.ndarray, cfg: RunConfig,
-                      rounds: int) -> np.ndarray:
-    """Sequential pairwise projections until no pair moves; None on failure."""
+def _pair_sweep(pts: np.ndarray, bonded: np.ndarray, cfg: RunConfig) -> float:
+    """One in-place pass of sequential pairwise projections onto each pair's
+    valid distance; returns the largest shift applied."""
     n = len(pts)
-    for _ in range(rounds):
-        moved = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = float(np.linalg.norm(pts[j] - pts[i]))
-                target = _pair_target(d, bool(bonded[i, j]), cfg)
-                if target == d:
-                    continue
-                axis = pts[j] - pts[i]
-                norm = np.linalg.norm(axis)
-                axis = axis / norm if norm > 1e-12 else _tiebreak_axis(i, j)
-                shift = 0.5 * (target - d)
-                pts[i] -= shift * axis
-                pts[j] += shift * axis
-                moved = max(moved, abs(shift))
-        if moved < 1e-9:
-            return pts
-    return None
+    moved = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(np.linalg.norm(pts[j] - pts[i]))
+            target = _pair_target(d, bool(bonded[i, j]), cfg)
+            if target == d:
+                continue
+            axis = pts[j] - pts[i]
+            norm = np.linalg.norm(axis)
+            axis = axis / norm if norm > 1e-12 else _tiebreak_axis(i, j)
+            shift = 0.5 * (target - d)
+            pts[i] -= shift * axis
+            pts[j] += shift * axis
+            moved = max(moved, abs(shift))
+    return moved
 
 
 def repair_state(x: np.ndarray, types: list[str], cfg: RunConfig,
@@ -446,15 +431,14 @@ def repair_state(x: np.ndarray, types: list[str], cfg: RunConfig,
         return pts
     budgets = np.array([V_MAX.get(t.split(".")[0], 4.0) for t in types])
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    bonded_pairs = _greedy_bonds(dist, budgets, cfg.bond_min, cfg.bond_max)
     bonded = np.zeros((n, n), dtype=bool)
-    for i, j in bonded_pairs:
+    for i, j in _greedy_bonds(dist, budgets, cfg.bond_max):
         bonded[i, j] = bonded[j, i] = True
     rounds = cfg.max_repair_rounds if rounds is None else rounds
-    out = _geometric_sweeps(pts, bonded, cfg, rounds)
-    if out is None:
-        raise RepairError(f"state repair did not stabilize in {rounds} rounds")
-    return out
+    for _ in range(rounds):
+        if _pair_sweep(pts, bonded, cfg) < 1e-9:
+            return pts
+    raise RepairError(f"state repair did not stabilize in {rounds} rounds")
 
 
 def _tiebreak_axis(i: int, j: int) -> np.ndarray:
@@ -520,20 +504,12 @@ def infer_bonds(types: list[str], coords: np.ndarray, pair_logits, grad_g, gamma
     triple, aromatic, none}; candidates are visited by ascending distance and
     accepted subject to the running valence budget of both endpoints.
     """
-    n = len(types)
     dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
     budgets = np.array([V_MAX.get(t.split(".")[0], 4.0) for t in types])
     orders = np.array([1.0, 2.0, 3.0, 1.5])
-    candidates = [
-        (dist[i, j], i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if cfg.bond_min <= dist[i, j] <= cfg.bond_max
-    ]
-    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
     remaining = budgets.copy()
     bonds: list[Bond] = []
-    for _, i, j in candidates:
+    for _, i, j in _close_pairs(dist, cfg.bond_min, cfg.bond_max):
         logits = np.asarray(pair_logits[(i, j)], dtype=float)
         g = np.asarray(grad_g[(i, j)], dtype=float) if grad_g else np.zeros(5)
         z = logits - gamma * g
@@ -669,20 +645,7 @@ def validity_repair(molecule: MolecularStructure, cfg: RunConfig) -> MolecularSt
         bonded = np.zeros((n, n), dtype=bool)
         for b in bonds:
             bonded[b.i, b.j] = bonded[b.j, b.i] = True
-        moved = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = float(np.linalg.norm(coords[j] - coords[i]))
-                target = _pair_target(d, bool(bonded[i, j]), cfg)
-                if target == d:
-                    continue
-                axis = coords[j] - coords[i]
-                norm = np.linalg.norm(axis)
-                axis = axis / norm if norm > 1e-12 else _tiebreak_axis(i, j)
-                shift = 0.5 * (target - d)
-                coords[i] -= shift * axis
-                coords[j] += shift * axis
-                moved = max(moved, abs(shift))
+        moved = _pair_sweep(coords, bonded, cfg)
         if not changed and moved < 1e-9:
             atoms = [
                 Atom(a.element, tuple(coords[k]), a.radius, a.hybridization, a.name)

@@ -25,7 +25,10 @@ from .equivariant import (
     knn_indices,
 )
 
-__all__ = ["PipelineModel", "sgd_momentum_step", "adam_step", "as_tensors", "collect_grads"]
+__all__ = [
+    "PipelineModel", "sgd_momentum_step", "adam_step", "as_tensors", "collect_grads",
+    "mean_terms", "train_loop",
+]
 
 N_SCALARS_PROTEIN = 14   # 4 chem + 6 atom + 3 geom + type flag
 N_SCALARS_MOLECULE = 16  # 4 chem + 8 atom + 3 geom + type flag
@@ -162,10 +165,64 @@ class PipelineModel:
     def fuse(self, params: dict, receptor: IrrepsField, ligand: IrrepsField):
         return equivariant_attention(receptor, ligand, params, fused_pool=self.cfg.fused_pool)
 
+    def complex_heads(self, params: dict, receptor: IrrepsField, ligand: IrrepsField):
+        """Fuse the two fields and run the pocket, interaction and affinity heads.
+
+        Each receptor point's head input is its own order-0 features next to
+        the attended ones. With ``interaction_mode = "per-point"`` the
+        interaction head scores every receptor point and the gate is the
+        largest pocket-interaction product; otherwise it scores the fused
+        vector and the gate is the largest pocket probability times it.
+
+        Returns (pocket probabilities, interaction probability, predicted
+        affinity, gate tensor used by the affinity loss).
+        """
+        attended, fused, _ = self.fuse(params, receptor, ligand)
+        orig0 = ad.reshape(receptor.channels[0], (-1, self.d0))
+        att0 = ad.reshape(attended.channels[0], (-1, self.d0))
+        per_point = ad.concat([orig0, att0], axis=1)
+        pocket = self.pocket_head(params, per_point)
+        if self.cfg.interaction_mode == "per-point":
+            y_int = ad.reshape(self._mlp_head(params, "int", per_point, ad.sigmoid), (-1,))
+            gate = ad.reduce_max(ad.mul(pocket, y_int))
+        else:
+            y_int = self.interaction_head(params, fused)
+            gate = ad.mul(ad.reduce_max(pocket), y_int)
+        return pocket, y_int, self.affinity_head(params, fused), gate
+
 
 # ---------------------------------------------------------------------------
-# parameter plumbing and optimizers
+# training loop, parameter plumbing and optimizers
 # ---------------------------------------------------------------------------
+
+def mean_terms(terms: list[Tensor]) -> Tensor:
+    """Mean of scalar loss terms, summed in list order."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = ad.add(acc, t)
+    return ad.mul(acc, 1.0 / len(terms))
+
+
+def train_loop(samples: list, steps: int, batch_size: int, order_seed: list[int],
+               step, log=None) -> list[dict]:
+    """Seed-deterministic minibatch loop shared by pretraining and fine-tuning.
+
+    Each step draws ``min(batch_size, len(samples))`` distinct samples from a
+    generator seeded with ``SeedSequence(order_seed)``, keeps them in corpus
+    order and calls ``step(batch, index)``, which returns the step's record.
+    Returns the records, each with its ``step`` index; ``log`` sees each one.
+    """
+    order_rng = np.random.default_rng(np.random.SeedSequence(order_seed))
+    history = []
+    for index in range(steps):
+        idx = order_rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
+        record = step([samples[i] for i in np.sort(idx)], index)
+        record["step"] = index
+        history.append(record)
+        if log is not None:
+            log(record)
+    return history
+
 
 def as_tensors(params: dict[str, np.ndarray], trainable=None) -> dict[str, Tensor]:
     """Wrap parameter arrays as graph leaves (all trainable by default)."""

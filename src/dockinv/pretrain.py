@@ -22,7 +22,9 @@ from .model import (
     as_tensors,
     clip_grads,
     collect_grads,
+    mean_terms,
     sgd_momentum_step,
+    train_loop,
 )
 from .surface import PatchSet, SurfacePointCloud
 
@@ -221,22 +223,15 @@ def pretrain_loss(mdl: PipelineModel, params_t: dict, batch: list[PretrainSample
         recs.append(rec)
         curs.append(cur)
         kls.append(kl)
-    rec = _mean_scalar(recs)
-    cur = _mean_scalar(curs)
-    kl = _mean_scalar(kls)
+    rec = mean_terms(recs)
+    cur = mean_terms(curs)
+    kl = mean_terms(kls)
     total = ad.add(ad.add(ad.mul(rec, cfg.nu1), ad.mul(cur, cfg.nu2)), ad.mul(kl, cfg.nu3))
     parts = {"rec": rec.item(), "cur": cur.item(), "kl": kl.item()}
     for name, value in parts.items():
         if not np.isfinite(value):
             raise ad.DomainError(f"non-finite pretraining loss term '{name}'")
     return total, parts
-
-
-def _mean_scalar(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return ad.mul(acc, 1.0 / len(terms))
 
 
 def pretrain_step(mdl: PipelineModel, params: dict, opt_state: dict,
@@ -257,14 +252,9 @@ def pretrain_run(samples: list[PretrainSample], cfg: RunConfig, steps: int, seed
     mdl = mdl or PipelineModel(cfg)
     params = params if params is not None else mdl.init_params(seed)
     opt_state: dict = {}
-    order_rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
-    history = []
-    for step in range(steps):
-        idx = order_rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
-        batch = [samples[i] for i in np.sort(idx)]
-        record = pretrain_step(mdl, params, opt_state, batch, cfg, seed=seed * 100003 + step)
-        record["step"] = step
-        history.append(record)
-        if log is not None:
-            log(record)
+    history = train_loop(
+        samples, steps, batch_size, [seed, 17],
+        lambda batch, step: pretrain_step(mdl, params, opt_state, batch, cfg,
+                                          seed=seed * 100003 + step),
+        log)
     return params, history

@@ -13,7 +13,7 @@ distances with deterministic tie-breaking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "knn",
     "pool_patch_stats",
     "interface_labels",
+    "build_patches",
     "build_surface",
 ]
 
@@ -59,15 +60,9 @@ class InsufficientSurfaceError(SurfaceError):
         self.requested = requested
 
 
-@dataclass
 class SurfacePointCloud:
-    """Surface sample: points (N,3), unit normals (N,3), features (N,d)."""
-
-    points: np.ndarray
-    normals: np.ndarray
-    features: np.ndarray
-    molecule_type: str
-    empty_flags: np.ndarray | None = None  # per-point empty-neighborhood marker
+    """Surface sample: points (N,3), unit normals (N,3), features (N,d), and
+    an optional per-point empty-neighborhood marker ``empty_flags``."""
 
     def __init__(self, points, normals, features, molecule_type, empty_flags=None, validate=True):
         self.points = np.ascontiguousarray(points, dtype=float)
@@ -485,6 +480,25 @@ def interface_labels(
 # orchestration
 # ---------------------------------------------------------------------------
 
+def build_patches(cloud: SurfacePointCloud, cfg: RunConfig,
+                  partner_points: np.ndarray | None = None) -> PatchSet:
+    """Partition a cloud into patches: ``round(rho * N)`` farthest-point
+    centers, each with its ``patch_k`` nearest members.
+
+    Patches are labeled by contact with ``partner_points`` at the interface
+    cutoff for the cloud's molecule type; without a partner every label is
+    0 and the set is marked unlabeled.
+    """
+    points = cloud.points
+    centers = fps(points, max(1, int(round(cfg.rho * len(points)))))
+    members, relaxed = knn(points[centers], points, cfg.patch_k, cfg.r_patch)
+    mean, var = pool_patch_stats(cloud.features, members)
+    is_protein = cloud.molecule_type == "protein"
+    cutoff = cfg.interface_cutoff_ligand if is_protein else cfg.interface_cutoff_protein
+    labels, labeled = interface_labels(points, members, partner_points, cutoff)
+    return PatchSet(centers, members, mean, var, labels, relaxed, labeled)
+
+
 def build_surface(
     structure: MolecularStructure,
     cfg: RunConfig,
@@ -512,11 +526,4 @@ def build_surface(
         empty_flags=chem_empty | atom_empty,
     )
 
-    n_centers = max(1, int(round(cfg.rho * m)))
-    centers = fps(points, n_centers)
-    members, relaxed = knn(points[centers], points, cfg.patch_k, cfg.r_patch)
-    mean, var = pool_patch_stats(features, members)
-    cutoff = cfg.interface_cutoff_ligand if is_protein else cfg.interface_cutoff_protein
-    labels, labeled = interface_labels(points, members, partner_points, cutoff)
-    patches = PatchSet(centers, members, mean, var, labels, relaxed, labeled)
-    return cloud, patches
+    return cloud, build_patches(cloud, cfg, partner_points)

@@ -9,7 +9,6 @@ a runtime scaling-exponent fit, and the sequence/structure metrics
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +17,6 @@ __all__ = [
     "SyntheticLandscape",
     "GeneratorStub",
     "VerifyReport",
-    "box_projection",
-    "ball_projection",
     "pgd",
     "verify_descent",
     "double_well",
@@ -27,7 +24,6 @@ __all__ = [
     "random_psd_quadratic",
     "quadratic_1d",
     "box_quadratic",
-    "estimate_smoothness",
     "fit_scaling_exponent",
     "metric_aar",
     "metric_div",
@@ -102,21 +98,6 @@ class VerifyReport:
         for k, v in sorted(self.details.items()):
             out.append(f"    {k} = {v}")
         return out
-
-
-def box_projection(lower, upper):
-    return lambda x: np.clip(x, lower, upper)
-
-
-def ball_projection(center, radius):
-    center = np.asarray(center, dtype=float)
-
-    def proj(x):
-        d = x - center
-        n = np.linalg.norm(d)
-        return x if n <= radius else center + d * (radius / n)
-
-    return proj
 
 
 def pgd(f, grad, project, x0, eta: float, steps: int):
@@ -314,34 +295,6 @@ def containment_demo(landscape: SyntheticLandscape | None = None,
     return VerifyReport("containment", not violations, violations, details)
 
 
-def estimate_smoothness(f, x0: np.ndarray, iters: int = 20, h: float = 1e-4,
-                        seed: int = 0) -> float:
-    """Largest local curvature by power iteration on finite-difference
-    Hessian-vector products."""
-    rng = np.random.default_rng(seed)
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-
-    def grad_fd(x):
-        g = np.zeros(dim)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            g[i] = (f(x + e) - f(x - e)) / (2 * h)
-        return g
-
-    lam = 0.0
-    for _ in range(iters):
-        hv = (grad_fd(x0 + h * v) - grad_fd(x0 - h * v)) / (2 * h)
-        lam = float(np.linalg.norm(hv))
-        if lam == 0.0:
-            return 0.0
-        v = hv / lam
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # scaling fit
 # ---------------------------------------------------------------------------
@@ -371,17 +324,6 @@ def fit_scaling_exponent(samples: list[tuple[float, float]]):
     var = float(resid @ resid) / dof
     cov = var * np.linalg.inv(a.T @ a)
     return gamma, float(np.sqrt(cov[0, 0]))
-
-
-def time_runtime(fn, n_values, repeats: int = 3):
-    """Convenience: wall-time ``fn(n)`` into fit_scaling_exponent samples."""
-    samples = []
-    for n in n_values:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn(n)
-            samples.append((float(n), time.perf_counter() - start))
-    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +363,6 @@ def seq_identity(a, b) -> float:
     if n == 0:
         return 0.0
     return sum(1 for i in range(n) if a[i] == b[i]) / n
-
-
-def structural_similarity(coords_a: np.ndarray, coords_b: np.ndarray, d0: float = 5.0) -> float:
-    """TM-style similarity: mean of 1 / (1 + (d_k / d0)^2) over aligned positions."""
-    a = np.asarray(coords_a, dtype=float)
-    b = np.asarray(coords_b, dtype=float)
-    n = min(len(a), len(b))
-    if n == 0:
-        return 0.0
-    d = np.linalg.norm(a[:n] - b[:n], axis=1)
-    return float(np.mean(1.0 / (1.0 + (d / d0) ** 2)))
 
 
 def metric_nov(generated: list, references: list, alpha: float = 0.5,

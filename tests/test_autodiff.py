@@ -208,15 +208,6 @@ def test_division_by_zero_error():
         ad.div(ad.constant(1.0), ad.constant(0.0))
 
 
-def test_forward_primitive_registry():
-    out = ad.forward_primitive("add", ad.constant(1.0), ad.constant(2.0))
-    assert out.item() == 3.0
-    out = ad.forward_primitive("log-sum-exp", ad.constant(np.array([0.0, 0.0])), axis=0)
-    assert abs(out.item() - np.log(2)) < 1e-15
-    with pytest.raises(ad.ContractError):
-        ad.forward_primitive("convolve", ad.constant(1.0))
-
-
 def test_values_are_immutable():
     x = ad.param(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

@@ -1,0 +1,81 @@
+"""The dockinv command line: exit codes and the .mdpc corpus path."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from conftest import write_pdb
+
+from dockinv import fileio
+from dockinv.cli import main
+from dockinv.config import RunConfig
+from dockinv.structures import parse_pdb
+from dockinv.surface import build_patches, build_surface
+
+
+@pytest.fixture
+def pdb(tmp_path, receptor_structure):
+    return write_pdb(receptor_structure, tmp_path / "receptor.pdb")
+
+
+@pytest.fixture
+def config_file(tmp_path, toy_cfg):
+    """The toy configuration as a ``key = value`` file."""
+    default = RunConfig()
+    lines = [f"{f.name} = {getattr(toy_cfg, f.name)}" for f in dataclasses.fields(RunConfig)
+             if getattr(toy_cfg, f.name) != getattr(default, f.name)]
+    path = tmp_path / "toy.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_verify_passes_with_exit_0():
+    assert main(["verify", "--instances", "2"]) == 0
+
+
+def test_negative_control_fails_verification_with_exit_3():
+    assert main(["verify", "--instances", "2", "--negative-control"]) == 3
+
+
+def test_missing_input_exits_1(tmp_path):
+    assert main(["surface", str(tmp_path / "absent.pdb"), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("command, option", [
+    ("pretrain", "--steps"),
+    ("pretrain", "--batch-size"),
+    ("finetune", "--corpus-size"),
+    ("invert", "--runs"),
+])
+def test_count_below_one_exits_1_before_any_write(command, option, tmp_path, pdb, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), option, "0"]
+    if command == "invert":
+        argv += ["--receptor", str(pdb)]
+    assert main(argv) == 1
+    assert f"{option} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_insufficient_surface_exits_2(tmp_path, pdb, capsys):
+    argv = ["surface", str(pdb), "--out", str(tmp_path / "out"),
+            "--set", "t_sdf=1", "--set", "m_protein=500"]
+    assert main(argv) == 2
+    assert "converged to the iso-surface" in capsys.readouterr().err
+
+
+def test_pretrain_on_surface_output(tmp_path, pdb, config_file, toy_cfg):
+    corpus = tmp_path / "corpus"
+    assert main(["surface", str(pdb), "--config", str(config_file), "--out", str(corpus)]) == 0
+    ckpt = tmp_path / "pretrain.ckpt"
+    argv = ["pretrain", "--config", str(config_file), "--corpus", str(corpus),
+            "--steps", "1", "--batch-size", "1", "--out", str(ckpt)]
+    assert main(argv) == 0
+    assert ckpt.exists()
+
+    # the corpus loader's patches equal the ones built with the surface
+    cloud = fileio.read_pointcloud(corpus / "receptor.mdpc")
+    _, expected = build_surface(parse_pdb(pdb.read_text()), toy_cfg, seed=0)
+    patches = build_patches(cloud, toy_cfg)
+    assert np.array_equal(patches.center_indices, expected.center_indices)
+    assert np.array_equal(patches.member_indices, expected.member_indices)

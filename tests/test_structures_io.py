@@ -209,8 +209,9 @@ class TestConfig:
         assert cfg.rho == 0.25
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            load_config("no_such_knob = 3\n")
+        for key in ("no_such_knob", "seed", "grad_check_tol"):
+            with pytest.raises(ConfigError):
+                load_config(f"{key} = 3\n")
 
     def test_ratio_bounds(self):
         with pytest.raises(ConfigError):
