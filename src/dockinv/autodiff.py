@@ -75,7 +75,9 @@ _node_counter = itertools.count()
 
 
 def _check_finite(values: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(values)):
+    # a finite sum proves every entry finite; only a non-finite sum (a NaN or
+    # inf entry, or a sum that overflows) needs the elementwise scan
+    if not np.isfinite(values.sum()) and not np.all(np.isfinite(values)):
         raise DomainError(f"non-finite values produced by '{op}'")
 
 
@@ -84,7 +86,9 @@ class Tensor:
 
     ``values`` is always a C-contiguous float64 array. ``requires_grad``
     propagates from parents; gradient accumulation only touches the
-    grad-requiring subgraph.
+    grad-requiring subgraph. A node computed without any grad-requiring
+    parent records no ``parents`` and no vjp, so a no-grad evaluation keeps
+    no intermediate alive once its tensors are dropped.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "op", "parents", "_vjp", "node_id")
@@ -195,9 +199,9 @@ def param(x) -> Tensor:
 
 def _make(values, op, parents, vjp) -> Tensor:
     _check_finite(values, op)
-    rg = any(p.requires_grad for p in parents)
-    return Tensor(values, requires_grad=rg, op=op, parents=parents,
-                  vjp=vjp if rg else None, _owned=True)
+    if any(p.requires_grad for p in parents):
+        return Tensor(values, requires_grad=True, op=op, parents=parents, vjp=vjp, _owned=True)
+    return Tensor(values, op=op, _owned=True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -560,7 +564,9 @@ def _getitem(a: Tensor, key) -> Tensor:
 class Tape:
     """Topologically ordered record of the graph reachable from a root.
 
-    ``nodes`` lists every reachable tensor with inputs before outputs;
+    ``nodes`` lists every reachable tensor with inputs before outputs. Nodes
+    that require no grad record no parents, so the graph above them ends
+    there: the tape holds the grad-requiring subgraph and its direct inputs.
     ``visit_count`` is the number of vjp invocations performed by the
     backward sweep that produced this tape (one per non-leaf node).
     """

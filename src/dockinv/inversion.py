@@ -682,16 +682,16 @@ def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: di
     idx, _ = sample_atom_types(logits, g, cfg.gamma_bias, rng)
     types = [MOLECULE_TYPES[i] for i in idx]
 
+    # logits only for the pairs infer_bonds visits: those in the bond window
     pair_logits = {}
     w, b = params["bond.w"], params["bond.b"]
     w = w.values if isinstance(w, Tensor) else w
     b = b.values if isinstance(b, Tensor) else b
-    n = len(types)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(state.x[i] - state.x[j]))
-            summary = np.array([d - 1.5, 0.5 * (f[i, 8] + f[j, 8])])
-            pair_logits[(i, j)] = summary @ w + b
+    dist = np.linalg.norm(state.x[:, None, :] - state.x[None, :, :], axis=2)
+    for _, i, j in _close_pairs(dist, cfg.bond_min, cfg.bond_max):
+        d = float(np.linalg.norm(state.x[i] - state.x[j]))
+        summary = np.array([d - 1.5, 0.5 * (f[i, 8] + f[j, 8])])
+        pair_logits[(i, j)] = summary @ w + b
     bonds = infer_bonds(types, state.x, pair_logits, None, cfg.gamma_bias, rng, cfg)
 
     atoms = []

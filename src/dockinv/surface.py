@@ -121,34 +121,52 @@ def smoothed_sdf(x, coords: np.ndarray, radii: np.ndarray) -> ad.Tensor:
     return out[0] if single else out
 
 
+# Points are evaluated in row blocks of about this many bytes of point-atom
+# differences: 109 rows at A = 200, 21 rows at A = 1000. Blocks from 256 KiB
+# to 2 MiB ran equally fast at both sizes; larger ones spill out of cache.
+_SDF_BLOCK_BYTES = 1 << 19
+
+
 def sdf_value_grad(points: np.ndarray, coords: np.ndarray, radii: np.ndarray):
-    """Fast numpy evaluation of the smoothed SDF and its spatial gradient."""
+    """Fast numpy evaluation of the smoothed SDF and its spatial gradient.
+
+    Points are taken in row blocks, so memory stays O(rows x A) for any
+    number of points, and every row comes out bitwise the same whatever block
+    it falls in. The atom sum is never truncated. With ``q`` and ``p`` the
+    softmaxes of ``-d/r`` and ``-d`` over atoms and ``s`` the log-sum-exp of
+    ``-d/r``, the gradient of ``-fbar * s`` is ``sum_j w_j (x - c_j)`` with
+    ``w_j = [s p_j (r_j - fbar) + fbar q_j / r_j] / max(d_j, 1e-12)``.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     coords = np.asarray(coords, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if coords.size == 0:
         raise SurfaceError("sdf_value_grad needs at least one atom")
-    diff = points[:, None, :] - coords[None, :, :]          # (P, A, 3)
-    d = np.linalg.norm(diff, axis=2)                        # (P, A)
-    u = diff / np.maximum(d, 1e-12)[..., None]
+    coords_t = np.ascontiguousarray(coords.T)                   # (3, A)
+    rows = max(1, _SDF_BLOCK_BYTES // (coords_t.size * 8))
+    sdf = np.empty(points.shape[0])
+    grad = np.empty((points.shape[0], 3))
+    for lo in range(0, points.shape[0], rows):
+        block = slice(lo, lo + rows)
+        diff = points[block, :, None] - coords_t                # (rows, 3, A)
+        sq = diff * diff
+        d = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])             # (rows, A)
 
-    a = -d / radii
-    m = a.max(axis=1, keepdims=True)
-    e = np.exp(a - m)
-    z = e.sum(axis=1, keepdims=True)
-    s = (np.log(z) + m)[:, 0]
-    q = e / z
+        a = -d / radii
+        m = a.max(axis=1, keepdims=True)
+        e = np.exp(a - m)
+        z = e.sum(axis=1, keepdims=True)
+        s = np.log(z) + m
+        q = e / z
 
-    b = -d
-    mb = b.max(axis=1, keepdims=True)
-    eb = np.exp(b - mb)
-    p = eb / eb.sum(axis=1, keepdims=True)
-    fbar = (p * radii).sum(axis=1)
+        b = -d
+        eb = np.exp(b - b.max(axis=1, keepdims=True))
+        p = eb / eb.sum(axis=1, keepdims=True)
+        fbar = (p * radii).sum(axis=1, keepdims=True)
 
-    sdf = -fbar * s
-    grad_s = ((q * (-1.0 / radii))[..., None] * u).sum(axis=1)
-    grad_fbar = ((p * (radii - fbar[:, None]))[..., None] * (-u)).sum(axis=1)
-    grad = -grad_fbar * s[:, None] - fbar[:, None] * grad_s
+        sdf[block] = (-fbar * s)[:, 0]
+        w = (s * p * (radii - fbar) + fbar * q / radii) / np.maximum(d, 1e-12)
+        grad[block] = np.einsum("pka,pa->pk", diff, w)
     return sdf, grad
 
 

@@ -215,5 +215,26 @@ def test_values_are_immutable():
 
 
 def test_forward_rejects_non_finite_results():
-    with pytest.raises(ad.DomainError):
+    with pytest.raises(ad.DomainError, match="'exp'"):
         ad.exp(ad.constant(1e4))
+    with pytest.raises(ad.DomainError, match="'add'"):
+        ad.add(ad.constant(np.array([1.0, np.nan])), ad.constant(1.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_finite_values_whose_sum_overflows_pass():
+    big = ad.add(ad.constant(np.array([1e308, 1e308])), ad.constant(0.0))
+    assert np.all(np.isfinite(big.values))
+
+
+def test_no_grad_nodes_record_no_graph():
+    c = ad.constant(np.array([1.0, 2.0]))
+    y = ad.reduce_sum(ad.exp(c) * c)
+    assert y.parents == () and y._vjp is None and not y.requires_grad
+    assert len(ad.Tape.trace(y)) == 1
+
+    x = ad.param(np.array([1.0, 2.0]))
+    z = ad.reduce_sum(ad.exp(c) * x)
+    assert z.parents and z.requires_grad
+    z.backward()
+    np.testing.assert_array_equal(x.grad, np.exp(c.values))

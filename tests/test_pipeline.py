@@ -158,3 +158,10 @@ def test_checkpoint_resume_matches_in_memory(trained, toy_cfg, mdl, complex_corp
     resumed = _train(toy_cfg, mdl, None, complex_corpus[0], pre_params=loaded)
     _assert_same_params(resumed["finetune_params"], trained["finetune_params"])
     assert resumed["finetune_history"] == trained["finetune_history"]
+
+
+def test_no_grad_encode_keeps_no_graph(mdl, init_params, receptor_cloud):
+    cloud = receptor_cloud[0]
+    field = mdl.encode(init_params, cloud.features, cloud.points, "protein")
+    for ch in field.channels.values():
+        assert isinstance(ch, ad.Tensor) and ch.parents == () and not ch.requires_grad

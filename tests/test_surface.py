@@ -1,5 +1,7 @@
 """Stage 1: the distance field, projection, features, and patch partition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,87 @@ class TestSdf:
     def test_empty_atoms_error(self):
         with pytest.raises((ad.DomainError, sf.SurfaceError)):
             sf.smoothed_sdf(np.zeros(3), np.zeros((0, 3)), np.zeros(0))
+
+
+def sdf_case(n_points, n_atoms, seed):
+    """Points scattered around random atoms, as projection candidates are."""
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_normal((n_atoms, 3)) * 6
+    radii = rng.uniform(1.2, 2.0, n_atoms)
+    pts = coords[rng.integers(0, n_atoms, n_points)] + rng.standard_normal((n_points, 3)) * 1.5
+    return pts, coords, radii
+
+
+class TestSdfKernel:
+    """sdf_value_grad evaluates points in row blocks; blocking is invisible."""
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_rows_bitwise_equal_to_one_point_calls(self, blocks, extra):
+        n_atoms = 60
+        n = blocks * (sf._SDF_BLOCK_BYTES // (n_atoms * 3 * 8)) + extra
+        pts, coords, radii = sdf_case(n, n_atoms, seed=n)
+        sdf, grad = sf.sdf_value_grad(pts, coords, radii)
+        for i in range(n):
+            s1, g1 = sf.sdf_value_grad(pts[i], coords, radii)
+            assert s1[0] == sdf[i]
+            assert np.array_equal(g1[0], grad[i])
+
+    def test_rows_agree_with_graph_across_blocks(self, monkeypatch):
+        pts, coords, radii = sdf_case(23, 40, seed=3)
+        monkeypatch.setattr(sf, "_SDF_BLOCK_BYTES", 7 * 40 * 3 * 8)   # 7-row blocks
+        sdf, grad = sf.sdf_value_grad(pts, coords, radii)
+        x = ad.param(pts)
+        out = sf.smoothed_sdf(x, coords, radii)
+        ad.backward(ad.reduce_sum(out))
+        np.testing.assert_allclose(sdf, out.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, x.grad, rtol=0, atol=1e-12)
+
+    def test_point_on_atom_centre_and_far_point_are_finite(self):
+        _, coords, radii = sdf_case(1, 30, seed=4)
+        far = coords[0] + np.array([1000.0, 0.0, 0.0])
+        sdf, grad = sf.sdf_value_grad(np.stack([coords[5], far]), coords, radii)
+        assert np.all(np.isfinite(sdf)) and np.all(np.isfinite(grad))
+        assert abs(sdf[1] - sf.smoothed_sdf(far, coords, radii).item()) < 1e-9
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        pts, coords, radii = sdf_case(4000, 200, seed=5)
+        tracemalloc.start()
+        try:
+            sf.sdf_value_grad(pts, coords, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (P, A, 3) float64 array would take 19.2 MB
+        assert peak < 16e6
+
+
+class TestSdfCallContract:
+    """Stage 1 reaches the kernel through the module attribute, one call per
+    evaluation over every point (the benchmark's span hooks rely on it)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        kernel = sf.sdf_value_grad
+
+        def spy(points, coords, radii):
+            seen.append(np.atleast_2d(points).shape[0])
+            return kernel(points, coords, radii)
+
+        monkeypatch.setattr(sf, "sdf_value_grad", spy)
+        return seen
+
+    def test_projection_calls_once_per_step_plus_acceptance(self, calls):
+        structure = random_protein(5, n_residues=3)
+        cands = sf.sample_candidates(structure, 4, 1.0, np.random.default_rng(0))
+        sf.project_to_isosurface(cands, structure.coords, structure.radii, 1.4, 6, 0.1)
+        assert calls == [len(cands)] * 7
+
+    def test_normals_call_once(self, calls):
+        coords, radii = single_atom(1.4)
+        pts = np.array([[1.4, 0, 0], [0, 1.4, 0], [0, 0, -1.4]])
+        sf.estimate_normals(pts, coords, radii)
+        assert calls == [3]
 
 
 class TestProjection:
