@@ -81,17 +81,43 @@ def _check_finite(values: np.ndarray, op: str) -> None:
         raise DomainError(f"non-finite values produced by '{op}'")
 
 
+class _Node:
+    """Graph record of one grad-requiring op output, without its values.
+
+    ``parents`` holds the graph entries of the op's grad-requiring inputs
+    (their ``_Node``, or the tensor itself for a leaf) and ``slots`` their
+    positions in the vjp's output. The vjp closure saves only the arrays its
+    gradients read, so an intermediate whose values no vjp reads is freed as
+    soon as the forward code drops its tensor.
+    """
+
+    __slots__ = ("op", "parents", "slots", "vjp")
+
+    def __init__(self, op: str, parents: tuple, vjp: Callable[[np.ndarray], tuple]):
+        entries, slots = [], []
+        for slot, p in enumerate(parents):
+            if p.requires_grad:
+                entries.append(p._node if p._node is not None else p)
+                slots.append(slot)
+        self.op = op
+        self.parents = tuple(entries)
+        self.slots = tuple(slots)
+        self.vjp = vjp
+
+
 class Tensor:
-    """Immutable node in the differentiation graph.
+    """Immutable value in the differentiation graph.
 
     ``values`` is always a C-contiguous float64 array. ``requires_grad``
     propagates from parents; gradient accumulation only touches the
-    grad-requiring subgraph. A node computed without any grad-requiring
-    parent records no ``parents`` and no vjp, so a no-grad evaluation keeps
-    no intermediate alive once its tensors are dropped.
+    grad-requiring subgraph, and ``grad`` is filled on grad-requiring leaves
+    only. A grad-requiring op output keeps its graph in a values-free
+    ``_Node``; a tensor computed without any grad-requiring parent records no
+    ``parents`` and no vjp, so a no-grad evaluation keeps no intermediate
+    alive once its tensors are dropped.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "op", "parents", "_vjp", "node_id")
+    __slots__ = ("values", "requires_grad", "grad", "op", "_node", "node_id")
 
     def __init__(
         self,
@@ -119,9 +145,13 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.op = op
-        self.parents = parents
-        self._vjp = vjp
+        self._node = _Node(op, parents, vjp) if self.requires_grad and vjp is not None else None
         self.node_id = next(_node_counter)
+
+    @property
+    def parents(self) -> tuple:
+        """Graph entries of the grad-requiring inputs; empty for a leaf or a no-grad value."""
+        return self._node.parents if self._node is not None else ()
 
     @property
     def shape(self) -> tuple:
@@ -232,26 +262,32 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _binary_shapes(a, b, "add")
     out = a.values + b.values
-    return _make(out, "add", (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(out, "add", (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _binary_shapes(a, b, "sub")
     out = a.values - b.values
-    return _make(out, "sub", (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(out, "sub", (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _binary_shapes(a, b, "mul")
     out = a.values * b.values
-    return _make(
-        out,
-        "mul",
-        (a, b),
-        lambda g: (_unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    # each operand's values are saved only for the other operand's gradient
+    av = a.values if b.requires_grad else None
+    bv = b.values if a.requires_grad else None
+
+    def vjp(g):
+        return (None if bv is None else _unbroadcast(g * bv, sa),
+                None if av is None else _unbroadcast(g * av, sb))
+
+    return _make(out, "mul", (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -260,15 +296,14 @@ def div(a, b) -> Tensor:
     if np.any(b.values == 0.0):
         raise DomainError("division by zero")
     out = a.values / b.values
-    return _make(
-        out,
-        "div",
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.values, a.shape),
-            _unbroadcast(-g * a.values / (b.values * b.values), b.shape),
-        ),
-    )
+    sa, sb, bv = a.shape, b.shape, b.values
+    av = a.values if b.requires_grad else None
+
+    def vjp(g):
+        return (_unbroadcast(g / bv, sa),
+                None if av is None else _unbroadcast(-g * av / (bv * bv), sb))
+
+    return _make(out, "div", (a, b), vjp)
 
 
 def neg(a) -> Tensor:
@@ -287,8 +322,9 @@ def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.values <= 0.0):
         raise DomainError("log of non-positive input")
-    out = np.log(a.values)
-    return _make(out, "log", (a,), lambda g: (g / a.values,))
+    av = a.values
+    out = np.log(av)
+    return _make(out, "log", (a,), lambda g: (g / av,))
 
 
 def power(a, p: float) -> Tensor:
@@ -298,8 +334,9 @@ def power(a, p: float) -> Tensor:
         raise DomainError(f"power({p}) of negative input")
     if p < 1.0 and p != 0.0 and np.any(a.values == 0.0):
         raise DomainError(f"power({p}) at zero has unbounded derivative")
-    out = a.values**p
-    return _make(out, "power", (a,), lambda g: (g * p * a.values ** (p - 1.0),))
+    av = a.values
+    out = av**p
+    return _make(out, "power", (a,), lambda g: (g * p * av ** (p - 1.0),))
 
 
 def sqrt(a) -> Tensor:
@@ -340,12 +377,14 @@ def clip(a, lo=None, hi=None) -> Tensor:
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.cos(a.values), "cos", (a,), lambda g: (-g * np.sin(a.values),))
+    av = a.values
+    return _make(np.cos(av), "cos", (a,), lambda g: (-g * np.sin(av),))
 
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.sin(a.values), "sin", (a,), lambda g: (g * np.cos(a.values),))
+    av = a.values
+    return _make(np.sin(av), "sin", (a,), lambda g: (g * np.cos(av),))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +398,13 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
     out = a.values @ b.values
-    return _make(out, "matmul", (a, b), lambda g: (g @ b.values.T, a.values.T @ g))
+    av = a.values if b.requires_grad else None
+    bv = b.values if a.requires_grad else None
+
+    def vjp(g):
+        return (None if bv is None else g @ bv.T, None if av is None else av.T @ g)
+
+    return _make(out, "matmul", (a, b), vjp)
 
 
 def bmm(a, b) -> Tensor:
@@ -370,9 +415,12 @@ def bmm(a, b) -> Tensor:
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"bmm shapes incompatible: {a.shape} vs {b.shape}")
     out = a.values @ b.values
+    av = a.values if b.requires_grad else None
+    bv = b.values if a.requires_grad else None
 
     def vjp(g):
-        return (g @ b.values.transpose(0, 2, 1), a.values.transpose(0, 2, 1) @ g)
+        return (None if bv is None else g @ bv.transpose(0, 2, 1),
+                None if av is None else av.transpose(0, 2, 1) @ g)
 
     return _make(out, "bmm", (a, b), vjp)
 
@@ -389,11 +437,12 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.values.sum(axis=axis, keepdims=keepdims)
     axes = _norm_axis(axis, a.ndim)
+    shape = a.shape
 
     def vjp(g):
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(out, "sum", (a,), vjp)
 
@@ -403,11 +452,12 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.values.mean(axis=axis, keepdims=keepdims)
     axes = _norm_axis(axis, a.ndim)
     count = a.size if axes is None else int(np.prod([a.shape[ax] for ax in axes]))
+    shape = a.shape
 
     def vjp(g):
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy() / count,)
+        return (np.broadcast_to(g, shape).copy() / count,)
 
     return _make(out, "mean", (a,), vjp)
 
@@ -486,11 +536,12 @@ def norm(a, axis: int = -1, keepdims: bool = False) -> Tensor:
         raise DomainError("euclidean-norm of zero vector (gradient undefined)")
     out_kd = np.sqrt(sq)
     out = out_kd if keepdims else np.squeeze(out_kd, axis=axis)
+    av = a.values
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (a.values / out_kd * g,)
+        return (av / out_kd * g,)
 
     return _make(out, "euclidean-norm", (a,), vjp)
 
@@ -510,9 +561,10 @@ def gather(a, index) -> Tensor:
             f"gather index out of range [0, {a.shape[0]}): min={idx.min()}, max={idx.max()}"
         )
     out = a.values[idx]
+    shape = a.shape
 
     def vjp(g):
-        ga = np.zeros(a.shape)
+        ga = np.zeros(shape)
         np.add.at(ga, idx, g)
         return (ga,)
 
@@ -536,7 +588,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.values.reshape(shape)
-    return _make(out, "reshape", (a,), lambda g: (g.reshape(a.shape),))
+    in_shape = a.shape
+    return _make(out, "reshape", (a,), lambda g: (g.reshape(in_shape),))
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -548,9 +601,10 @@ def transpose(a, axes=None) -> Tensor:
 
 def _getitem(a: Tensor, key) -> Tensor:
     out = a.values[key]
+    shape = a.shape
 
     def vjp(g):
-        ga = np.zeros(a.shape)
+        ga = np.zeros(shape)
         ga[key] = g
         return (ga,)
 
@@ -564,11 +618,12 @@ def _getitem(a: Tensor, key) -> Tensor:
 class Tape:
     """Topologically ordered record of the graph reachable from a root.
 
-    ``nodes`` lists every reachable tensor with inputs before outputs. Nodes
-    that require no grad record no parents, so the graph above them ends
-    there: the tape holds the grad-requiring subgraph and its direct inputs.
-    ``visit_count`` is the number of vjp invocations performed by the
-    backward sweep that produced this tape (one per non-leaf node).
+    ``nodes`` lists the grad-requiring subgraph with inputs before outputs:
+    a ``_Node`` for each op output and the leaf tensors themselves, each with
+    the ``parents`` it reaches. A root that requires no grad is its own
+    one-entry tape. ``visit_count`` is the number of vjp invocations
+    performed by the backward sweep that produced this tape (one per
+    non-leaf node).
     """
 
     def __init__(self, nodes: list):
@@ -580,9 +635,9 @@ class Tape:
 
     @staticmethod
     def trace(root: Tensor) -> "Tape":
-        order: list[Tensor] = []
+        order: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        stack: list[tuple] = [(root._node if root._node is not None else root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -599,10 +654,11 @@ class Tape:
 
 
 def backward(root: Tensor, seed=None) -> Tape:
-    """Accumulate gradients of ``root`` into every reachable grad-requiring tensor.
+    """Accumulate gradients of ``root`` into every reachable grad-requiring leaf.
 
     Returns the tape used for the sweep. Each node's vjp runs exactly once,
-    after all its downstream contributions have been accumulated.
+    after all its downstream contributions have been accumulated; an op
+    output's gradient is dropped once its vjp has run.
     """
     if seed is None:
         if root.values.size != 1:
@@ -614,20 +670,19 @@ def backward(root: Tensor, seed=None) -> Tape:
             raise ShapeError(f"seed shape {seed.shape} != root shape {root.shape}")
 
     tape = Tape.trace(root)
-    grads: dict[int, np.ndarray] = {id(root): seed}
+    grads: dict[int, np.ndarray] = {id(tape.nodes[-1]): seed}
     for node in reversed(tape.nodes):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._vjp is None:
+        if isinstance(node, Tensor):
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
             continue
         tape.visit_count += 1
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node.parents, parent_grads):
-            if not p.requires_grad:
-                continue
+        parent_grads = node.vjp(g)
+        for p, slot in zip(node.parents, node.slots):
+            pg = parent_grads[slot]
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
     return tape

@@ -1,5 +1,6 @@
 """Reverse-mode differentiation: primitive gradients, tape discipline, errors."""
 
+import weakref
 import zlib
 
 import numpy as np
@@ -230,7 +231,7 @@ def test_finite_values_whose_sum_overflows_pass():
 def test_no_grad_nodes_record_no_graph():
     c = ad.constant(np.array([1.0, 2.0]))
     y = ad.reduce_sum(ad.exp(c) * c)
-    assert y.parents == () and y._vjp is None and not y.requires_grad
+    assert y.parents == () and y._node is None and not y.requires_grad
     assert len(ad.Tape.trace(y)) == 1
 
     x = ad.param(np.array([1.0, 2.0]))
@@ -238,3 +239,15 @@ def test_no_grad_nodes_record_no_graph():
     assert z.parents and z.requires_grad
     z.backward()
     np.testing.assert_array_equal(x.grad, np.exp(c.values))
+
+
+def test_graph_frees_values_no_vjp_reads():
+    x = ad.param(np.array([1.0, 2.0]))
+    m = ad.mul(x, 3.0)                # the sum's vjp reads only m's shape
+    probe = weakref.ref(m.values)
+    y = ad.reduce_sum(m)
+    del m
+    assert probe() is None
+    tape = y.backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+    assert len(tape) == 3 and tape.nodes[0] is x   # the constant 3.0 is not in the graph
