@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 input error, 2 runtime failure, 3 verification
 failure. Every run logs a banner with the effective config digest and seed to
 stderr, artifacts are written atomically, and a fixed seed reproduces output
-bitwise (including under --jobs > 1, which only parallelizes across
-independent inputs).
+bitwise (including under ``surface --jobs N``, which builds independent inputs
+on N threads: stage 1 spends its time in large numpy calls that release the
+interpreter lock, while an inversion run spends it in small autodiff ops that
+hold it, so ``invert`` runs serially).
 """
 
 from __future__ import annotations
@@ -47,14 +49,6 @@ def _load_structure(path: Path):
     return parse_pdb(text)
 
 
-def _parallel(jobs: int, fn, items: list):
-    """Run fn over items, preserving input order in the results."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -77,7 +71,8 @@ def cmd_surface(args) -> int:
         residual = float(np.abs(sdf - cfg.r_probe).max())
         return path, cloud, patches, residual
 
-    results = _parallel(args.jobs, build, inputs)
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(build, inputs))
     for path, cloud, patches, residual in results:
         target = out_dir / (path.stem + ".mdpc")
         fileio.write_pointcloud(cloud, target)
@@ -171,15 +166,11 @@ def cmd_invert(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     molecule_type = "small-molecule" if args.ligand_type == "molecule" else "protein"
 
-    def one_run(run_idx: int):
+    failures = 0
+    for run_idx in range(args.runs):
         run_seed = args.seed * 10007 + run_idx
         result = run_inversion(ctx, mdl, params, cfg, seed=run_seed,
                                molecule_type=molecule_type, mode=args.mode)
-        return run_idx, run_seed, result
-
-    results = _parallel(args.jobs, one_run, list(range(args.runs)))
-    failures = 0
-    for run_idx, run_seed, result in results:
         stem = out_dir / f"run_{run_idx:03d}"
         trace_text = "\n".join(json.dumps(rec) for rec in result.trace)
         fileio.atomic_write_text(stem.with_suffix(".trace.jsonl"), trace_text + "\n")
@@ -193,7 +184,7 @@ def cmd_invert(args) -> int:
         else:
             fileio.atomic_write_text(stem.with_suffix(".prot"), result.best.to_text())
         print(f"run {run_idx}: seed={run_seed} F={result.best_objective:.4f} "
-              f"converged={result.converged}")
+              f"stop={result.stop_reason}")
     return 2 if failures == args.runs else 0
 
 
@@ -313,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="config file (key = value lines)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="config override (repeatable)")
 
@@ -321,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("inputs", nargs="+", help="structure files (.pdb or .mol)")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--jobs", type=int, default=1, help="inputs built in parallel threads")
     p.set_defaults(fn=cmd_surface)
 
     p = sub.add_parser("pretrain", help="masked-reconstruction pretraining")
@@ -376,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Count options that must be at least 1 wherever a subcommand has them.
-_POSITIVE_COUNTS = ("steps", "batch_size", "corpus_size", "runs")
+_POSITIVE_COUNTS = ("steps", "batch_size", "corpus_size", "runs", "jobs")
 
 
 def main(argv=None) -> int:

@@ -230,13 +230,6 @@ class IrrepsField:
         }
 
 
-def rotate_field(l: int, rotation: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    """Rotate one order-``l`` channel (identity for l=0)."""
-    if l > 2:
-        raise EquivariantError(f"unsupported rotation order {l}")
-    return np.asarray(channel, dtype=float) @ rotation_operator(l, rotation).T
-
-
 # ---------------------------------------------------------------------------
 # radial basis
 # ---------------------------------------------------------------------------
@@ -567,11 +560,3 @@ def attention_param_shapes(d: int, layout: dict[int, int], prefix: str = "attn")
     for l, c in layout.items():
         shapes[f"{prefix}.wv{l}"] = (c, c)
     return shapes
-
-
-def init_attention_params(d: int, layout: dict[int, int], rng: np.random.Generator,
-                          prefix: str = "attn") -> dict[str, np.ndarray]:
-    params = {}
-    for key, shape in attention_param_shapes(d, layout, prefix).items():
-        params[key] = rng.standard_normal(shape) / math.sqrt(shape[0])
-    return params

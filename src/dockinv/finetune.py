@@ -3,8 +3,7 @@
 Pocket probabilities gate the interaction loss, and the pocket-interaction
 product (floored at a confidence threshold) weights the affinity regression.
 Affinities are standardized to zero mean / unit variance over the training
-split; the statistics ride along in checkpoints so predictions can be
-de-standardized exactly.
+split; the statistics ride along in checkpoints.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class ComplexSample:
 
 @dataclass
 class AffinityScaler:
-    """Z-scoring of affinities; round-trips the kcal/mol scale exactly."""
+    """Z-scoring of affinities."""
 
     mean: float
     std: float
@@ -67,9 +66,6 @@ class AffinityScaler:
 
     def standardize(self, value: float) -> float:
         return (value - self.mean) / self.std
-
-    def destandardize(self, value: float) -> float:
-        return value * self.std + self.mean
 
 
 def geometric_pseudolabels(receptor_points: np.ndarray, ligand_points: np.ndarray,

@@ -9,8 +9,10 @@ gradient-biased categorical sampling with an optional motif template bias.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,19 +106,16 @@ class RepairError(RuntimeError):
 
 @dataclass
 class InversionState:
-    """Differentiable ligand state: coordinates, feature channels, trace."""
+    """Differentiable ligand state: coordinates, feature channels, step index."""
 
     x: np.ndarray                       # (N, 3)
     f: np.ndarray                       # (N, d_f)
     molecule_type: str                  # "small-molecule" | "protein"
     t: int = 0
     eta: float = 0.0
-    trace: list = field(default_factory=list)
-    seed: int = 0
 
     def copy(self) -> "InversionState":
-        return InversionState(self.x.copy(), self.f.copy(), self.molecule_type,
-                              self.t, self.eta, list(self.trace), self.seed)
+        return InversionState(self.x.copy(), self.f.copy(), self.molecule_type, self.t, self.eta)
 
 
 @dataclass
@@ -471,8 +470,7 @@ def pgd_step(state: InversionState, gx: np.ndarray, gf: np.ndarray, eta: float,
         except RepairError:
             eta_try *= 0.5
             continue
-        new = InversionState(x_rep, f_prop, state.molecule_type, state.t + 1, eta_try,
-                             state.trace, state.seed)
+        new = InversionState(x_rep, f_prop, state.molecule_type, state.t + 1, eta_try)
         delta = np.concatenate([(state.x - x_rep).ravel(), (state.f - f_prop).ravel()])
         g_eta = delta / eta_try
         return new, g_eta, eta_try
@@ -737,12 +735,11 @@ def accept_modification(candidates: list, ddg: np.ndarray, tau_acc: float,
 
 @dataclass
 class InversionResult:
-    best: object                         # DecodedMolecule | DecodedProtein
+    best: object                         # DecodedMolecule | DecodedProtein; None if none decoded
     best_objective: float
     state: InversionState
     trace: list
-    converged: bool
-    repair_failed: bool = False
+    stop_reason: str                     # "target" | "plateau" | "budget" | "repair_failed"
 
 
 def initial_state(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: RunConfig,
@@ -762,7 +759,7 @@ def initial_state(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: R
     f = 0.1 * rng.standard_normal((n, d_f))
     # the raw blob is dense; a one-time generous repair starts the loop valid
     x = repair_state(x, _argmax_types(f, molecule_type), cfg, rounds=100 * cfg.max_repair_rounds)
-    return InversionState(x, f, molecule_type, seed=seed)
+    return InversionState(x, f, molecule_type)
 
 
 def _decode(state, grad_f, params, cfg, seed):
@@ -777,85 +774,74 @@ def run_inversion(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: R
                   steps: int | None = None) -> InversionResult:
     """Full stage-4 loop: descend, repair, periodically decode, track the best.
 
-    Stops at the iteration budget, when the predicted affinity plateaus
-    (|change| < eps over a 10-step window), or when it reaches the target.
+    Each mode is a step ``(state, gx, gf, eta) -> (new state, gradient
+    mapping, eta used)`` that raises RepairError when repair fails; this loop
+    alone decides when to stop, what to decode and what a failed step means.
+    Every decoded state is decoded with its own gradient.
+
+    The run stops when the predicted affinity plateaus (|change| < eps over a
+    10-step window), when it reaches the target, at the step budget, or at the
+    first failed step; the terminal state is decoded when it improves on the
+    best, and the result keeps the best candidate decoded so far.
     """
-    if mode not in ("continuous-pgd", "discrete-accept"):
+    if mode == "continuous-pgd":
+        step = functools.partial(pgd_step, cfg=cfg)
+    elif mode == "discrete-accept":
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+        step = functools.partial(_discrete_step, ctx=ctx, mdl=mdl, params=params, cfg=cfg,
+                                 rng=rng)
+    else:
         raise ValueError(f"unknown inversion mode {mode!r}")
+    check_descent = cfg.assert_descent and mode == "continuous-pgd"
     t_total = cfg.t_invert if steps is None else steps
     state = start.copy() if start is not None else initial_state(
         ctx, mdl, params, cfg, molecule_type, seed)
-    state.trace = []
     decode_seed = seed * 7919 + 13
-    if t_total == 0:
-        decoded = _decode(state, None, params, cfg, decode_seed)
-        return InversionResult(decoded, float("nan"), state, [], False)
+    best, best_f = None, np.inf
+    trace: list[dict] = []
+    stop_reason = None if t_total > 0 else "budget"
 
-    best = None
-    best_f = np.inf
-    dg_window: list[float] = []
-    converged = False
-    repair_failed = False
-    gf = None
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-
-    for t in range(t_total):
-        eta = anneal_step_size(t, t_total, cfg.eta_max, cfg.eta_min)
+    for t in itertools.count():
         _, parts, gx, gf, _ = composite_objective(state, ctx, mdl, params, cfg)
-        if t % cfg.decode_every == 0 and parts["F"] < best_f:
+        if stop_reason is None:
+            # step before decoding: a failed step makes this state the terminal one
+            eta = anneal_step_size(t, t_total, cfg.eta_max, cfg.eta_min)
             try:
-                best = _decode(state, gf, params, cfg, decode_seed)
-                best_f = parts["F"]
+                new_state, g_eta, eta_used = step(state, gx, gf, eta)
             except RepairError:
-                repair_failed = True
-        if mode == "continuous-pgd":
+                stop_reason = "repair_failed"
+        if (stop_reason or t % cfg.decode_every == 0) and parts["F"] < best_f:
             try:
-                new_state, g_eta, eta_used = pgd_step(state, gx, gf, eta, cfg)
+                best, best_f = _decode(state, gf, params, cfg, decode_seed), parts["F"]
             except RepairError:
-                repair_failed = True
-                break
-            if cfg.assert_descent:
-                _, parts_after, *_ = composite_objective(new_state, ctx, mdl, params, cfg,
-                                                         need_grad=False)
-                bound = parts["F"] - 0.5 * eta_used * float(g_eta @ g_eta) + 1e-6
-                if parts_after["F"] > bound:
-                    raise AssertionError(
-                        f"descent violated at t={t}: {parts_after['F']:.6g} > {bound:.6g}"
-                    )
-            state = new_state
-        else:
-            state = _discrete_step(state, gx, gf, ctx, mdl, params, cfg, rng)
-            g_eta = np.concatenate([gx.ravel(), gf.ravel()])
-            eta_used = eta
-        state.trace.append({
+                pass
+        if stop_reason:
+            return InversionResult(best, best_f, state, trace, stop_reason)
+        if check_descent:
+            _, parts_after, *_ = composite_objective(new_state, ctx, mdl, params, cfg,
+                                                     need_grad=False)
+            bound = parts["F"] - 0.5 * eta_used * float(g_eta @ g_eta) + 1e-6
+            if parts_after["F"] > bound:
+                raise AssertionError(
+                    f"descent violated at t={t}: {parts_after['F']:.6g} > {bound:.6g}"
+                )
+        trace.append({
             "t": t, "eta": eta_used, "F": parts["F"], "pocket": parts["pocket"],
             "interaction": parts["interaction"], "dg_hat": parts["dg_hat"],
             "g_norm": float(np.linalg.norm(g_eta)),
         })
-        dg_window.append(parts["dg_hat"])
-        if len(dg_window) > 10:
-            dg_window.pop(0)
-            if abs(dg_window[-1] - dg_window[0]) < cfg.eps_dg:
-                converged = True
-                break
-        if parts["dg_hat"] <= cfg.dg_target:
-            converged = True
-            break
-
-    # final candidate: decode the terminal state when it improves on the best
-    _, parts, *_ = composite_objective(state, ctx, mdl, params, cfg, need_grad=False)
-    if parts["F"] < best_f or best is None:
-        try:
-            best = _decode(state, gf, params, cfg, decode_seed)
-            best_f = parts["F"]
-        except RepairError:
-            repair_failed = True
-    return InversionResult(best, best_f, state, state.trace, converged, repair_failed)
+        state = new_state
+        if len(trace) > 10 and abs(trace[-1]["dg_hat"] - trace[-10]["dg_hat"]) < cfg.eps_dg:
+            stop_reason = "plateau"
+        elif parts["dg_hat"] <= cfg.dg_target:
+            stop_reason = "target"
+        elif len(trace) == t_total:
+            stop_reason = "budget"
 
 
-def _discrete_step(state, gx, gf, ctx, mdl, params, cfg, rng) -> InversionState:
+def _discrete_step(state, gx, gf, eta, ctx, mdl, params, cfg, rng):
     """Gradient-guided add/modify/delete with softmax acceptance on predicted
-    affinity changes."""
+    affinity changes; returns (new state, raw gradient, eta)."""
     mags = np.linalg.norm(gx, axis=1)
     hot = int(np.argmax(mags))
     candidates = []
@@ -867,13 +853,13 @@ def _discrete_step(state, gx, gf, ctx, mdl, params, cfg, rng) -> InversionState:
     addx = state.x[hot] + 0.5 * rng.standard_normal(3)
     add = InversionState(np.vstack([state.x, addx]),
                          np.vstack([state.f, 0.1 * rng.standard_normal(state.f.shape[1])]),
-                         state.molecule_type, state.t, state.eta, state.trace, state.seed)
+                         state.molecule_type, state.t, state.eta)
     candidates.append(add)
     # delete: drop the hot point when enough points remain
     if len(state.x) > 4:
         keep = np.arange(len(state.x)) != hot
         candidates.append(InversionState(state.x[keep], state.f[keep], state.molecule_type,
-                                         state.t, state.eta, state.trace, state.seed))
+                                         state.t, state.eta))
     ddg = []
     for cand in candidates:
         _, parts, *_ = composite_objective(cand, ctx, mdl, params, cfg, need_grad=False)
@@ -882,4 +868,4 @@ def _discrete_step(state, gx, gf, ctx, mdl, params, cfg, rng) -> InversionState:
     new = chosen.copy()
     new.x = repair_state(new.x, _argmax_types(new.f, new.molecule_type), cfg)
     new.t = state.t + 1
-    return new
+    return new, np.concatenate([gx.ravel(), gf.ravel()]), eta

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from conftest import write_pdb
 
-from dockinv import fileio
+from dockinv import fileio, toydata
 from dockinv.cli import main
 from dockinv.config import RunConfig
-from dockinv.structures import parse_pdb
+from dockinv.structures import parse_pdb, write_molecule
 from dockinv.surface import build_patches, build_surface
 
 
@@ -46,12 +46,15 @@ def test_missing_input_exits_1(tmp_path):
     ("pretrain", "--batch-size"),
     ("finetune", "--corpus-size"),
     ("invert", "--runs"),
+    ("surface", "--jobs"),
 ])
 def test_count_below_one_exits_1_before_any_write(command, option, tmp_path, pdb, capsys):
     out = tmp_path / "out"
     argv = [command, "--out", str(out), option, "0"]
     if command == "invert":
         argv += ["--receptor", str(pdb)]
+    elif command == "surface":
+        argv.append(str(pdb))
     assert main(argv) == 1
     assert f"{option} must be >= 1" in capsys.readouterr().err
     assert not out.exists()
@@ -79,3 +82,28 @@ def test_pretrain_on_surface_output(tmp_path, pdb, config_file, toy_cfg):
     patches = build_patches(cloud, toy_cfg)
     assert np.array_equal(patches.center_indices, expected.center_indices)
     assert np.array_equal(patches.member_indices, expected.member_indices)
+
+
+def test_surface_threads_write_the_same_files(tmp_path, pdb, config_file):
+    mol = tmp_path / "ligand.mol"
+    mol.write_text(write_molecule(toydata.random_molecule(seed=3)))
+    written = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["surface", str(pdb), str(mol), "--config", str(config_file),
+                "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 0
+        written[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(written["1"]) == ["ligand.mdpc", "receptor.mdpc"]
+    assert written["1"] == written["2"]
+
+
+def test_discrete_invert_writes_every_run(tmp_path, pdb, config_file, capsys):
+    # at seed 0 a run's last step changes the ligand's point count before its final decode
+    out = tmp_path / "out"
+    argv = ["invert", "--receptor", str(pdb), "--config", str(config_file), "--out", str(out),
+            "--runs", "2", "--mode", "discrete-accept", "--set", "t_invert=4", "--seed", "0"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_000.mol", "run_000.trace.jsonl", "run_001.mol", "run_001.trace.jsonl"]
+    assert capsys.readouterr().out.count("stop=") == 2

@@ -11,6 +11,7 @@ from dockinv import fileio, inversion, theory
 from dockinv.finetune import finetune_run
 from dockinv.model import PipelineModel
 from dockinv.pretrain import pretrain_run
+from dockinv.structures import AMINO_ACIDS
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +181,47 @@ def test_objective_graph_keeps_only_saved_values(toy_cfg, mdl, init_params, ctx,
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_discrete_run_decodes_its_terminal_state(toy_cfg, mdl, init_params, ctx):
+    # the last add or delete changes the point count: the terminal state is
+    # decoded with its own gradient, not the one of the state before it
+    result = inversion.run_inversion(ctx, mdl, init_params, toy_cfg, seed=0,
+                                     mode="discrete-accept", steps=4)
+    assert result.stop_reason == "budget"
+    assert len(result.trace) == 4
+    _assert_valid_molecule(result.best.structure, toy_cfg)
+
+
+def test_failed_discrete_step_ends_the_run(toy_cfg, mdl, init_params, ctx):
+    cfg = toy_cfg.replace(max_repair_rounds=1)
+    result = inversion.run_inversion(ctx, mdl, init_params, cfg, seed=0,
+                                     mode="discrete-accept", steps=4)
+    assert result.stop_reason == "repair_failed"
+    assert result.trace == []
+    assert result.best is None and result.best_objective == np.inf
+
+
+def test_zero_steps_returns_the_start_objective(toy_cfg, mdl, init_params, ctx, start):
+    result = inversion.run_inversion(ctx, mdl, init_params, toy_cfg, start=start, steps=0)
+    assert result.stop_reason == "budget"
+    assert result.trace == []
+    _, parts, *_ = inversion.composite_objective(start, ctx, mdl, init_params, toy_cfg)
+    assert result.best_objective == parts["F"]
+    _assert_valid_molecule(result.best.structure, toy_cfg)
+
+
+@pytest.mark.parametrize("mode", ["continuous-pgd", "discrete-accept"])
+def test_protein_run_decodes_residues(mode, toy_cfg, mdl, init_params, ctx):
+    result = inversion.run_inversion(ctx, mdl, init_params, toy_cfg, seed=0,
+                                     molecule_type="protein", mode=mode, steps=4)
+    assert result.stop_reason == "budget"
+    prot = result.best
+    assert isinstance(prot, inversion.DecodedProtein)
+    # at seed 0 the best candidate is the terminal state in both modes
+    assert len(prot.sequence) == len(result.state.x)
+    assert len(prot.phi) == len(prot.psi) == len(prot.rotamers) == len(prot.sequence)
+    assert set(prot.sequence) <= set(AMINO_ACIDS)
+    for torsion in (prot.phi, prot.psi):
+        assert np.all((torsion > -180.0) & (torsion <= 180.0))
+    assert np.all((prot.rotamers >= 0) & (prot.rotamers <= 2))
