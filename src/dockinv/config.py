@@ -69,7 +69,6 @@ class RunConfig:
     weight_decay: float = 1e-5
     head_hidden: int = 128
     interaction_mode: str = "complex"  # or "per-point"
-    fused_pool: str = "sum"        # "sum" (2d fused vector) or "concat" (4d)
 
     # -- stage 4: inversion ----------------------------------------------------
     gamma_bias: float = 0.1        # gradient bias in categorical decoding
@@ -135,10 +134,6 @@ class RunConfig:
             raise ConfigError(f"unknown normals_mode {self.normals_mode!r}")
         if self.interaction_mode not in ("complex", "per-point"):
             raise ConfigError(f"unknown interaction_mode {self.interaction_mode!r}")
-        if self.fused_pool not in ("sum", "concat"):
-            raise ConfigError(f"unknown fused_pool {self.fused_pool!r}")
-        if self.interaction_mode == "per-point" and self.fused_pool != "sum":
-            raise ConfigError("per-point interaction mode requires fused_pool = sum")
         if self.max_order > 2:
             raise ConfigError("max_order above 2 is unsupported")
         return self

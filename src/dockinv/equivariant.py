@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import neighbors
 from .autodiff import Tensor
 
 __all__ = [
@@ -263,15 +264,9 @@ class RadialBasis:
 # convolution
 # ---------------------------------------------------------------------------
 
-def knn_indices(points: np.ndarray, k: int, include_self: bool = True) -> np.ndarray:
-    """Deterministic k-nearest-neighbor index table over one point set."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    k = min(k, n)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    if not include_self:
-        np.fill_diagonal(dist, np.inf)
-    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
+    """(N, min(k, N)) conv neighbour table over one point set, each point included."""
+    return neighbors.knn(points, points, k)[0]
 
 
 def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis, max_lf: int = 2) -> dict:
@@ -483,18 +478,16 @@ class Encoder:
             out[l] = ad.mul(field.channels[l], gates)
         return IrrepsField(out)
 
-    def apply(self, params: dict, features, points, nbr_idx: np.ndarray | None = None,
-              geom: dict | None = None) -> IrrepsField:
+    def apply(self, params: dict, features, points, geom: dict | None = None) -> IrrepsField:
         """Encode one cloud. ``features``/``points`` may be numpy or Tensors.
 
         Pass a precomputed ``geom`` (from :func:`conv_geometry`) to skip the
         per-call edge geometry when encoding the same cloud repeatedly.
         """
         if geom is None:
-            if nbr_idx is None:
-                pts_np = points.values if isinstance(points, Tensor) else np.asarray(points)
-                nbr_idx = knn_indices(pts_np, self.conv_k)
-            geom = conv_geometry(points, nbr_idx, self.basis, self.max_order)
+            pts_np = points.values if isinstance(points, Tensor) else np.asarray(points)
+            geom = conv_geometry(points, knn_indices(pts_np, self.conv_k), self.basis,
+                                 self.max_order)
         field = encoder_input(features, points)
         for i, layer in enumerate(self.layers):
             field = layer.apply(params, field, geom)
@@ -511,31 +504,28 @@ def equivariant_attention(
     receptor: IrrepsField,
     ligand: IrrepsField,
     params: dict,
-    prefix: str = "attn",
-    fused_pool: str = "sum",
 ):
     """Scalar-scored cross-attention with per-order value projections.
 
     Scores come from order-0 channels only (hence rigid-motion invariant);
     values carry every order. Returns (attended receptor field, fused vector,
-    score matrix). The fused vector is mean- and max-pooling over receptor
-    points of the order-0 summary, giving length 2d for the "sum" pooling of
-    original and attended features ("concat" gives 4d).
+    score matrix). The fused vector, of length 2d, is mean- and max-pooling
+    over receptor points of the sum of original and attended order-0 features.
     """
     if ligand.n_points == 0:
         raise ad.DomainError("equivariant attention needs a non-empty ligand field")
     zr0 = receptor.channels[0]
     zl0 = ligand.channels[0]
     d = zr0.shape[1]
-    q = ad.matmul(ad.reshape(zr0, (-1, d)), params[f"{prefix}.wq"])
-    k = ad.matmul(ad.reshape(zl0, (-1, d)), params[f"{prefix}.wk"])
+    q = ad.matmul(ad.reshape(zr0, (-1, d)), params["attn.wq"])
+    k = ad.matmul(ad.reshape(zl0, (-1, d)), params["attn.wk"])
     scores = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d)), axis=1)
 
     attended = {}
     for l, ch in ligand.channels.items():
         n_l, c, m = ch.shape
         flat = ad.reshape(ad.transpose(ch, (0, 2, 1)), (n_l * m, c))
-        proj = ad.matmul(flat, params[f"{prefix}.wv{l}"])
+        proj = ad.matmul(flat, params[f"attn.wv{l}"])
         proj = ad.transpose(ad.reshape(proj, (n_l, m, c)), (0, 2, 1))
         att = ad.matmul(scores, ad.reshape(proj, (n_l, c * m)))
         attended[l] = ad.reshape(att, (-1, c, m))
@@ -543,20 +533,15 @@ def equivariant_attention(
 
     orig = ad.reshape(zr0, (-1, d))
     att0 = ad.reshape(attended[0], (-1, d))
-    if fused_pool == "sum":
-        summary = ad.add(orig, att0)
-    elif fused_pool == "concat":
-        summary = ad.concat([orig, att0], axis=1)
-    else:
-        raise EquivariantError(f"unknown fused_pool {fused_pool!r}")
+    summary = ad.add(orig, att0)
     fused = ad.concat(
         [ad.reduce_mean(summary, axis=0), ad.reduce_max(summary, axis=0)], axis=0
     )
     return attended_field, fused, scores
 
 
-def attention_param_shapes(d: int, layout: dict[int, int], prefix: str = "attn") -> dict[str, tuple]:
-    shapes = {f"{prefix}.wq": (d, d), f"{prefix}.wk": (d, d)}
+def attention_param_shapes(d: int, layout: dict[int, int]) -> dict[str, tuple]:
+    shapes = {"attn.wq": (d, d), "attn.wk": (d, d)}
     for l, c in layout.items():
-        shapes[f"{prefix}.wv{l}"] = (c, c)
+        shapes[f"attn.wv{l}"] = (c, c)
     return shapes

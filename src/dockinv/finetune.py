@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import neighbors
 from .autodiff import Tensor
 from .config import RunConfig
 from .model import PipelineModel, adam_step, as_tensors, collect_grads, mean_terms, train_loop
@@ -75,8 +76,7 @@ def geometric_pseudolabels(receptor_points: np.ndarray, ligand_points: np.ndarra
     l = np.asarray(ligand_points, dtype=float)
     if len(r) == 0 or len(l) == 0:
         raise ad.DomainError("geometric pseudo-labels need non-empty clouds")
-    dist = np.linalg.norm(r[:, None, :] - l[None, :, :], axis=2)
-    return (dist.min(axis=1) <= cutoff).astype(float)
+    return (neighbors.distances(r, l).min(axis=1) <= cutoff).astype(float)
 
 
 def bce(pred: Tensor, target) -> Tensor:

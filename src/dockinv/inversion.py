@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import neighbors
 from .autodiff import Tensor
 from .config import RunConfig
 from .finetune import affinity_loss, geometric_pseudolabels, interaction_loss, pocket_loss
@@ -106,16 +107,14 @@ class RepairError(RuntimeError):
 
 @dataclass
 class InversionState:
-    """Differentiable ligand state: coordinates, feature channels, step index."""
+    """Differentiable ligand state: coordinates and feature channels."""
 
     x: np.ndarray                       # (N, 3)
     f: np.ndarray                       # (N, d_f)
     molecule_type: str                  # "small-molecule" | "protein"
-    t: int = 0
-    eta: float = 0.0
 
     def copy(self) -> "InversionState":
-        return InversionState(self.x.copy(), self.f.copy(), self.molecule_type, self.t, self.eta)
+        return InversionState(self.x.copy(), self.f.copy(), self.molecule_type)
 
 
 @dataclass
@@ -162,7 +161,7 @@ def _pairwise_omega(x: Tensor, x_np: np.ndarray, r_chem: float, r_probe: float, 
     weights use the live distances, masked by the current-neighborhood cutoff.
     """
     n = x_np.shape[0]
-    dist_np = np.linalg.norm(x_np[:, None, :] - x_np[None, :, :], axis=2)
+    dist_np = neighbors.distances(x_np, x_np)
     mask = ((dist_np <= r_chem) & ~np.eye(n, dtype=bool)).astype(float)
     diff = ad.sub(ad.reshape(x, (n, 1, 3)), ad.reshape(x, (1, n, 3)))
     d = ad.power(ad.add(ad.reduce_sum(ad.mul(diff, diff), axis=2), 1e-24), 0.5)
@@ -183,9 +182,7 @@ def _geom_block(x: Tensor, x_np: np.ndarray, k_geom: int) -> Tensor:
     scaled covariance trace, covariance determinant, and a squashed density."""
     n = x_np.shape[0]
     k = min(k_geom, n - 1)
-    dist_np = np.linalg.norm(x_np[:, None, :] - x_np[None, :, :], axis=2)
-    np.fill_diagonal(dist_np, np.inf)
-    nbr = np.argsort(dist_np, axis=1, kind="stable")[:, :k]
+    nbr, _ = neighbors.knn(x_np, x_np, k, exclude_self=True)
 
     nbr_pts = ad.reshape(ad.gather(x, nbr.reshape(-1)), (n, k, 3))
     mu = ad.reduce_mean(nbr_pts, axis=1, keepdims=True)
@@ -288,7 +285,11 @@ class ReceptorContext:
 def prepare_receptor(mdl: PipelineModel, params: dict, cloud) -> ReceptorContext:
     field = mdl.encode(params, cloud.features, cloud.points, "protein",
                        geom=mdl.precompute_geometry(cloud.points, "protein"))
-    return ReceptorContext(np.asarray(cloud.points), field.values(), np.asarray(cloud.features))
+    # Copied after the encoder's large temporaries are freed: the originals sit
+    # between those temporaries, and keeping them would split the free heap
+    # that the next receptor's encode needs in one piece.
+    values = {l: v.copy() for l, v in field.values().items()}
+    return ReceptorContext(np.asarray(cloud.points), values, np.asarray(cloud.features))
 
 
 def pocket_prior(mdl: PipelineModel, params: dict, ctx: ReceptorContext) -> np.ndarray:
@@ -429,9 +430,8 @@ def repair_state(x: np.ndarray, types: list[str], cfg: RunConfig,
     if n < 2:
         return pts
     budgets = np.array([V_MAX.get(t.split(".")[0], 4.0) for t in types])
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     bonded = np.zeros((n, n), dtype=bool)
-    for i, j in _greedy_bonds(dist, budgets, cfg.bond_max):
+    for i, j in _greedy_bonds(neighbors.distances(pts, pts), budgets, cfg.bond_max):
         bonded[i, j] = bonded[j, i] = True
     rounds = cfg.max_repair_rounds if rounds is None else rounds
     for _ in range(rounds):
@@ -470,7 +470,7 @@ def pgd_step(state: InversionState, gx: np.ndarray, gf: np.ndarray, eta: float,
         except RepairError:
             eta_try *= 0.5
             continue
-        new = InversionState(x_rep, f_prop, state.molecule_type, state.t + 1, eta_try)
+        new = InversionState(x_rep, f_prop, state.molecule_type)
         delta = np.concatenate([(state.x - x_rep).ravel(), (state.f - f_prop).ravel()])
         g_eta = delta / eta_try
         return new, g_eta, eta_try
@@ -502,7 +502,7 @@ def infer_bonds(types: list[str], coords: np.ndarray, pair_logits, grad_g, gamma
     triple, aromatic, none}; candidates are visited by ascending distance and
     accepted subject to the running valence budget of both endpoints.
     """
-    dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    dist = neighbors.distances(coords, coords)
     budgets = np.array([V_MAX.get(t.split(".")[0], 4.0) for t in types])
     orders = np.array([1.0, 2.0, 3.0, 1.5])
     remaining = budgets.copy()
@@ -543,8 +543,7 @@ def motif_prior(points: np.ndarray, kappa1: np.ndarray, density: np.ndarray,
     rng = np.random.default_rng(seed)
     centers = points[rng.choice(sel, size=min(k, len(sel)), replace=False)]
     for _ in range(20):
-        d = np.linalg.norm(points[sel][:, None, :] - centers[None, :, :], axis=2)
-        assign = d.argmin(axis=1)
+        assign = neighbors.distances(points[sel], centers).argmin(axis=1)
         new_centers = np.array([
             points[sel][assign == c].mean(axis=0) if np.any(assign == c) else centers[c]
             for c in range(len(centers))
@@ -563,7 +562,7 @@ def motif_prior(points: np.ndarray, kappa1: np.ndarray, density: np.ndarray,
         else:
             templates.append(_FUNCTIONAL[c % len(_FUNCTIONAL)])
 
-    d_all = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+    d_all = neighbors.distances(points, centers)
     nearest = d_all.argmin(axis=1)
     weights = np.exp(-d_all.min(axis=1) ** 2 / cfg.sigma_motif**2)
     if valid is not None:
@@ -621,7 +620,7 @@ def validity_repair(molecule: MolecularStructure, cfg: RunConfig) -> MolecularSt
         bonds = new_bonds
 
         # valence pass: drop longest bonds past the budget
-        dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+        dist = neighbors.distances(coords, coords)
         while True:
             load = np.zeros(n)
             for b in bonds:
@@ -685,7 +684,7 @@ def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: di
     w, b = params["bond.w"], params["bond.b"]
     w = w.values if isinstance(w, Tensor) else w
     b = b.values if isinstance(b, Tensor) else b
-    dist = np.linalg.norm(state.x[:, None, :] - state.x[None, :, :], axis=2)
+    dist = neighbors.distances(state.x, state.x)
     for _, i, j in _close_pairs(dist, cfg.bond_min, cfg.bond_max):
         d = float(np.linalg.norm(state.x[i] - state.x[j]))
         summary = np.array([d - 1.5, 0.5 * (f[i, 8] + f[j, 8])])
@@ -853,13 +852,12 @@ def _discrete_step(state, gx, gf, eta, ctx, mdl, params, cfg, rng):
     addx = state.x[hot] + 0.5 * rng.standard_normal(3)
     add = InversionState(np.vstack([state.x, addx]),
                          np.vstack([state.f, 0.1 * rng.standard_normal(state.f.shape[1])]),
-                         state.molecule_type, state.t, state.eta)
+                         state.molecule_type)
     candidates.append(add)
     # delete: drop the hot point when enough points remain
     if len(state.x) > 4:
         keep = np.arange(len(state.x)) != hot
-        candidates.append(InversionState(state.x[keep], state.f[keep], state.molecule_type,
-                                         state.t, state.eta))
+        candidates.append(InversionState(state.x[keep], state.f[keep], state.molecule_type))
     ddg = []
     for cand in candidates:
         _, parts, *_ = composite_objective(cand, ctx, mdl, params, cfg, need_grad=False)
@@ -867,5 +865,4 @@ def _discrete_step(state, gx, gf, eta, ctx, mdl, params, cfg, rng):
     chosen = accept_modification(candidates, np.asarray(ddg) - min(ddg), cfg.tau_acc, rng)
     new = chosen.copy()
     new.x = repair_state(new.x, _argmax_types(new.f, new.molecule_type), cfg)
-    new.t = state.t + 1
     return new, np.concatenate([gx.ravel(), gf.ravel()]), eta

@@ -46,7 +46,6 @@ class PipelineModel:
         self.d_code = cfg.d_code
         self.n_codes = cfg.codebook_size
         self.patch_k = cfg.patch_k
-        self.fused_dim = 2 * self.d0 if cfg.fused_pool == "sum" else 4 * self.d0
         self.head_hidden = cfg.head_hidden
 
     # -- parameter table -------------------------------------------------
@@ -69,8 +68,8 @@ class PipelineModel:
         shapes["dec.wk"] = (h, 3)
         shapes["dec.bk"] = (3,)
         shapes.update(attention_param_shapes(self.d0, self.enc_protein.out_layout))
-        for head, d_in in (("pocket", 2 * self.d0), ("int", self.fused_dim), ("aff", self.fused_dim)):
-            shapes[f"{head}.w1"] = (d_in, h)
+        for head in ("pocket", "int", "aff"):  # per-point or fused: 2 * d0 inputs
+            shapes[f"{head}.w1"] = (2 * self.d0, h)
             shapes[f"{head}.b1"] = (h,)
             shapes[f"{head}.w2"] = (h, 1)
             shapes[f"{head}.b2"] = (1,)
@@ -163,7 +162,7 @@ class PipelineModel:
         return ad.reshape(self._mlp_head(params, "aff", x, None), ())
 
     def fuse(self, params: dict, receptor: IrrepsField, ligand: IrrepsField):
-        return equivariant_attention(receptor, ligand, params, fused_pool=self.cfg.fused_pool)
+        return equivariant_attention(receptor, ligand, params)
 
     def complex_heads(self, params: dict, receptor: IrrepsField, ligand: IrrepsField):
         """Fuse the two fields and run the pocket, interaction and affinity heads.

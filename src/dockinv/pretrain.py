@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import neighbors
 from .autodiff import Tensor
 from .config import RunConfig
 from .model import (
@@ -177,9 +178,7 @@ def _visible_context(tokens, plan: MaskPlan, centers: np.ndarray):
     t = len(plan.masked)
     if not len(plan.visible):
         return ad.constant(np.zeros((t, N_CONTEXT * (d_code + 3))))
-    delta = centers[plan.masked][:, None, :] - centers[plan.visible][None, :, :]
-    dist = np.linalg.norm(delta, axis=2)
-    order = np.argsort(dist, axis=1, kind="stable")
+    order, _ = neighbors.knn(centers[plan.masked], centers[plan.visible], N_CONTEXT)
     pieces = []
     for rank in range(N_CONTEXT):
         col = order[:, min(rank, order.shape[1] - 1)]

@@ -8,7 +8,8 @@ fixed-size patches via farthest point sampling + KNN.
 
 Construction is rigid-motion equivariant: candidate perturbations are drawn
 in a structure-intrinsic frame, and every later step depends only on pairwise
-distances with deterministic tie-breaking.
+distances. Distances and neighbour order (ties to the lowest index) come from
+:mod:`dockinv.neighbors`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import neighbors
 from .config import RunConfig
 from .structures import MOLECULE_TYPES, PROTEIN_ELEMENTS, MolecularStructure
 
@@ -276,8 +278,7 @@ def estimate_normals(
         raise SurfaceError(f"unknown normals mode {mode!r}")
 
     n = len(points)
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    dist = neighbors.distances(points, points)
     cutoff = 2.0 * r_probe
     normals = np.empty_like(points)
     for i in range(n):
@@ -310,8 +311,11 @@ _CHEM_SETS = {
 }
 
 
-def _omega(dist: np.ndarray, r_probe: float, eps: float) -> np.ndarray:
-    return 1.0 / (dist / r_probe + eps)
+def _probe_weights(points, structure: MolecularStructure, r_chem: float, r_probe: float,
+                   eps: float) -> np.ndarray:
+    """(P, A) weights ``1 / (d / r_probe + eps)`` of the atoms within ``r_chem``."""
+    dist = neighbors.distances(np.atleast_2d(points), structure.coords)
+    return 1.0 / (dist / r_probe + eps) * (dist <= r_chem)
 
 
 def chemical_features(
@@ -326,11 +330,8 @@ def chemical_features(
     All four are probe-weighted neighborhood statistics over atoms within
     ``r_chem``; an empty neighborhood yields the all-zero tuple and a flag.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    coords = structure.coords
     elems = np.array([a.element for a in structure.atoms])
-    dist = np.linalg.norm(points[:, None, :] - coords[None, :, :], axis=2)
-    w = _omega(dist, r_probe, eps) * (dist <= r_chem)
+    w = _probe_weights(points, structure, r_chem, r_probe, eps)
     denom = w.sum(axis=1)
     empty = denom == 0.0
     safe = np.where(empty, 1.0, denom)
@@ -357,8 +358,6 @@ def atomic_features(
     eps: float = 1e-6,
 ):
     """Probe-weighted one-hot element statistics (6-D protein / 8-D molecule)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    coords = structure.coords
     if structure.molecule_type == "protein":
         vocab = PROTEIN_ELEMENTS
         labels = np.array([a.element for a in structure.atoms])
@@ -366,9 +365,7 @@ def atomic_features(
         vocab = MOLECULE_TYPES
         labels = np.array([a.type_label for a in structure.atoms])
     onehot = np.stack([(labels == v).astype(float) for v in vocab], axis=1)  # (A, V)
-    dist = np.linalg.norm(points[:, None, :] - coords[None, :, :], axis=2)
-    w = _omega(dist, r_probe, eps) * (dist <= r_chem)
-    raw = w @ onehot
+    raw = _probe_weights(points, structure, r_chem, r_probe, eps) @ onehot
     denom = raw.sum(axis=1)
     empty = denom == 0.0
     out = raw / np.where(empty, 1.0, denom)[:, None]
@@ -385,12 +382,9 @@ def geometric_features(cloud_points: np.ndarray, normals: np.ndarray, k_geom: in
     n = len(pts)
     if n < k_geom + 1:
         raise SurfaceError(f"geometric features need >= {k_geom + 1} points, got {n}")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k_geom]          # (N, k)
+    nbr, nbr_dist = neighbors.knn(pts, pts, k_geom, exclude_self=True)  # (N, k)
 
-    dn = normals[:, None, :] - normals[nbr]                            # (N, k, 3)
+    dn = normals[nbr] - normals[:, None, :]                            # (N, k, 3)
     kappa1 = np.linalg.norm(dn, axis=2).mean(axis=1)
 
     nbr_pts = pts[nbr]                                                 # (N, k, 3)
@@ -399,7 +393,7 @@ def geometric_features(cloud_points: np.ndarray, normals: np.ndarray, k_geom: in
     cov = np.einsum("nki,nkj->nij", centered, centered) / k_geom
     kappa2 = np.linalg.det(cov)
 
-    d_raw = np.take_along_axis(dist, nbr, axis=1).mean(axis=1)
+    d_raw = nbr_dist.mean(axis=1)
     lo, hi = d_raw.min(), d_raw.max()
     density = np.zeros(n) if hi == lo else (d_raw - lo) / (hi - lo)
     return np.stack([kappa1, kappa2, density], axis=1)
@@ -460,12 +454,8 @@ def knn(centers: np.ndarray, points: np.ndarray, k: int, r_patch: float = np.inf
     pts = np.asarray(points, dtype=float)
     if len(pts) < k:
         raise SurfaceError(f"knn needs at least k={k} points, got {len(pts)}")
-    dist = np.linalg.norm(centers[:, None, :] - pts[None, :, :], axis=2)
-    order = np.argsort(dist, axis=1, kind="stable")
-    members = order[:, :k]
-    worst = np.take_along_axis(dist, members, axis=1).max(axis=1)
-    relaxed = worst > r_patch
-    return members, relaxed
+    members, dist = neighbors.knn(centers, pts, k)
+    return members, dist.max(axis=1) > r_patch
 
 
 def pool_patch_stats(features: np.ndarray, member_indices: np.ndarray):
@@ -486,10 +476,7 @@ def interface_labels(
     n_patches = member_indices.shape[0]
     if partner_points is None or len(partner_points) == 0:
         return np.zeros(n_patches), False
-    dist = np.linalg.norm(
-        points[:, None, :] - np.asarray(partner_points, dtype=float)[None, :, :], axis=2
-    )
-    near = dist.min(axis=1) <= cutoff
+    near = neighbors.distances(points, partner_points).min(axis=1) <= cutoff
     labels = near[member_indices].any(axis=1).astype(float)
     return labels, True
 

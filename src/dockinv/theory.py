@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import neighbors
+
 __all__ = [
     "SyntheticLandscape",
     "GeneratorStub",
@@ -391,17 +393,11 @@ def metric_nov(generated: list, references: list, alpha: float = 0.5,
 def clash_count(coords: np.ndarray, floor: float = 1.7,
                 bonded: set[tuple[int, int]] | None = None) -> int:
     """Non-bonded pairs closer than the clash floor (steric proxy)."""
-    pts = np.asarray(coords, dtype=float)
-    n = len(pts)
-    bonded = bonded or set()
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in bonded or (j, i) in bonded:
-                continue
-            if np.linalg.norm(pts[i] - pts[j]) < floor:
-                count += 1
-    return count
+    pts = np.asarray(coords, dtype=float).reshape(-1, 3)
+    close = np.triu(neighbors.distances(pts, pts) < floor, k=1)
+    for i, j in bonded or ():
+        close[i, j] = close[j, i] = False
+    return int(close.sum())
 
 
 def torsion_coherence(phi: np.ndarray, psi: np.ndarray) -> float:

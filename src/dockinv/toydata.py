@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import neighbors
 from .config import RunConfig
 from .finetune import AffinityScaler, ComplexSample, geometric_pseudolabels
 from .model import PipelineModel
@@ -137,8 +138,7 @@ def toy_complex_corpus(n_complexes: int, cfg: RunConfig, mdl: PipelineModel,
         offset = center + (1.5 if positive else 4.0 + spread) * _unit(rng)
         shift = offset - ligand.coords.mean(axis=0)
         ligand = ligand.transformed(np.eye(3), shift)
-        contacts = (np.linalg.norm(
-            r_coords[:, None, :] - ligand.coords[None, :, :], axis=2) < 5.0).sum()
+        contacts = (neighbors.distances(r_coords, ligand.coords) < 5.0).sum()
         delta_g = -0.15 * contacts + float(rng.normal(0.0, 0.3))
         raw.append((receptor, ligand, 1.0 if positive else 0.0, delta_g))
 

@@ -209,7 +209,7 @@ class TestConfig:
         assert cfg.rho == 0.25
 
     def test_unknown_key_rejected(self):
-        for key in ("no_such_knob", "seed", "grad_check_tol"):
+        for key in ("no_such_knob", "seed", "grad_check_tol", "fused_pool"):
             with pytest.raises(ConfigError):
                 load_config(f"{key} = 3\n")
 
