@@ -35,6 +35,7 @@ __all__ = [
     "neg",
     "matmul",
     "bmm",
+    "einsum",
     "exp",
     "log",
     "power",
@@ -423,6 +424,31 @@ def bmm(a, b) -> Tensor:
                 None if av is None else av.transpose(0, 2, 1) @ g)
 
     return _make(out, "bmm", (a, b), vjp)
+
+
+def einsum(spec: str, a, b) -> Tensor:
+    """Two-operand ``np.einsum`` with an explicit output, e.g. ``"ef,fio->eio"``.
+
+    Each subscript appears once per term and in at least two of the three
+    terms, so each vjp is the einsum that puts ``g`` where its operand was.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    ins, arrow, so = spec.partition("->")
+    sa, _, sb = ins.partition(",")
+    terms = (sa, sb, so)
+    if not arrow or any(len(set(t)) != len(t) or sum(c in u for u in terms) < 2
+                        for t in terms for c in t):
+        raise ContractError(f"einsum spec {spec!r} is not a two-operand contraction")
+    if len(sa) != a.ndim or len(sb) != b.ndim:
+        raise ShapeError(f"einsum {spec!r} does not fit shapes {a.shape} and {b.shape}")
+    av = a.values if b.requires_grad else None
+    bv = b.values if a.requires_grad else None
+
+    def vjp(g):
+        return (None if bv is None else np.einsum(f"{so},{sb}->{sa}", g, bv),
+                None if av is None else np.einsum(f"{so},{sa}->{sb}", g, av))
+
+    return _make(np.einsum(spec, a.values, b.values), "einsum", (a, b), vjp)
 
 
 def _norm_axis(axis, ndim):

@@ -243,8 +243,28 @@ def _jsonable(v):
     return v
 
 
+class InputError(ValueError):
+    """A metrics input file holds a row that cannot be read."""
+
+
 def _read_lines(path) -> list[str]:
     return [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+
+
+def _float_rows(path, cols, sep=None, n_fields=None, skip=0) -> np.ndarray:
+    """Fields ``cols`` of each line of ``path`` after the first ``skip``, as a
+    (rows, len(cols)) float array. A short or non-numeric row, or one of other
+    than ``n_fields`` fields when that is given, is an :class:`InputError`."""
+    rows = []
+    for ln in _read_lines(path)[skip:]:
+        fields = ln.split(sep)
+        try:
+            if n_fields is not None and len(fields) != n_fields:
+                raise ValueError
+            rows.append([float(fields[c]) for c in cols])
+        except (IndexError, ValueError):
+            raise InputError(f"{path}: malformed row {ln!r}") from None
+    return np.array(rows).reshape(-1, len(cols))
 
 
 def cmd_metrics(args) -> int:
@@ -272,16 +292,11 @@ def cmd_metrics(args) -> int:
     elif kind == "sta-protein":
         prots = []
         for path in args.inputs:
-            rows = [ln.split() for ln in _read_lines(path)[1:]]
-            phi = np.array([float(r[1]) for r in rows])
-            psi = np.array([float(r[2]) for r in rows])
-            prots.append({"scs": 0.0, "ssc": theory.torsion_coherence(phi, psi)})
+            rows = _float_rows(path, (1, 2), skip=1)
+            prots.append({"scs": 0.0, "ssc": theory.torsion_coherence(rows[:, 0], rows[:, 1])})
         print(f"STA = {theory.metric_sta_protein(prots):.4f}")
     elif kind == "scaling":
-        samples = []
-        for ln in _read_lines(args.inputs[0]):
-            n, t = ln.split(",")
-            samples.append((float(n), float(t)))
+        samples = _float_rows(args.inputs[0], (0, 1), sep=",", n_fields=2)
         gamma, err = theory.fit_scaling_exponent(samples)
         print(f"gamma = {gamma:.4f} +- {err:.4f}")
     else:
@@ -380,7 +395,8 @@ def main(argv=None) -> int:
             return 1
     try:
         return args.fn(args)
-    except (StructureError, ConfigError, FileNotFoundError, fileio.FormatError) as err:
+    except (StructureError, ConfigError, FileNotFoundError, fileio.FormatError,
+            InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (SurfaceError, ValueError, RuntimeError) as err:

@@ -8,6 +8,10 @@ Order 0 is rotation-invariant; higher orders transform by the operators from
 transformation rule. Component order follows the harmonics: the ``l=1`` basis
 is ``(y, z, x)``.
 
+The encoder lifts numpy inputs to constant Tensors, so receptors (no grad),
+training samples (parameter grads) and ligand states (coordinate grads) run
+the same ops; ``requires_grad`` on the inputs decides what the graph keeps.
+
 Orders above 2 are unsupported.
 """
 
@@ -95,7 +99,7 @@ def _sph_matrix_np(l: int, unit: np.ndarray) -> np.ndarray:
     return np.stack(_sph_columns(l, unit[:, 0], unit[:, 1], unit[:, 2]), axis=-1)
 
 
-def _sph_matrix_t(l: int, unit: Tensor) -> Tensor:
+def _sph_matrix(l: int, unit: Tensor) -> Tensor:
     cols = _sph_columns(l, unit[:, 0], unit[:, 1], unit[:, 2])
     return ad.concat([ad.reshape(c, (-1, 1)) for c in cols], axis=1)
 
@@ -245,15 +249,11 @@ class RadialBasis:
         spacing = self.cutoff / max(self.n_basis - 1, 1)
         self.inv_two_sq = 1.0 / (2.0 * spacing * spacing)
 
-    def evaluate(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        env = np.where(r < self.cutoff, 0.5 * (np.cos(np.pi * r / self.cutoff) + 1.0), 0.0)
-        g = np.exp(-((r[..., None] - self.centers) ** 2) * self.inv_two_sq)
-        return g * env[..., None]
-
-    def evaluate_t(self, r: Tensor) -> Tensor:
+    def evaluate(self, r) -> Tensor:
+        """(E, n_basis) basis values at edge lengths ``r`` (numpy or Tensor)."""
+        r = ad.as_tensor(r)
         mask = (r.values < self.cutoff).astype(float)
-        env_raw = ad.mul(ad.add(ad.cos(ad.mul(r, np.pi / self.cutoff)), 1.0), 0.5)
+        env_raw = ad.mul(ad.add(ad.cos(ad.div(ad.mul(r, np.pi), self.cutoff)), 1.0), 0.5)
         env = ad.mul(env_raw, mask)
         rr = ad.reshape(r, (-1, 1))
         g = ad.exp(ad.mul(ad.power(ad.sub(rr, self.centers[None, :]), 2.0), -self.inv_two_sq))
@@ -272,29 +272,25 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
 def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis, max_lf: int = 2) -> dict:
     """Edge quantities shared by every conv layer over one neighbor table.
 
-    Tensor-typed (and differentiable through positions) when ``coords`` is a
-    Tensor, plain numpy otherwise. Self-edges get a zero direction, which
-    every l_f > 0 path masks out.
+    ``coords`` (numpy or Tensor) is lifted with :func:`ad.as_tensor`, so the
+    edge Tensors are differentiable through positions exactly when ``coords``
+    requires grad. Self-edges get a zero direction, which every l_f > 0 path
+    masks out. ``kc`` starts empty: :meth:`ConvLayer.apply` fills one entry
+    per (l_out, l_f, l_in) path with l_f > 0 the first time the path runs, and
+    every later layer or encode over this geometry reuses it.
     """
     n, k = nbr_idx.shape
     flat = nbr_idx.reshape(-1)
     src = np.repeat(np.arange(n), k)
     self_mask = (flat != src).astype(float)[:, None, None]
-    if isinstance(coords, Tensor):
-        dvec = ad.sub(ad.gather(coords, flat), ad.gather(coords, src))
-        rsq = ad.reduce_sum(ad.mul(dvec, dvec), axis=1)
-        r = ad.power(ad.add(rsq, 1e-24), 0.5)
-        unit = ad.div(dvec, ad.reshape(r, (-1, 1)))
-        b = basis.evaluate_t(r)
-        sph = {l_f: _sph_matrix_t(l_f, unit) for l_f in range(1, max_lf + 1)}
-    else:
-        pts = np.asarray(coords, dtype=float)
-        dvec = pts[flat] - pts[src]
-        r = np.sqrt((dvec * dvec).sum(axis=1) + 1e-24)
-        unit = dvec / r[:, None]
-        b = basis.evaluate(r)
-        sph = {l_f: _sph_matrix_np(l_f, unit) for l_f in range(1, max_lf + 1)}
-    return {"n": n, "k": k, "flat": flat, "self_mask": self_mask, "basis": b, "sph": sph}
+    coords = ad.as_tensor(coords)
+    dvec = ad.sub(ad.gather(coords, flat), ad.gather(coords, src))
+    rsq = ad.reduce_sum(ad.mul(dvec, dvec), axis=1)
+    r = ad.power(ad.add(rsq, 1e-24), 0.5)
+    unit = ad.div(dvec, ad.reshape(r, (-1, 1)))
+    sph = {l_f: _sph_matrix(l_f, unit) for l_f in range(1, max_lf + 1)}
+    return {"n": n, "k": k, "flat": flat, "self_mask": self_mask, "basis": basis.evaluate(r),
+            "sph": sph, "kc": {}}
 
 
 class ConvLayer:
@@ -313,9 +309,7 @@ class ConvLayer:
         self.layout_in = dict(layout_in)
         self.layout_out = dict(layout_out)
         self.basis = basis
-        self.paths = [
-            p for p in allowed_paths(layout_in, sorted(layout_out), max_order)
-        ]
+        self.paths = allowed_paths(layout_in, sorted(layout_out), max_order)
 
     def param_shapes(self) -> dict[str, tuple]:
         shapes = {}
@@ -358,25 +352,14 @@ class ConvLayer:
                     ad.matmul(ad.reshape(mixed, (-1, ni)), kc.T), (-1, c_out, no)
                 )
             else:
-                y = geom["sph"][l_f]                                     # (E, nf)
-                if isinstance(y, Tensor):
-                    kc = ad.reduce_sum(
-                        ad.mul(ad.reshape(y, (-1, 1, 2 * l_f + 1, 1)), cg[None, :, :, :]),
-                        axis=2,
-                    )                                                    # (E, no, ni)
-                    kc_t = ad.transpose(ad.mul(kc, self_mask), (0, 2, 1))
-                else:
-                    cache = geom.setdefault("kc_cache", {})
-                    key = (l_out, l_f, l_in)
-                    kc_t = cache.get(key)
-                    if kc_t is None:
-                        # (E, ni, no): coupling contracted with the harmonics,
-                        # self-edges zeroed, pre-transposed for the bmm
-                        kc_t = np.ascontiguousarray(
-                            (np.einsum("ef,ofi->eoi", y, cg) * self_mask).transpose(0, 2, 1)
-                        )
-                        cache[key] = kc_t
-                msg = ad.bmm(mixed, kc_t)                                # (E, c_out, no)
+                kc = geom["kc"].get((l_out, l_f, l_in))
+                if kc is None:
+                    # (E, ni, no): coupling contracted with the harmonics,
+                    # self-edges zeroed, laid out for the bmm
+                    kc = ad.mul(ad.einsum("ef,fio->eio", geom["sph"][l_f], cg.transpose(1, 2, 0)),
+                                self_mask)
+                    geom["kc"][(l_out, l_f, l_in)] = kc
+                msg = ad.bmm(mixed, kc)                                  # (E, c_out, no)
             pooled = ad.mul(ad.reduce_sum(ad.reshape(msg, (n, k, c_out, no)), axis=1), 1.0 / k)
             out[l_out] = pooled if l_out not in out else ad.add(out[l_out], pooled)
         bias_key = f"{self.name}.bias0"
@@ -389,8 +372,9 @@ class ConvLayer:
 # encoder
 # ---------------------------------------------------------------------------
 
-def encoder_input(features: np.ndarray, points) -> IrrepsField:
-    """Build the encoder input field from a stage-1 feature matrix.
+def encoder_input(features, points) -> IrrepsField:
+    """Build the encoder input Tensor field from a stage-1 feature matrix
+    (numpy or Tensor ``features`` and ``points``).
 
     All feature columns except the trailing coordinates enter as scalars; the
     coordinate block enters as one order-1 channel of centered positions (in
@@ -402,32 +386,15 @@ def encoder_input(features: np.ndarray, points) -> IrrepsField:
     bitwise unchanged, whereas the rounding of a mean over absolute
     coordinates depends on where the cloud sits.
     """
-    feats = features
-    if isinstance(points, Tensor):
-        scalars = feats[:, :-3] if isinstance(feats, Tensor) else ad.constant(feats[:, :-3])
-        n, c = scalars.shape
-        rel = ad.sub(points, points[:1])
-        rel = ad.sub(rel, ad.reduce_mean(rel, axis=0, keepdims=True))
-        centered = ad.mul(rel, 0.1)
-        vec = ad.concat(
-            [ad.reshape(centered[:, 1], (-1, 1)), ad.reshape(centered[:, 2], (-1, 1)),
-             ad.reshape(centered[:, 0], (-1, 1))],
-            axis=1,
-        )
-        return IrrepsField({
-            0: ad.reshape(scalars, (n, c, 1)),
-            1: ad.reshape(vec, (n, 1, 3)),
-        })
-    feats = np.asarray(feats, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    scalars = feats[:, :-3]
-    rel = pts - pts[:1]
-    rel = rel - rel.mean(axis=0, keepdims=True)
-    centered = rel * 0.1
-    vec = centered[:, [1, 2, 0]]
+    scalars = ad.as_tensor(features)[:, :-3]
+    points = ad.as_tensor(points)
+    n, c = scalars.shape
+    rel = ad.sub(points, points[:1])
+    rel = ad.sub(rel, ad.reduce_mean(rel, axis=0, keepdims=True))
+    vec = ad.mul(rel, 0.1)[:, [1, 2, 0]]
     return IrrepsField({
-        0: scalars[:, :, None],
-        1: vec[:, None, :],
+        0: ad.reshape(scalars, (n, c, 1)),
+        1: ad.reshape(vec, (n, 1, 3)),
     })
 
 
@@ -484,9 +451,9 @@ class Encoder:
         Pass a precomputed ``geom`` (from :func:`conv_geometry`) to skip the
         per-call edge geometry when encoding the same cloud repeatedly.
         """
+        points = ad.as_tensor(points)
         if geom is None:
-            pts_np = points.values if isinstance(points, Tensor) else np.asarray(points)
-            geom = conv_geometry(points, knn_indices(pts_np, self.conv_k), self.basis,
+            geom = conv_geometry(points, knn_indices(points.values, self.conv_k), self.basis,
                                  self.max_order)
         field = encoder_input(features, points)
         for i, layer in enumerate(self.layers):

@@ -140,6 +140,8 @@ def load_checkpoint(path, expected_digest: str | None = None, warn=print):
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+    if len(blob) < 12:
+        raise FormatError(f"truncated checkpoint: {len(blob)} bytes, under the 12-byte header")
     (version,) = struct.unpack("<I", blob[4:8])
     if version != _VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")

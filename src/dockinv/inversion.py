@@ -653,7 +653,7 @@ def validity_repair(molecule: MolecularStructure, cfg: RunConfig) -> MolecularSt
 
 
 def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: dict,
-                    cfg: RunConfig, seed: int, motif_bias: bool = True) -> DecodedMolecule:
+                    cfg: RunConfig, seed: int) -> DecodedMolecule:
     """Decode the continuous state into a repaired molecule."""
     rng = np.random.default_rng(seed)
     f = state.f
@@ -661,7 +661,7 @@ def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: di
     g = grad_f[:, 0:8] if grad_f is not None else np.zeros_like(logits)
 
     motifs = []
-    if motif_bias and len(state.x) >= 2:
+    if len(state.x) >= 2:
         feats = state_features(ad.constant(state.x), ad.constant(f),
                                "small-molecule", cfg).values
         kappa1 = feats[:, 12]  # covariance-trace proxy column of the geometry block

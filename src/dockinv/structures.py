@@ -38,7 +38,7 @@ class UnsupportedElementError(StructureError):
     """Element outside the supported atom vocabulary."""
 
 
-#: Bondi van der Waals radii in Angstrom, configurable via RunConfig.vdw_radii.
+#: Bondi van der Waals radii in Angstrom.
 VDW_RADII = {"C": 1.70, "N": 1.55, "O": 1.52, "S": 1.80, "H": 1.20, "SE": 1.90}
 
 PROTEIN_ELEMENTS = ("C", "H", "O", "N", "S", "SE")
@@ -183,15 +183,12 @@ def _element_from_record(line: str) -> str:
     return elem
 
 
-def parse_pdb(text: str, radii: dict[str, float] | None = None) -> MolecularStructure:
+def parse_pdb(text: str) -> MolecularStructure:
     """Parse ATOM/HETATM records into a protein structure.
 
     Elements outside the protein vocabulary raise UnsupportedElementError;
     residues are grouped by (chain id, residue sequence number).
     """
-    table = dict(VDW_RADII)
-    if radii:
-        table.update({k.upper(): v for k, v in radii.items()})
     atoms: list[Atom] = []
     groups: dict[tuple, list[int]] = {}
     group_names: dict[tuple, str] = {}
@@ -212,7 +209,7 @@ def parse_pdb(text: str, radii: dict[str, float] | None = None) -> MolecularStru
                 f"unsupported element '{elem}' on line {lineno} "
                 f"(supported: {', '.join(PROTEIN_ELEMENTS)})"
             )
-        atoms.append(Atom(elem, (x, y, z), table[elem], None, line[12:16].strip()))
+        atoms.append(Atom(elem, (x, y, z), VDW_RADII[elem], None, line[12:16].strip()))
         res_name = line[17:20].strip() or "UNK"
         chain = line[21:22].strip() or "A"
         res_seq = line[22:26].strip() or "0"
@@ -231,16 +228,13 @@ def parse_pdb(text: str, radii: dict[str, float] | None = None) -> MolecularStru
 # bespoke molecule text format
 # ---------------------------------------------------------------------------
 
-def parse_molecule(text: str, radii: dict[str, float] | None = None) -> MolecularStructure:
+def parse_molecule(text: str) -> MolecularStructure:
     """Parse the molecule text format.
 
     Layout: a header line with the atom count, one line per atom
     ``element x y z [hybridization]``, then optional bond lines ``i j order``
     with 0-based indices and order in {1, 2, 3, ar}.
     """
-    table = dict(VDW_RADII)
-    if radii:
-        table.update({k.upper(): v for k, v in radii.items()})
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -268,7 +262,7 @@ def parse_molecule(text: str, radii: dict[str, float] | None = None) -> Molecula
         if elem == "H":
             if hyb is not None:
                 raise StructureError("hydrogen takes no hybridization tag")
-            atoms.append(Atom("H", xyz, table["H"]))
+            atoms.append(Atom("H", xyz, VDW_RADII["H"]))
             continue
         allowed = _HYBRIDIZABLE.get(elem)
         if allowed is None:
@@ -280,7 +274,7 @@ def parse_molecule(text: str, radii: dict[str, float] | None = None) -> Molecula
             hyb = "sp3" if "sp3" in allowed else allowed[0]
         if hyb not in allowed:
             raise UnsupportedElementError(f"'{elem}({hyb})' outside the molecule vocabulary")
-        atoms.append(Atom(elem, xyz, table[elem], hyb))
+        atoms.append(Atom(elem, xyz, VDW_RADII[elem], hyb))
 
     bonds: list[Bond] = []
     for ln in lines[1 + count :]:

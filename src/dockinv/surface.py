@@ -63,15 +63,13 @@ class InsufficientSurfaceError(SurfaceError):
 
 
 class SurfacePointCloud:
-    """Surface sample: points (N,3), unit normals (N,3), features (N,d), and
-    an optional per-point empty-neighborhood marker ``empty_flags``."""
+    """Surface sample: points (N,3), unit normals (N,3) and features (N,d)."""
 
-    def __init__(self, points, normals, features, molecule_type, empty_flags=None, validate=True):
+    def __init__(self, points, normals, features, molecule_type, validate=True):
         self.points = np.ascontiguousarray(points, dtype=float)
         self.normals = np.ascontiguousarray(normals, dtype=float)
         self.features = np.ascontiguousarray(features, dtype=float)
         self.molecule_type = molecule_type
-        self.empty_flags = empty_flags
         if validate and len(self.points):
             lengths = np.linalg.norm(self.normals, axis=1)
             if np.any(np.abs(lengths - 1.0) > 1e-9):
@@ -522,13 +520,10 @@ def build_surface(
         tol=cfg.projection_tol, m=m, rng=rng,
     )
     normals = estimate_normals(points, coords, radii, cfg.normals_mode, cfg.r_probe)
-    chem, chem_empty = chemical_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
-    atom, atom_empty = atomic_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
+    chem, _ = chemical_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
+    atom, _ = atomic_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
     geom = geometric_features(points, normals, cfg.k_geom)
     features = assemble_features(chem, atom, geom, structure.molecule_type, points)
-    cloud = SurfacePointCloud(
-        points, normals, features, structure.molecule_type,
-        empty_flags=chem_empty | atom_empty,
-    )
+    cloud = SurfacePointCloud(points, normals, features, structure.molecule_type)
 
     return cloud, build_patches(cloud, cfg, partner_points)

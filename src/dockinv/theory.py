@@ -252,33 +252,31 @@ def containment_demo(landscape: SyntheticLandscape | None = None,
     Inversion refines PGD from uniform starts over the full box; G+O refines
     from generator samples only. Weak dominance must always hold; strict
     dominance is asserted when the generator's support misses the better basin.
+    The landscape is one-dimensional, and its ``grad`` and ``project`` act
+    elementwise, so each set of starts is refined as one batch.
     """
     landscape = landscape or double_well()
     stub = stub or GeneratorStub(0.5, 1.5)
     eta = eta if eta is not None else 1.0 / landscape.smoothness
     rng = np.random.default_rng(seed)
 
-    def refine(x0):
-        _, fs, _ = pgd(landscape.f, landscape.grad, landscape.project,
-                       np.array([x0]), eta, steps)
-        return fs[-1]
+    def refine(starts):  # final points and objectives after `steps` PGD steps
+        x = np.asarray(starts, dtype=float)
+        for _ in range(steps):
+            x = landscape.project(x - eta * landscape.grad(x))
+        return x, np.array([landscape.f(np.array([xi])) for xi in x])
 
-    g_samples = stub.sample(n_samples, rng)
-    go_best = min(refine(x) for x in g_samples)
+    go_best = min(refine(stub.sample(n_samples, rng))[1])
     inv_starts = np.linspace(float(landscape.lower[0]), float(landscape.upper[0]), n_starts)
-    inv_best = min(refine(x) for x in inv_starts)
+    inv_best = min(refine(inv_starts)[1])
 
     violations = []
     if inv_best > go_best + 1e-9:
         violations.append(f"weak dominance violated: {inv_best:.8g} > {go_best:.8g}")
 
-    # basin oracle: dense PGD trajectories decide which basin each start reaches
-    probe = np.linspace(stub.low, stub.high, 16)
-    basins = set()
-    for x0 in probe:
-        xs, _, _ = pgd(landscape.f, landscape.grad, landscape.project,
-                       np.array([x0]), eta, steps)
-        basins.add(round(float(xs[-1][0]), 2))
+    # basin oracle: where PGD from starts across the generator's support ends
+    ends, _ = refine(np.linspace(stub.low, stub.high, 16))
+    basins = {round(float(x), 2) for x in ends}
     x_star, f_star = minimize_on_grid(landscape)
     misspecified = all(abs(b - x_star) > 0.05 for b in basins)
     details = {

@@ -16,6 +16,8 @@ PRIMITIVE_CASES = {
     "div": lambda x: ad.reduce_sum(ad.div(1.0, ad.add(ad.mul(x, x), 1.0))),
     "matmul": lambda x: ad.reduce_sum(ad.matmul(ad.reshape(x, (4, 3)), np.arange(6.0).reshape(3, 2)) ** 2),
     "bmm": lambda x: ad.reduce_sum(ad.bmm(ad.reshape(x, (2, 2, 3)), np.arange(12.0).reshape(2, 3, 2) / 10) ** 2),
+    "einsum": lambda x: ad.reduce_sum(
+        ad.einsum("ef,fio->eio", ad.reshape(x, (3, 4)), ad.reshape(ad.mul(x, x), (4, 3, 1))) ** 2),
     "exp": lambda x: ad.reduce_sum(ad.exp(ad.mul(x, 0.5))),
     "log": lambda x: ad.reduce_sum(ad.log(ad.add(ad.mul(x, x), 1.0))),
     "power": lambda x: ad.reduce_sum(ad.power(ad.add(ad.mul(x, x), 0.5), 1.7)),
@@ -97,6 +99,18 @@ def test_matmul_gradient_vs_finite_differences():
 
     report = ad.grad_check(f, a0, step=1e-5, tolerance=1e-6)
     assert report.passed
+
+
+def test_einsum_matches_numpy_and_rejects_one_sided_index():
+    rng = np.random.default_rng(0)
+    a0, b0 = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 5))
+    out = ad.einsum("bij,bjk->bik", a0, b0)
+    assert out.values.tobytes() == np.einsum("bij,bjk->bik", a0, b0).tobytes()
+    for spec in ("bij,bjk->bi", "bij,bjk", "bii,bjk->bik"):
+        with pytest.raises(ad.ContractError):
+            ad.einsum(spec, a0, b0)
+    with pytest.raises(ad.ShapeError):
+        ad.einsum("ij,bjk->bik", a0, b0)
 
 
 def test_grad_check_simple_example():

@@ -107,3 +107,25 @@ def test_discrete_invert_writes_every_run(tmp_path, pdb, config_file, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "run_000.mol", "run_000.trace.jsonl", "run_001.mol", "run_001.trace.jsonl"]
     assert capsys.readouterr().out.count("stop=") == 2
+
+
+@pytest.mark.parametrize("cut", [4, 8, 11])
+def test_truncated_checkpoint_exits_1(cut, tmp_path, pdb, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    fileio.save_checkpoint(ckpt, {"w": np.ones(3)}, "d")
+    ckpt.write_bytes(ckpt.read_bytes()[:cut])
+    argv = ["invert", "--receptor", str(pdb), "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "error: truncated checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("sta-protein", "res phi psi\nALA -60 -45\nGLY -60\n"),
+    ("scaling", "100,0.5\n200 0.9\n"),
+])
+def test_malformed_metrics_row_exits_1(kind, text, tmp_path, capsys):
+    path = tmp_path / "rows.txt"
+    path.write_text(text)
+    assert main(["metrics", "--kind", kind, str(path)]) == 1
+    assert f"error: {path}: malformed row" in capsys.readouterr().err

@@ -132,15 +132,8 @@ class TestRadialBasis:
         basis = eq.RadialBasis(5.0, 8)
         r = np.array([4.999, 5.0, 6.0, 100.0])
         vals = basis.evaluate(r)
-        assert np.all(vals[1:] == 0.0)
-        assert np.any(vals[0] > 0.0)
-
-    def test_tensor_path_matches_numpy(self):
-        basis = eq.RadialBasis(5.0, 6)
-        r = np.linspace(0.1, 6.0, 40)
-        np_vals = basis.evaluate(r)
-        t_vals = basis.evaluate_t(ad.constant(r)).values
-        np.testing.assert_allclose(np_vals, t_vals, atol=1e-12)
+        assert np.all(vals.values[1:] == 0.0)
+        assert np.any(vals.values[0] > 0.0)
 
 
 def build_encoder(cfg, seed=0, n_scalars=14):
@@ -214,8 +207,38 @@ class TestConvolution:
 
     @pytest.mark.parametrize("lift", [ad.param, ad.constant], ids=["param", "constant"])
     def test_translation_invariance_exact_on_grid_tensor_points(self, small_cfg, lift):
-        # the Tensor path of encoder_input centres the same way
+        # Tensor points are centred the same way
         self._assert_grid_shift_bitwise(small_cfg, lift)
+
+    def test_numpy_constant_and_param_points_encode_bitwise_equal(self, small_cfg):
+        # one code path: lifting the points changes what the graph keeps,
+        # never the values
+        rng = np.random.default_rng(10)
+        enc, params = build_encoder(small_cfg)
+        pts, feats = random_cloud(rng, 16)
+        fields = [enc.apply(params, feats, lift(pts)).values()
+                  for lift in (np.asarray, ad.constant, ad.param)]
+        for l in fields[0]:
+            assert fields[1][l].tobytes() == fields[0][l].tobytes()
+            assert fields[2][l].tobytes() == fields[0][l].tobytes()
+
+    def test_coupled_harmonics_cached_per_path(self, small_cfg):
+        rng = np.random.default_rng(11)
+        enc, params = build_encoder(small_cfg)
+        pts, feats = random_cloud(rng, 16)
+        geom = eq.conv_geometry(pts, eq.knn_indices(pts, enc.conv_k), enc.basis, enc.max_order)
+        assert geom["kc"] == {}
+        first = enc.apply(params, feats, pts, geom=geom)
+        paths = {(l_out, l_f, l_in) for layer in enc.layers
+                 for (l_in, l_f, l_out) in layer.paths if l_f > 0}
+        assert set(geom["kc"]) == paths
+        assert all(isinstance(kc, ad.Tensor) for kc in geom["kc"].values())
+        cached = dict(geom["kc"])
+        second = enc.apply(params, feats, pts, geom=geom)
+        assert all(geom["kc"][key] is kc for key, kc in cached.items())
+        assert len(geom["kc"]) == len(cached)
+        for l in first.channels:
+            assert first.values()[l].tobytes() == second.values()[l].tobytes()
 
     def test_translation_invariance_generic(self, small_cfg):
         rng = np.random.default_rng(8)

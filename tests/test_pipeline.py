@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import write_pdb
 
 from dockinv import autodiff as ad
-from dockinv import fileio, inversion, theory
-from dockinv.finetune import finetune_run
+from dockinv import fileio, inversion, theory, toydata
+from dockinv.finetune import finetune_run, load_complex_dir
 from dockinv.model import PipelineModel
 from dockinv.pretrain import pretrain_run
-from dockinv.structures import AMINO_ACIDS
+from dockinv.structures import AMINO_ACIDS, write_molecule
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +226,32 @@ def test_protein_run_decodes_residues(mode, toy_cfg, mdl, init_params, ctx):
     for torsion in (prot.phi, prot.psi):
         assert np.all((torsion > -180.0) & (torsion <= 180.0))
     assert np.all((prot.rotamers >= 0) & (prot.rotamers <= 2))
+
+
+def _write_complex(root, receptor, ligand_seed, labels):
+    root.mkdir()
+    write_pdb(receptor, root / "receptor.pdb")
+    (root / "ligand.mol").write_text(write_molecule(toydata.random_molecule(seed=ligand_seed)))
+    (root / "labels.txt").write_text(labels)
+
+
+def test_load_complex_dir_fits_scaler_on_labelled_values(tmp_path, toy_cfg, mdl,
+                                                          receptor_structure):
+    _write_complex(tmp_path / "a", receptor_structure, 3, "y_int = 1\ndelta_g = -7.5\n")
+    _write_complex(tmp_path / "b", receptor_structure, 4, "y_int = 0\ndelta_g = none\n")
+    samples, scaler = load_complex_dir(tmp_path, toy_cfg, mdl, seed=0)
+    assert len(samples) == 2
+    # one labelled value: its mean, and the unit std that a zero spread falls back to
+    assert (scaler.mean, scaler.std) == (-7.5, 1.0)
+    assert [s.y_int for s in samples] == [1.0, 0.0]
+    assert samples[0].delta_g == 0.0
+    assert samples[1].delta_g is None
+    for s in samples:
+        assert len(s.pocket_labels) == len(s.receptor.points)
+
+
+def test_load_complex_dir_rejects_pocket_mask_of_wrong_length(tmp_path, toy_cfg, mdl,
+                                                              receptor_structure):
+    _write_complex(tmp_path / "a", receptor_structure, 3, "y_int = 1\npocket = 0101\n")
+    with pytest.raises(ValueError, match="pocket bitmask length 4"):
+        load_complex_dir(tmp_path, toy_cfg, mdl, seed=0)

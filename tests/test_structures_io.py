@@ -186,6 +186,14 @@ class TestCheckpoint:
         with pytest.raises(fileio.ChecksumError):
             fileio.load_checkpoint(path)
 
+    @pytest.mark.parametrize("cut", [4, 8, 11])
+    def test_truncated_header_is_format_error(self, tmp_path, cut):
+        path = tmp_path / "m.mdck"
+        fileio.save_checkpoint(path, {"w": np.ones(3)}, "d")
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(fileio.FormatError, match="truncated checkpoint"):
+            fileio.load_checkpoint(path)
+
     def test_digest_mismatch_warns_but_loads(self, tmp_path):
         path = tmp_path / "m.mdck"
         fileio.save_checkpoint(path, {"w": np.ones(3)}, "old-digest")
