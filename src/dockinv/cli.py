@@ -244,7 +244,8 @@ def _jsonable(v):
 
 
 class InputError(ValueError):
-    """A metrics input file holds a row that cannot be read."""
+    """A metrics input file holds a row that cannot be read, or rows that the
+    metric cannot use."""
 
 
 def _read_lines(path) -> list[str]:
@@ -297,7 +298,10 @@ def cmd_metrics(args) -> int:
         print(f"STA = {theory.metric_sta_protein(prots):.4f}")
     elif kind == "scaling":
         samples = _float_rows(args.inputs[0], (0, 1), sep=",", n_fields=2)
-        gamma, err = theory.fit_scaling_exponent(samples)
+        try:
+            gamma, err = theory.fit_scaling_exponent(samples)
+        except ValueError as exc:      # too few sizes or timings, or a value <= 0
+            raise InputError(f"{args.inputs[0]}: {exc}") from None
         print(f"gamma = {gamma:.4f} +- {err:.4f}")
     else:
         print(f"error: unknown metric kind {kind!r}", file=sys.stderr)

@@ -274,33 +274,43 @@ def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis, max_lf: int =
 
     ``coords`` (numpy or Tensor) is lifted with :func:`ad.as_tensor`, so the
     edge Tensors are differentiable through positions exactly when ``coords``
-    requires grad. Self-edges get a zero direction, which every l_f > 0 path
-    masks out. ``kc`` starts empty: :meth:`ConvLayer.apply` fills one entry
-    per (l_out, l_f, l_in) path with l_f > 0 the first time the path runs, and
-    every later layer or encode over this geometry reuses it.
+    requires grad. ``pool`` (n, n_basis, k) holds each point's radial basis
+    values over its k neighbours, laid out to pool a path's per-edge products
+    with one ``bmm``. ``edge_scale`` (E, 1, 1) is 1/k on a neighbour edge and
+    0 on a self-edge, whose direction is zero: it masks every l_f > 0 path and
+    carries the neighbour mean's 1/k. ``kc`` starts empty:
+    :meth:`ConvLayer.apply` fills one entry per (l_out, l_f, l_in) path with
+    l_f > 0 the first time the path runs, and every later layer or encode over
+    this geometry reuses it.
     """
     n, k = nbr_idx.shape
     flat = nbr_idx.reshape(-1)
     src = np.repeat(np.arange(n), k)
-    self_mask = (flat != src).astype(float)[:, None, None]
+    edge_scale = (flat != src).astype(float)[:, None, None] / k
     coords = ad.as_tensor(coords)
     dvec = ad.sub(ad.gather(coords, flat), ad.gather(coords, src))
     rsq = ad.reduce_sum(ad.mul(dvec, dvec), axis=1)
     r = ad.power(ad.add(rsq, 1e-24), 0.5)
     unit = ad.div(dvec, ad.reshape(r, (-1, 1)))
     sph = {l_f: _sph_matrix(l_f, unit) for l_f in range(1, max_lf + 1)}
-    return {"n": n, "k": k, "flat": flat, "self_mask": self_mask, "basis": basis.evaluate(r),
+    pool = ad.transpose(ad.reshape(basis.evaluate(r), (n, k, basis.n_basis)), (0, 2, 1))
+    return {"n": n, "k": k, "flat": flat, "edge_scale": edge_scale, "pool": pool,
             "sph": sph, "kc": {}}
 
 
 class ConvLayer:
     """One tensor-field convolution with per-path learnable radial mixing.
 
-    Output at point i sums messages from its neighbor list: the order-l_f
-    harmonic of the edge direction couples an order-l_in input channel into
-    an order-l_out output through fixed coupling coefficients, scaled by a
-    learned radial function of the edge length. Self-edges contribute only
-    through l_f = 0 paths.
+    Output at point i is the mean of messages from its neighbor list: the
+    order-l_f harmonic of the edge direction couples an order-l_in input
+    channel into an order-l_out output through fixed coupling coefficients,
+    mixed from c_in to c_out channels by a learned radial function of the
+    edge length. Self-edges contribute only through l_f = 0 paths.
+
+    The radial function is linear in the basis, ``sum_b phi_b(r) W_b``, so a
+    path first pools its coupled inputs over the neighbours once per basis
+    function (``geom["pool"]``) and then applies the (n_basis * c_in, c_out)
+    weights once per point. No per-edge weight matrix is formed.
     """
 
     def __init__(self, name: str, layout_in: dict[int, int], layout_out: dict[int, int],
@@ -333,35 +343,36 @@ class ConvLayer:
         return params
 
     def apply(self, params: dict, field: IrrepsField, geom: dict) -> IrrepsField:
-        n, k = geom["n"], geom["k"]
-        flat, self_mask = geom["flat"], geom["self_mask"]
-        out: dict[int, object] = {}
+        n, k, flat, pool = geom["n"], geom["k"], geom["flat"], geom["pool"]
+        n_basis = self.basis.n_basis
         gathered: dict[int, Tensor] = {}
+        sums: dict[int, Tensor] = {}
         for (l_in, l_f, l_out) in self.paths:
             c_in, c_out = self.layout_in[l_in], self.layout_out[l_out]
             ni, no = 2 * l_in + 1, 2 * l_out + 1
-            w = params[f"{self.name}.w{l_in}{l_f}{l_out}"]
-            rw = ad.reshape(ad.matmul(geom["basis"], w), (-1, c_in, c_out))
             if l_in not in gathered:
                 gathered[l_in] = ad.gather(field.channels[l_in], flat)   # (E, c_in, ni)
-            mixed = ad.bmm(ad.transpose(rw, (0, 2, 1)), gathered[l_in])  # (E, c_out, ni)
             cg = coupling_tensor(l_out, l_f, l_in)                       # (no, nf, ni)
             if l_f == 0:
-                kc = cg[:, 0, :] * _C0                                   # (no, ni) constant
-                msg = ad.reshape(
-                    ad.matmul(ad.reshape(mixed, (-1, ni)), kc.T), (-1, c_out, no)
-                )
+                kc = cg[:, 0, :].T * (_C0 / k)                           # (ni, no) constant
+                y = ad.matmul(ad.reshape(gathered[l_in], (-1, ni)), kc)
             else:
                 kc = geom["kc"].get((l_out, l_f, l_in))
                 if kc is None:
                     # (E, ni, no): coupling contracted with the harmonics,
-                    # self-edges zeroed, laid out for the bmm
+                    # scaled by edge_scale, laid out for the bmm
                     kc = ad.mul(ad.einsum("ef,fio->eio", geom["sph"][l_f], cg.transpose(1, 2, 0)),
-                                self_mask)
+                                geom["edge_scale"])
                     geom["kc"][(l_out, l_f, l_in)] = kc
-                msg = ad.bmm(mixed, kc)                                  # (E, c_out, no)
-            pooled = ad.mul(ad.reduce_sum(ad.reshape(msg, (n, k, c_out, no)), axis=1), 1.0 / k)
-            out[l_out] = pooled if l_out not in out else ad.add(out[l_out], pooled)
+                y = ad.bmm(gathered[l_in], kc)                           # (E, c_in, no)
+            pooled = ad.bmm(pool, ad.reshape(y, (n, k, c_in * no)))      # (n, n_basis, c_in*no)
+            # one row per (point, output component), one column per (basis, input channel)
+            rows = ad.transpose(ad.reshape(pooled, (n, n_basis, c_in, no)), (0, 3, 1, 2))
+            w = ad.reshape(params[f"{self.name}.w{l_in}{l_f}{l_out}"], (n_basis * c_in, c_out))
+            msg = ad.matmul(ad.reshape(rows, (n * no, n_basis * c_in)), w)   # (n*no, c_out)
+            sums[l_out] = msg if l_out not in sums else ad.add(sums[l_out], msg)
+        # paths into one order share their (n*no, c_out) sum; it is laid out once
+        out = {l: ad.transpose(ad.reshape(s, (n, 2 * l + 1, -1)), (0, 2, 1)) for l, s in sums.items()}
         bias_key = f"{self.name}.bias0"
         if 0 in out and bias_key in params:
             out[0] = ad.add(out[0], ad.reshape(params[bias_key], (1, -1, 1)))

@@ -50,6 +50,7 @@ class SyntheticLandscape:
     upper: np.ndarray
     minimum: float | None = None        # inf of f over the constraint set
     mu: float | None = None             # strong convexity constant when known
+    f_each: callable | None = None      # 1-D landscapes: f at each entry of an array
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
@@ -215,9 +216,13 @@ def box_quadratic() -> SyntheticLandscape:
 def double_well(tilt: float = 0.3) -> SyntheticLandscape:
     """(x^2 - 1)^2 + tilt * x on [-2, 2]: two basins, the left one deeper."""
 
+    def f_each(x):
+        # np.float_power is libm's pow, as Python's float ** is, so an array
+        # gets bitwise the values that Python floats get
+        return np.float_power(x * x - 1.0, 2.0) + tilt * x
+
     def f(x):
-        x = float(np.atleast_1d(x)[0])
-        return (x * x - 1.0) ** 2 + tilt * x
+        return float(f_each(float(np.atleast_1d(x)[0])))
 
     def grad(x):
         x = np.atleast_1d(x)
@@ -227,6 +232,7 @@ def double_well(tilt: float = 0.3) -> SyntheticLandscape:
     return SyntheticLandscape(
         name="double-well",
         f=f,
+        f_each=f_each,
         grad=grad,
         smoothness=44.0,
         lower=np.array([-2.0]),
@@ -237,7 +243,7 @@ def double_well(tilt: float = 0.3) -> SyntheticLandscape:
 def minimize_on_grid(landscape: SyntheticLandscape, step: float = 1e-5):
     """Dense 1-D grid oracle for minimizers (used to pin basin values)."""
     xs = np.arange(float(landscape.lower[0]), float(landscape.upper[0]) + step, step)
-    vals = np.array([landscape.f(np.array([x])) for x in xs])
+    vals = landscape.f_each(xs)
     i = int(np.argmin(vals))
     return float(xs[i]), float(vals[i])
 
@@ -252,8 +258,9 @@ def containment_demo(landscape: SyntheticLandscape | None = None,
     Inversion refines PGD from uniform starts over the full box; G+O refines
     from generator samples only. Weak dominance must always hold; strict
     dominance is asserted when the generator's support misses the better basin.
-    The landscape is one-dimensional, and its ``grad`` and ``project`` act
-    elementwise, so each set of starts is refined as one batch.
+    The landscape is one-dimensional, and its ``grad``, ``project`` and
+    ``f_each`` act elementwise, so each set of starts is refined as one batch
+    and the grid oracle is one array expression.
     """
     landscape = landscape or double_well()
     stub = stub or GeneratorStub(0.5, 1.5)
@@ -264,7 +271,7 @@ def containment_demo(landscape: SyntheticLandscape | None = None,
         x = np.asarray(starts, dtype=float)
         for _ in range(steps):
             x = landscape.project(x - eta * landscape.grad(x))
-        return x, np.array([landscape.f(np.array([xi])) for xi in x])
+        return x, landscape.f_each(x)
 
     go_best = min(refine(stub.sample(n_samples, rng))[1])
     inv_starts = np.linspace(float(landscape.lower[0]), float(landscape.upper[0]), n_starts)

@@ -236,6 +236,15 @@ def test_forward_rejects_non_finite_results():
         ad.add(ad.constant(np.array([1.0, np.nan])), ad.constant(1.0))
 
 
+@pytest.mark.parametrize("size", [8, 200_000])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_raises_naming_the_op_at_any_size(size, bad):
+    values = np.ones(size)
+    values[size // 2] = bad
+    with pytest.raises(ad.DomainError, match="'mul'"):
+        ad.mul(ad.constant(values), 2.0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_finite_values_whose_sum_overflows_pass():
     big = ad.add(ad.constant(np.array([1e308, 1e308])), ad.constant(0.0))

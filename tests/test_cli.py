@@ -129,3 +129,15 @@ def test_malformed_metrics_row_exits_1(kind, text, tmp_path, capsys):
     path.write_text(text)
     assert main(["metrics", "--kind", kind, str(path)]) == 1
     assert f"error: {path}: malformed row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("100,0.5\n200,0.9\n", "need >= 4 distinct sizes, got 2"),
+    ("".join(f"{n},{t}\n" for n in (100, 200, 400, 800) for t in (0.5, 0.0, 0.7)),
+     "sizes and runtimes must be positive"),
+])
+def test_scaling_rows_the_fit_rejects_exit_1(text, reason, tmp_path, capsys):
+    path = tmp_path / "timings.csv"
+    path.write_text(text)
+    assert main(["metrics", "--kind", "scaling", str(path)]) == 1
+    assert f"error: {path}: {reason}" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Harmonics, rotation operators, tensor-field convolution, and attention."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dockinv import autodiff as ad
 from dockinv import equivariant as eq
 from dockinv.config import RunConfig
+from dockinv.toydata import toy_config
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +252,96 @@ class TestConvolution:
         f2 = enc.apply(params, feats2, pts + shift)
         for l in f1.channels:
             np.testing.assert_allclose(f1.values()[l], f2.values()[l], atol=1e-12)
+
+
+def per_edge_reference(layer, params, field, pts, nbr):
+    """The conv written per edge: each edge's radial weights ``basis @ w``
+    mix the neighbour's channels, the coupled harmonics map them to the
+    output order, and each point takes the mean of its k messages."""
+    n, k = nbr.shape
+    flat = nbr.reshape(-1)
+    src = np.repeat(np.arange(n), k)
+    dvec = pts[flat] - pts[src]
+    r = np.sqrt((dvec * dvec).sum(axis=1) + 1e-24)
+    unit = dvec / r[:, None]
+    basis = layer.basis.evaluate(r).values                          # (E, n_basis)
+    out = {}
+    for (l_in, l_f, l_out) in layer.paths:
+        c_in, c_out = layer.layout_in[l_in], layer.layout_out[l_out]
+        rw = (basis @ params[f"{layer.name}.w{l_in}{l_f}{l_out}"]).reshape(-1, c_in, c_out)
+        mixed = rw.transpose(0, 2, 1) @ field[l_in][flat]           # (E, c_out, ni)
+        cg = eq.coupling_tensor(l_out, l_f, l_in)
+        if l_f == 0:
+            msg = mixed @ (cg[:, 0, :] * eq.real_spherical_harmonics(0, [0.0, 0.0, 1.0])[0]).T
+        else:
+            sph = eq._sph_matrix_np(l_f, unit) * (flat != src)[:, None]
+            msg = mixed @ np.einsum("ef,ofi->eio", sph, cg)         # (E, c_out, no)
+        pooled = msg.reshape(n, k, c_out, -1).sum(axis=1) / k
+        out[l_out] = out.get(l_out, 0.0) + pooled
+    out[0] = out[0] + params[f"{layer.name}.bias0"].reshape(1, -1, 1)
+    return out
+
+
+class TestConvAgainstPerEdgeReference:
+    @pytest.mark.parametrize("cfg", [toy_config(), RunConfig().validate()], ids=["toy", "default"])
+    def test_every_path_of_both_layers(self, cfg):
+        # pooling over neighbours before the radial weights only reorders the sums
+        rng = np.random.default_rng(12)
+        enc, params = build_encoder(cfg)
+        pts, feats = random_cloud(rng, 40, scale=2.0)
+        nbr = eq.knn_indices(pts, enc.conv_k)
+        geom = eq.conv_geometry(pts, nbr, enc.basis, enc.max_order)
+        for i, layer in enumerate(enc.layers):
+            if i == 0:
+                field = eq.encoder_input(feats, pts).values()
+            else:
+                field = {l: rng.standard_normal((40, c, 2 * l + 1))
+                         for l, c in layer.layout_in.items()}
+            scoped = {key: v for key, v in params.items() if key.startswith(layer.name + ".")}
+            bias = {key: v for key, v in scoped.items() if key.endswith("bias0")}
+            for (l_in, l_f, l_out) in layer.paths:
+                key = f"{layer.name}.w{l_in}{l_f}{l_out}"
+                one_path = {**bias, **{w: np.zeros_like(v) for w, v in scoped.items()
+                                       if w not in bias}, key: scoped[key]}
+                got = layer.apply(one_path, eq.IrrepsField(field), geom).values()
+                ref = per_edge_reference(layer, one_path, field, pts, nbr)
+                scale = max(np.abs(v).max() for v in ref.values())
+                assert set(got) == set(ref)
+                for l in ref:
+                    assert np.abs(got[l] - ref[l]).max() <= 1e-12 * scale, (key, l)
+
+    def test_no_grad_encode_of_a_thousand_points_stays_under_100_mb(self):
+        # no (E, c_in*c_out) radial weights per path: forming them per edge,
+        # as per_edge_reference does, peaked at 182 MB here
+        rng = np.random.default_rng(13)
+        enc, params = build_encoder(RunConfig().validate())
+        pts, feats = random_cloud(rng, 1000, scale=6.0)
+        tracemalloc.start()
+        try:
+            field = enc.apply(params, feats, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.isfinite(v).all() for v in field.values().values())
+        assert peak < 100e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_pool_built_once_per_geometry(self, small_cfg):
+        rng = np.random.default_rng(14)
+        enc, params = build_encoder(small_cfg)
+        pts, feats = random_cloud(rng, 16)
+        nbr = eq.knn_indices(pts, enc.conv_k)
+        geom = eq.conv_geometry(pts, nbr, enc.basis, enc.max_order)
+        pool = geom["pool"]
+        n, k = nbr.shape
+        dvec = pts[nbr] - pts[:, None, :]
+        r = np.sqrt((dvec * dvec).sum(axis=2) + 1e-24)      # self-edges as conv_geometry has them
+        expected = enc.basis.evaluate(r.reshape(-1)).values.reshape(n, k, -1).transpose(0, 2, 1)
+        np.testing.assert_allclose(pool.values, expected, rtol=1e-12, atol=1e-15)
+        first = enc.apply(params, feats, pts, geom=geom)
+        second = enc.apply(params, feats, pts, geom=geom)
+        assert geom["pool"] is pool
+        for l in first.channels:
+            assert first.values()[l].tobytes() == second.values()[l].tobytes()
 
 
 class TestEncoderEquivariance:

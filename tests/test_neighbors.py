@@ -47,3 +47,25 @@ def test_knn_k_equals_point_count():
     idx, _ = neighbors.knn(pts, pts, len(pts) - 1, exclude_self=True)
     for i, row in enumerate(idx):
         np.testing.assert_array_equal(np.sort(row), np.delete(np.arange(6), i))
+
+
+def _sorted_reference(a, b, k, exclude_self=False):
+    d = _reference(a, b)
+    if exclude_self:
+        np.fill_diagonal(d, np.inf)
+    idx = np.array([sorted(range(len(b)), key=lambda j: (row[j], j))[:k] for row in d])
+    return idx, np.take_along_axis(d, idx, axis=1)
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_knn_many_ties_at_the_kth_distance_go_to_lowest_index(exclude_self):
+    # a half-integer lattice: every lattice query has 6 neighbours at 0.5,
+    # 12 at 0.707 and 8 at 0.866, so k = 10 cuts through a 12-way tie;
+    # the shuffled order makes the lowest index differ from lattice order
+    axis = np.arange(5) / 2.0
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = grid[np.random.default_rng(5).permutation(len(grid))]
+    idx, dist = neighbors.knn(pts, pts, 10, exclude_self=exclude_self)
+    ref_idx, ref_dist = _sorted_reference(pts, pts, 10, exclude_self)
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert dist.tobytes() == ref_dist.tobytes()
