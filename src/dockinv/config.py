@@ -38,7 +38,6 @@ class RunConfig:
     eps_omega: float = 1e-6        # epsilon in the probe-scaled weights
     interface_cutoff_ligand: float = 4.0
     interface_cutoff_protein: float = 2.0
-    normals_mode: str = "sdf-gradient"  # or "weighted-pca"
 
     # -- encoder -------------------------------------------------------------
     max_order: int = 2             # maximum spherical-harmonic order L
@@ -68,7 +67,6 @@ class RunConfig:
     finetune_lr: float = 1e-4
     weight_decay: float = 1e-5
     head_hidden: int = 128
-    interaction_mode: str = "complex"  # or "per-point"
 
     # -- stage 4: inversion ----------------------------------------------------
     gamma_bias: float = 0.1        # gradient bias in categorical decoding
@@ -104,12 +102,16 @@ class RunConfig:
             "conv_k": self.conv_k, "n_conv_layers": self.n_conv_layers,
             "codebook_size": self.codebook_size, "d_code": self.d_code,
             "head_hidden": self.head_hidden, "decode_every": self.decode_every,
-            "n_init_points": self.n_init_points, "n_init_residues": self.n_init_residues,
             "max_repair_rounds": self.max_repair_rounds, "max_step_retries": self.max_step_retries,
         }
         for name, v in counts.items():
             if v < 1:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
+        # the state's geometry block averages over each point's other points
+        points = {"n_init_points": self.n_init_points, "n_init_residues": self.n_init_residues}
+        for name, v in points.items():
+            if v < 2:
+                raise ConfigError(f"{name} must be >= 2, got {v}")
         steps = {
             "alpha_sdf": self.alpha_sdf, "projection_tol": self.projection_tol,
             "pretrain_lr": self.pretrain_lr, "finetune_lr": self.finetune_lr,
@@ -120,6 +122,7 @@ class RunConfig:
             "conv_cutoff": self.conv_cutoff, "sigma_motif": self.sigma_motif,
             "clash_floor": self.clash_floor, "bond_min": self.bond_min,
             "bond_max": self.bond_max, "sigma_init": self.sigma_init,
+            "grad_clip": self.grad_clip,
         }
         for name, v in steps.items():
             if v <= 0:
@@ -130,10 +133,6 @@ class RunConfig:
             raise ConfigError("eta_min must not exceed eta_max")
         if self.bond_min >= self.bond_max:
             raise ConfigError("bond_min must be below bond_max")
-        if self.normals_mode not in ("sdf-gradient", "weighted-pca"):
-            raise ConfigError(f"unknown normals_mode {self.normals_mode!r}")
-        if self.interaction_mode not in ("complex", "per-point"):
-            raise ConfigError(f"unknown interaction_mode {self.interaction_mode!r}")
         if self.max_order > 2:
             raise ConfigError("max_order above 2 is unsupported")
         return self

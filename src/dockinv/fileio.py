@@ -90,7 +90,7 @@ def decode_pointcloud(blob: bytes):
     normals = np.frombuffer(blob, "<f8", n * 3, off).reshape(n, 3).copy()
     off += 8 * n * 3
     features = np.frombuffer(blob, "<f8", n * d, off).reshape(n, d).copy()
-    return SurfacePointCloud(points, normals, features, _TYPE_NAMES[type_code], validate=False)
+    return SurfacePointCloud(points, normals, features, _TYPE_NAMES[type_code])
 
 
 def write_pointcloud(cloud, path) -> None:
@@ -98,7 +98,13 @@ def write_pointcloud(cloud, path) -> None:
 
 
 def read_pointcloud(path):
-    return decode_pointcloud(Path(path).read_bytes())
+    """Load and validate a point cloud; a malformed file raises FormatError naming ``path``."""
+    from .surface import SurfaceError
+
+    try:
+        return decode_pointcloud(Path(path).read_bytes())
+    except (FormatError, SurfaceError) as err:
+        raise FormatError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

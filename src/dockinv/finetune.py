@@ -95,12 +95,9 @@ def pocket_loss(pred: Tensor, labels, geom_labels, lambda_p: float) -> Tensor:
 
 
 def interaction_loss(pocket_pred: Tensor, int_pred: Tensor, y_int) -> Tensor:
-    """Pocket-gated BCE; ``int_pred`` may be scalar (broadcast) or per-point."""
+    """Pocket-gated BCE of the scalar ``int_pred``, averaged over receptor points."""
     n_r = pocket_pred.shape[0]
-    if int_pred.ndim == 0:
-        int_pred = ad.reshape(int_pred, (1,))
-    if int_pred.shape[0] == 1 and n_r > 1:
-        int_pred = ad.gather(int_pred, np.zeros(n_r, dtype=int))
+    int_pred = ad.gather(ad.reshape(int_pred, (1,)), np.zeros(n_r, dtype=int))
     per_point = ad.mul(pocket_pred, bce(int_pred, y_int))
     return ad.reduce_mean(per_point)
 
@@ -199,8 +196,7 @@ def _parse_sidecar(text: str) -> dict:
     return out
 
 
-def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0,
-                     scaler: AffinityScaler | None = None):
+def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0):
     """Load a directory of complexes.
 
     Each complex is a subdirectory holding ``receptor.pdb``, a ligand file
@@ -226,8 +222,7 @@ def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0,
         dg_raw = labels.get("delta_g", "")
         delta_g = None if dg_raw in ("", "none", "nan") else float(dg_raw)
         raw.append((receptor, ligand, labels, y_int, delta_g, i))
-    if scaler is None:
-        scaler = AffinityScaler.fit([r[4] for r in raw])
+    scaler = AffinityScaler.fit([r[4] for r in raw])
     samples = []
     for receptor, ligand, labels, y_int, delta_g, i in raw:
         r_cloud, r_patches = build_surface(receptor, cfg, seed=seed * 9973 + 2 * i,

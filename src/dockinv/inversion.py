@@ -34,6 +34,7 @@ from .structures import (
 
 __all__ = [
     "InversionState",
+    "InversionResult",
     "DecodedMolecule",
     "DecodedProtein",
     "RepairError",
@@ -120,7 +121,6 @@ class InversionState:
 @dataclass
 class DecodedMolecule:
     structure: MolecularStructure
-    motifs: list
 
 
 @dataclass
@@ -274,7 +274,6 @@ class ReceptorContext:
 
     points: np.ndarray
     field_values: dict                  # numpy irreps channels
-    cloud_features: np.ndarray
 
     def field(self):
         from .equivariant import IrrepsField
@@ -289,7 +288,7 @@ def prepare_receptor(mdl: PipelineModel, params: dict, cloud) -> ReceptorContext
     # between those temporaries, and keeping them would split the free heap
     # that the next receptor's encode needs in one piece.
     values = {l: v.copy() for l, v in field.values().items()}
-    return ReceptorContext(np.asarray(cloud.points), values, np.asarray(cloud.features))
+    return ReceptorContext(np.asarray(cloud.points), values)
 
 
 def pocket_prior(mdl: PipelineModel, params: dict, ctx: ReceptorContext) -> np.ndarray:
@@ -304,7 +303,8 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
                         params: dict, cfg: RunConfig, frozen: dict | None = None,
                         need_grad: bool = True):
     """Evaluate F = alpha * pocket + beta * interaction + affinity and its
-    gradients with respect to the ligand state.
+    gradients with respect to the ligand state; returns (parts, gx, gf,
+    frozen), with the gradients None when ``need_grad`` is false.
 
     F is stage 3's objective for one complex with the receptor field fixed:
     ``PipelineModel.complex_heads`` with fine-tuning's ``pocket_loss``
@@ -350,8 +350,8 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
         ad.backward(total)
         gx = x_t.grad if x_t.grad is not None else np.zeros_like(state.x)
         gf = f_t.grad if f_t.grad is not None else np.zeros_like(state.f)
-        return total, parts, gx, gf, frozen
-    return total, parts, None, None, frozen
+        return parts, gx, gf, frozen
+    return parts, None, None, frozen
 
 
 # ---------------------------------------------------------------------------
@@ -482,35 +482,31 @@ def pgd_step(state: InversionState, gx: np.ndarray, gf: np.ndarray, eta: float,
 # ---------------------------------------------------------------------------
 
 def sample_atom_types(logits: np.ndarray, grad_f: np.ndarray, gamma: float,
-                      rng: np.random.Generator):
-    """Gradient-biased categorical draw per row; returns (indices, probs)."""
+                      rng: np.random.Generator) -> np.ndarray:
+    """Gradient-biased categorical draw per row; returns the drawn indices."""
     z = logits - gamma * grad_f
     z = z - z.max(axis=1, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=1, keepdims=True)
     cum = np.cumsum(p, axis=1)
     u = rng.random(len(p))
-    idx = (u[:, None] > cum).sum(axis=1)
-    return idx, p
+    return (u[:, None] > cum).sum(axis=1)
 
 
-def infer_bonds(types: list[str], coords: np.ndarray, pair_logits, grad_g, gamma: float,
-                rng: np.random.Generator, cfg: RunConfig) -> list[Bond]:
-    """Sample bonds over candidate pairs within the bond-length window.
+def infer_bonds(types: list[str], pairs: list[tuple], pair_logits: list,
+                rng: np.random.Generator) -> list[Bond]:
+    """Sample bonds over the candidate pairs ``(d, i, j)`` in the given order.
 
-    Types are drawn from a gradient-biased softmax over {single, double,
-    triple, aromatic, none}; candidates are visited by ascending distance and
+    ``pair_logits`` holds one row per pair. Each pair's type is drawn from the
+    softmax of its row over {single, double, triple, aromatic, none} and
     accepted subject to the running valence budget of both endpoints.
     """
-    dist = neighbors.distances(coords, coords)
     budgets = np.array([V_MAX.get(t.split(".")[0], 4.0) for t in types])
     orders = np.array([1.0, 2.0, 3.0, 1.5])
     remaining = budgets.copy()
     bonds: list[Bond] = []
-    for _, i, j in _close_pairs(dist, cfg.bond_min, cfg.bond_max):
-        logits = np.asarray(pair_logits[(i, j)], dtype=float)
-        g = np.asarray(grad_g[(i, j)], dtype=float) if grad_g else np.zeros(5)
-        z = logits - gamma * g
+    for (_, i, j), logits in zip(pairs, pair_logits):
+        z = np.asarray(logits, dtype=float)
         z = z - z.max()
         p = np.exp(z)
         p /= p.sum()
@@ -527,10 +523,10 @@ def infer_bonds(types: list[str], coords: np.ndarray, pair_logits, grad_g, gamma
 
 
 def motif_prior(points: np.ndarray, kappa1: np.ndarray, density: np.ndarray,
-                cfg: RunConfig, seed: int = 0, valid: np.ndarray | None = None):
+                valid: np.ndarray, cfg: RunConfig, seed: int):
     """Cluster high-curvature, high-density points and assign ring/functional
     templates by cluster size; returns (per-point weights, template names,
-    per-point cluster assignment)."""
+    per-point cluster assignment). Points that are not ``valid`` weigh 0."""
     n = len(points)
     score = np.asarray(kappa1) * (1.0 - np.asarray(density))
     if n == 0 or not np.any(np.isfinite(score)):
@@ -565,8 +561,7 @@ def motif_prior(points: np.ndarray, kappa1: np.ndarray, density: np.ndarray,
     d_all = neighbors.distances(points, centers)
     nearest = d_all.argmin(axis=1)
     weights = np.exp(-d_all.min(axis=1) ** 2 / cfg.sigma_motif**2)
-    if valid is not None:
-        weights = weights * np.asarray(valid, dtype=float)
+    weights = weights * np.asarray(valid, dtype=float)
     return weights, templates, nearest
 
 
@@ -660,36 +655,30 @@ def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: di
     logits = f[:, 0:8] + f[:, 9:11] @ _HYB_MAP.T
     g = grad_f[:, 0:8] if grad_f is not None else np.zeros_like(logits)
 
-    motifs = []
     if len(state.x) >= 2:
-        feats = state_features(ad.constant(state.x), ad.constant(f),
-                               "small-molecule", cfg).values
-        kappa1 = feats[:, 12]  # covariance-trace proxy column of the geometry block
-        density = feats[:, 14]
+        # geometry block columns: covariance-trace proxy, determinant, density
+        geom = _geom_block(ad.constant(state.x), state.x, cfg.k_geom).values
         hydrogens = logits.argmax(axis=1) == MOLECULE_TYPES.index("H")
-        weights, templates, nearest = motif_prior(state.x, kappa1, density, cfg,
-                                                  seed=seed, valid=~hydrogens)
+        weights, templates, nearest = motif_prior(state.x, geom[:, 0], geom[:, 2], ~hydrogens,
+                                                  cfg, seed)
         for k, name in enumerate(templates):
             members = np.where((nearest == k) & (weights > 1e-3))[0]
-            motifs.append({"template": name, "members": members.tolist()})
             if len(members):
                 logits = logits.copy()
                 logits[members] += cfg.motif_bias * weights[members, None] * MOTIF_TEMPLATES[name]
 
-    idx, _ = sample_atom_types(logits, g, cfg.gamma_bias, rng)
-    types = [MOLECULE_TYPES[i] for i in idx]
+    types = [MOLECULE_TYPES[i] for i in sample_atom_types(logits, g, cfg.gamma_bias, rng)]
 
-    # logits only for the pairs infer_bonds visits: those in the bond window
-    pair_logits = {}
+    # bond candidates: the pairs in the bond-length window, by ascending distance
     w, b = params["bond.w"], params["bond.b"]
     w = w.values if isinstance(w, Tensor) else w
     b = b.values if isinstance(b, Tensor) else b
-    dist = neighbors.distances(state.x, state.x)
-    for _, i, j in _close_pairs(dist, cfg.bond_min, cfg.bond_max):
-        d = float(np.linalg.norm(state.x[i] - state.x[j]))
+    pairs = _close_pairs(neighbors.distances(state.x, state.x), cfg.bond_min, cfg.bond_max)
+    pair_logits = []
+    for d, i, j in pairs:
         summary = np.array([d - 1.5, 0.5 * (f[i, 8] + f[j, 8])])
-        pair_logits[(i, j)] = summary @ w + b
-    bonds = infer_bonds(types, state.x, pair_logits, None, cfg.gamma_bias, rng, cfg)
+        pair_logits.append(summary @ w + b)
+    bonds = infer_bonds(types, pairs, pair_logits, rng)
 
     atoms = []
     for k, t in enumerate(types):
@@ -698,7 +687,7 @@ def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: di
         atoms.append(Atom(elem, tuple(state.x[k]), VDW_RADII[elem], hyb))
     structure = MolecularStructure(atoms, bonds, [], "small-molecule")
     repaired = validity_repair(structure, cfg)
-    return DecodedMolecule(repaired, motifs)
+    return DecodedMolecule(repaired)
 
 
 def decode_protein(state: InversionState, grad_f: np.ndarray | None, cfg: RunConfig,
@@ -707,11 +696,11 @@ def decode_protein(state: InversionState, grad_f: np.ndarray | None, cfg: RunCon
     rng = np.random.default_rng(seed)
     f = state.f
     g = grad_f if grad_f is not None else np.zeros_like(f)
-    res_idx, _ = sample_atom_types(f[:, 0:20], g[:, 0:20], cfg.gamma_bias, rng)
+    res_idx = sample_atom_types(f[:, 0:20], g[:, 0:20], cfg.gamma_bias, rng)
     sequence = [AMINO_ACIDS[i] for i in res_idx]
     phi = np.array([wrap_torsion(v) for v in f[:, 20]])
     psi = np.array([wrap_torsion(v) for v in f[:, 21]])
-    rot_idx, _ = sample_atom_types(f[:, 22:25], g[:, 22:25], cfg.gamma_bias, rng)
+    rot_idx = sample_atom_types(f[:, 22:25], g[:, 22:25], cfg.gamma_bias, rng)
     return DecodedProtein(sequence, phi, psi, rot_idx)
 
 
@@ -801,7 +790,7 @@ def run_inversion(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: R
     stop_reason = None if t_total > 0 else "budget"
 
     for t in itertools.count():
-        _, parts, gx, gf, _ = composite_objective(state, ctx, mdl, params, cfg)
+        parts, gx, gf, _ = composite_objective(state, ctx, mdl, params, cfg)
         if stop_reason is None:
             # step before decoding: a failed step makes this state the terminal one
             eta = anneal_step_size(t, t_total, cfg.eta_max, cfg.eta_min)
@@ -817,8 +806,8 @@ def run_inversion(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: R
         if stop_reason:
             return InversionResult(best, best_f, state, trace, stop_reason)
         if check_descent:
-            _, parts_after, *_ = composite_objective(new_state, ctx, mdl, params, cfg,
-                                                     need_grad=False)
+            parts_after, *_ = composite_objective(new_state, ctx, mdl, params, cfg,
+                                                  need_grad=False)
             bound = parts["F"] - 0.5 * eta_used * float(g_eta @ g_eta) + 1e-6
             if parts_after["F"] > bound:
                 raise AssertionError(
@@ -860,7 +849,7 @@ def _discrete_step(state, gx, gf, eta, ctx, mdl, params, cfg, rng):
         candidates.append(InversionState(state.x[keep], state.f[keep], state.molecule_type))
     ddg = []
     for cand in candidates:
-        _, parts, *_ = composite_objective(cand, ctx, mdl, params, cfg, need_grad=False)
+        parts, *_ = composite_objective(cand, ctx, mdl, params, cfg, need_grad=False)
         ddg.append(parts["dg_hat"])
     chosen = accept_modification(candidates, np.asarray(ddg) - min(ddg), cfg.tau_acc, rng)
     new = chosen.copy()

@@ -39,7 +39,6 @@ class PipelineModel:
     """Hyper-shape and parameter bookkeeping for the full pipeline."""
 
     def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
         self.enc_protein = Encoder(N_SCALARS_PROTEIN, cfg)
         self.enc_molecule = Encoder(N_SCALARS_MOLECULE, cfg)
         self.d0 = cfg.multiplicity
@@ -68,7 +67,8 @@ class PipelineModel:
         shapes["dec.wk"] = (h, 3)
         shapes["dec.bk"] = (3,)
         shapes.update(attention_param_shapes(self.d0, self.enc_protein.out_layout))
-        for head in ("pocket", "int", "aff"):  # per-point or fused: 2 * d0 inputs
+        # 2 * d0 inputs: [own | attended] per receptor point for pocket, fused for int and aff
+        for head in ("pocket", "int", "aff"):
             shapes[f"{head}.w1"] = (2 * self.d0, h)
             shapes[f"{head}.b1"] = (h,)
             shapes[f"{head}.w2"] = (h, 1)
@@ -167,11 +167,10 @@ class PipelineModel:
     def complex_heads(self, params: dict, receptor: IrrepsField, ligand: IrrepsField):
         """Fuse the two fields and run the pocket, interaction and affinity heads.
 
-        Each receptor point's head input is its own order-0 features next to
-        the attended ones. With ``interaction_mode = "per-point"`` the
-        interaction head scores every receptor point and the gate is the
-        largest pocket-interaction product; otherwise it scores the fused
-        vector and the gate is the largest pocket probability times it.
+        Each receptor point's pocket-head input is its own order-0 features
+        next to the attended ones. The interaction and affinity heads score the
+        fused vector, and the gate is the largest pocket probability times the
+        interaction probability.
 
         Returns (pocket probabilities, interaction probability, predicted
         affinity, gate tensor used by the affinity loss).
@@ -181,12 +180,8 @@ class PipelineModel:
         att0 = ad.reshape(attended.channels[0], (-1, self.d0))
         per_point = ad.concat([orig0, att0], axis=1)
         pocket = self.pocket_head(params, per_point)
-        if self.cfg.interaction_mode == "per-point":
-            y_int = ad.reshape(self._mlp_head(params, "int", per_point, ad.sigmoid), (-1,))
-            gate = ad.reduce_max(ad.mul(pocket, y_int))
-        else:
-            y_int = self.interaction_head(params, fused)
-            gate = ad.mul(ad.reduce_max(pocket), y_int)
+        y_int = self.interaction_head(params, fused)
+        gate = ad.mul(ad.reduce_max(pocket), y_int)
         return pocket, y_int, self.affinity_head(params, fused), gate
 
 

@@ -47,7 +47,6 @@ __all__ = [
 class MaskPlan:
     masked: np.ndarray
     visible: np.ndarray
-    seed: int
 
 
 def draw_mask_plan(n_patches: int, ratio: float, seed: int) -> MaskPlan:
@@ -55,18 +54,18 @@ def draw_mask_plan(n_patches: int, ratio: float, seed: int) -> MaskPlan:
     n_masked = int(round(ratio * n_patches))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_patches)
-    return MaskPlan(np.sort(perm[:n_masked]), np.sort(perm[n_masked:]), seed)
+    return MaskPlan(np.sort(perm[:n_masked]), np.sort(perm[n_masked:]))
 
 
-def gumbel_quantize(hidden, codebook, tau: float, noise: np.ndarray | None = None):
+def gumbel_quantize(hidden, codebook, tau: float, noise: np.ndarray):
     """Relaxed codebook lookup.
 
     The posterior q is the softmax of negative squared distances between the
     hidden token and codebook entries; the output token mixes entries with
-    softmax((g + log q) / tau) weights. ``noise`` (same shape as q) disables
-    to zeros when None.
+    softmax((g + log q) / tau) weights, where g is the Gumbel ``noise`` (same
+    shape as q).
 
-    Returns (quantized tokens, posterior q, mixing weights).
+    Returns (quantized tokens, posterior q).
     """
     if tau <= 0:
         raise ad.ContractError("gumbel temperature must be positive")
@@ -81,12 +80,12 @@ def gumbel_quantize(hidden, codebook, tau: float, noise: np.ndarray | None = Non
     logits = ad.neg(ad.reduce_sum(ad.mul(diff, diff), axis=2))           # (T, NB)
     q = ad.softmax(logits, axis=1)
     log_q = ad.sub(logits, ad.logsumexp(logits, axis=1, keepdims=True))
-    g = np.zeros((t, nb)) if noise is None else np.asarray(noise, dtype=float)
+    g = np.asarray(noise, dtype=float)
     weights = ad.softmax(ad.mul(ad.add(log_q, g), 1.0 / tau), axis=1)
     z = ad.matmul(weights, e)
     if single:
-        return ad.reshape(z, (-1,)), ad.reshape(q, (-1,)), ad.reshape(weights, (-1,))
-    return z, q, weights
+        return ad.reshape(z, (-1,)), ad.reshape(q, (-1,))
+    return z, q
 
 
 def chamfer_loss(pred, target) -> Tensor:
@@ -114,8 +113,7 @@ def chamfer_loss(pred, target) -> Tensor:
 
 def curvature_targets(patch_points: np.ndarray, center: np.ndarray):
     """Eigenvalue shares of the patch covariance about the patch center,
-    sorted descending. All-identical points yield the uniform triple plus a
-    degenerate flag."""
+    sorted descending. All-identical points yield the uniform triple."""
     pts = np.asarray(patch_points, dtype=float)
     c = np.asarray(center, dtype=float)
     dev = pts - c
@@ -124,9 +122,8 @@ def curvature_targets(patch_points: np.ndarray, center: np.ndarray):
     eig = np.clip(eig, 0.0, None)
     total = eig.sum()
     if total <= 0.0:
-        return np.full(3, 1.0 / 3.0), True
-    psi = np.sort(eig / total)[::-1]
-    return psi, False
+        return np.full(3, 1.0 / 3.0)
+    return np.sort(eig / total)[::-1]
 
 
 def kl_regularizer(q) -> Tensor:
@@ -161,7 +158,7 @@ def prepare_sample(cloud: SurfacePointCloud, patches: PatchSet, mdl: PipelineMod
     members = cloud.points[patches.member_indices]
     rel = members - centers[:, None, :]
     psi = np.stack(
-        [curvature_targets(members[i], centers[i])[0] for i in range(len(centers))]
+        [curvature_targets(members[i], centers[i]) for i in range(len(centers))]
     )
     geom = mdl.precompute_geometry(cloud.points, cloud.molecule_type)
     return PretrainSample(cloud, patches, rel, psi, geom)
@@ -189,8 +186,8 @@ def _visible_context(tokens, plan: MaskPlan, centers: np.ndarray):
     return ad.concat(pieces, axis=1)
 
 
-def _forward_sample(mdl, params_t, sample: PretrainSample, cfg: RunConfig, rng: np.random.Generator,
-                    noise: bool = True):
+def _forward_sample(mdl, params_t, sample: PretrainSample, cfg: RunConfig,
+                    rng: np.random.Generator):
     plan = draw_mask_plan(len(sample.patches.center_indices), cfg.mask_ratio,
                           int(rng.integers(0, 2**31 - 1)))
     field = mdl.encode(params_t, sample.cloud.features, sample.cloud.points,
@@ -200,8 +197,8 @@ def _forward_sample(mdl, params_t, sample: PretrainSample, cfg: RunConfig, rng: 
     masked_tokens = ad.gather(tokens, plan.masked)
     centers = sample.cloud.points[sample.patches.center_indices]
     context = _visible_context(tokens, plan, centers)
-    g = rng.gumbel(size=(len(plan.masked), mdl.n_codes)) if noise else None
-    quantized, q, _ = gumbel_quantize(masked_tokens, params_t["codebook"], cfg.gumbel_tau, g)
+    g = rng.gumbel(size=(len(plan.masked), mdl.n_codes))
+    quantized, q = gumbel_quantize(masked_tokens, params_t["codebook"], cfg.gumbel_tau, g)
     centers_rel = (centers[plan.masked] - sample.cloud.points.mean(axis=0)) * 0.1
     coords, psi_hat = mdl.decode_tokens(params_t, quantized, context, centers_rel)
 
@@ -209,16 +206,16 @@ def _forward_sample(mdl, params_t, sample: PretrainSample, cfg: RunConfig, rng: 
     dpsi = ad.sub(psi_hat, sample.psi[plan.masked])
     cur = ad.reduce_mean(ad.reduce_sum(ad.mul(dpsi, dpsi), axis=1))
     kl = kl_regularizer(q)
-    return rec, cur, kl, plan
+    return rec, cur, kl
 
 
 def pretrain_loss(mdl: PipelineModel, params_t: dict, batch: list[PretrainSample],
-                  cfg: RunConfig, seed: int, noise: bool = True) -> tuple[Tensor, dict]:
+                  cfg: RunConfig, seed: int) -> tuple[Tensor, dict]:
     """Composite stage-2 loss over a batch (fixed-order accumulation)."""
     rng = np.random.default_rng(seed)
     recs, curs, kls = [], [], []
     for sample in batch:
-        rec, cur, kl, _ = _forward_sample(mdl, params_t, sample, cfg, rng, noise)
+        rec, cur, kl = _forward_sample(mdl, params_t, sample, cfg, rng)
         recs.append(rec)
         curs.append(cur)
         kls.append(kl)

@@ -65,12 +65,15 @@ class InsufficientSurfaceError(SurfaceError):
 class SurfacePointCloud:
     """Surface sample: points (N,3), unit normals (N,3) and features (N,d)."""
 
-    def __init__(self, points, normals, features, molecule_type, validate=True):
+    def __init__(self, points, normals, features, molecule_type):
         self.points = np.ascontiguousarray(points, dtype=float)
         self.normals = np.ascontiguousarray(normals, dtype=float)
         self.features = np.ascontiguousarray(features, dtype=float)
         self.molecule_type = molecule_type
-        if validate and len(self.points):
+        for name in ("points", "normals", "features"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise SurfaceError(f"{name} must be finite")
+        if len(self.points):
             lengths = np.linalg.norm(self.normals, axis=1)
             if np.any(np.abs(lengths - 1.0) > 1e-9):
                 raise SurfaceError("normals must be unit length within 1e-9")
@@ -254,47 +257,10 @@ def project_to_isosurface(
     return survivors[sel]
 
 
-def estimate_normals(
-    points: np.ndarray,
-    coords: np.ndarray,
-    radii: np.ndarray,
-    mode: str = "sdf-gradient",
-    r_probe: float = 1.4,
-) -> np.ndarray:
-    """Unit outward normals, either from the SDF gradient or from weighted PCA.
-
-    PCA normals use the ``2 r_probe`` point neighborhood with Gaussian weights
-    and are sign-aligned with the SDF gradient; degenerate neighborhoods
-    (< 3 neighbors) fall back to the SDF gradient for that point.
-    """
-    points = np.asarray(points, dtype=float)
+def estimate_normals(points: np.ndarray, coords: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Unit outward normals: the normalized gradient of the smoothed SDF."""
     _, grad = sdf_value_grad(points, coords, radii)
-    grad_n = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-    if mode == "sdf-gradient":
-        return grad_n
-    if mode != "weighted-pca":
-        raise SurfaceError(f"unknown normals mode {mode!r}")
-
-    n = len(points)
-    dist = neighbors.distances(points, points)
-    cutoff = 2.0 * r_probe
-    normals = np.empty_like(points)
-    for i in range(n):
-        mask = (dist[i] <= cutoff) & (np.arange(n) != i)
-        nbrs = points[mask]
-        if len(nbrs) < 3:
-            normals[i] = grad_n[i]
-            continue
-        w = np.exp(-dist[i, mask] ** 2 / cutoff**2)
-        mu = (w[:, None] * nbrs).sum(0) / w.sum()
-        centered = nbrs - mu
-        cov = (w[:, None, None] * centered[:, :, None] * centered[:, None, :]).sum(0) / w.sum()
-        _, vecs = np.linalg.eigh(cov)
-        normal = vecs[:, 0]
-        if normal @ grad_n[i] < 0:
-            normal = -normal
-        normals[i] = normal
-    return normals
+    return grad / np.linalg.norm(grad, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +451,15 @@ def interface_labels(
 
 def build_patches(cloud: SurfacePointCloud, cfg: RunConfig,
                   partner_points: np.ndarray | None = None) -> PatchSet:
-    """Partition a cloud into patches: ``round(rho * N)`` farthest-point
-    centers, each with its ``patch_k`` nearest members.
+    """Partition a cloud into patches: farthest-point centers at the ratio
+    ``rho`` (see :func:`fps`), each with its ``patch_k`` nearest members.
 
     Patches are labeled by contact with ``partner_points`` at the interface
     cutoff for the cloud's molecule type; without a partner every label is
     0 and the set is marked unlabeled.
     """
     points = cloud.points
-    centers = fps(points, max(1, int(round(cfg.rho * len(points)))))
+    centers = fps(points, float(cfg.rho))   # a float is a ratio, an int a count
     members, relaxed = knn(points[centers], points, cfg.patch_k, cfg.r_patch)
     mean, var = pool_patch_stats(cloud.features, members)
     is_protein = cloud.molecule_type == "protein"
@@ -519,7 +485,7 @@ def build_surface(
         cands, coords, radii, cfg.r_probe, cfg.t_sdf, cfg.alpha_sdf,
         tol=cfg.projection_tol, m=m, rng=rng,
     )
-    normals = estimate_normals(points, coords, radii, cfg.normals_mode, cfg.r_probe)
+    normals = estimate_normals(points, coords, radii)
     chem, _ = chemical_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
     atom, _ = atomic_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
     geom = geometric_features(points, normals, cfg.k_geom)

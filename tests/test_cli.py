@@ -1,6 +1,7 @@
 """The dockinv command line: exit codes and the .mdpc corpus path."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ def test_discrete_invert_writes_every_run(tmp_path, pdb, config_file, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "run_000.mol", "run_000.trace.jsonl", "run_001.mol", "run_001.trace.jsonl"]
     assert capsys.readouterr().out.count("stop=") == 2
+
+
+def test_malformed_corpus_cloud_exits_1_naming_the_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    points = np.zeros((4, 3))
+    points[2, 1] = np.nan
+    normals = np.tile([0.0, 0.0, 1.0], (4, 1))
+    fileio.write_pointcloud(SimpleNamespace(points=points, normals=normals,
+                                            features=np.zeros((4, 17)), molecule_type="protein"),
+                            corpus / "bad.mdpc")
+    argv = ["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "model.ckpt")]
+    assert main(argv) == 1
+    assert f"error: {corpus / 'bad.mdpc'}: points must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cut", [4, 8, 11])

@@ -1,6 +1,9 @@
-"""Package hygiene: exported names exist, and neighbour search lives in one module."""
+"""Package hygiene: exported names exist, neighbour search lives in one module,
+and the benchmark's span wrappers still fit the functions they wrap."""
 
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -28,3 +31,29 @@ def test_neighbour_search_has_one_implementation():
         for pattern in patterns if pattern in path.read_text()
     ]
     assert not offenders, f"use dockinv.neighbors instead of {offenders}"
+
+
+def test_benchmark_spans_fit_dockinv():
+    """perfbench/spans.py wraps dockinv functions by name and its hooks read
+    their arguments by name; a rename or deletion must fail here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from dockinv import inversion, surface
+
+    hooked = {
+        surface.sdf_value_grad: {"points", "coords"},
+        surface.project_to_isosurface: {"candidates", "r_iso", "tol"},
+        surface.build_surface: {"structure"},
+        inversion.composite_objective: {"need_grad"},
+        inversion.run_inversion: {"cfg", "steps"},
+    }
+    tracer = spans.Tracer()
+    try:
+        spans.install_dockinv_spans(tracer)
+    finally:
+        tracer.uninstall()
+    for fn, names in hooked.items():
+        missing = names - set(inspect.signature(fn).parameters)
+        assert not missing, f"{fn.__name__} lost the arguments {missing} a span hook reads"

@@ -1,5 +1,7 @@
 """Structure parsing, binary containers, and configuration."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,7 +145,7 @@ class TestPointcloudContainer:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.mdpc"
         path.write_bytes(b"XXXX" + b"\x00" * 40)
-        with pytest.raises(fileio.FormatError):
+        with pytest.raises(fileio.FormatError, match="bad.mdpc: bad magic"):
             fileio.read_pointcloud(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -152,8 +154,25 @@ class TestPointcloudContainer:
         fileio.write_pointcloud(cloud, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(fileio.FormatError):
+        with pytest.raises(fileio.FormatError, match="c.mdpc: truncated payload"):
             fileio.read_pointcloud(path)
+
+    @pytest.mark.parametrize("name, index, value, reason", [
+        ("points", (0, 0), np.nan, "points must be finite"),
+        ("normals", (1, 2), np.inf, "normals must be finite"),
+        ("normals", 0, 3.0, "normals must be unit length"),
+        ("features", (2, 5), np.nan, "features must be finite"),
+    ], ids=["nan-point", "inf-normal", "long-normal", "nan-feature"])
+    def test_malformed_cloud_is_rejected_naming_the_file(self, name, index, value, reason,
+                                                         tmp_path):
+        cloud = self._cloud()
+        arrays = {k: getattr(cloud, k).copy() for k in ("points", "normals", "features")}
+        arrays[name][index] = value
+        path = tmp_path / "bad.mdpc"
+        fileio.write_pointcloud(SimpleNamespace(molecule_type="protein", **arrays), path)
+        with pytest.raises(fileio.FormatError) as err:
+            fileio.read_pointcloud(path)
+        assert str(err.value).startswith(f"{path}: {reason}")
 
     def test_empty_cloud_roundtrips(self, tmp_path):
         cloud = SurfacePointCloud(np.zeros((0, 3)), np.zeros((0, 3)),
@@ -217,8 +236,9 @@ class TestConfig:
         assert cfg.rho == 0.25
 
     def test_unknown_key_rejected(self):
-        for key in ("no_such_knob", "seed", "grad_check_tol", "fused_pool"):
-            with pytest.raises(ConfigError):
+        for key in ("no_such_knob", "seed", "grad_check_tol", "fused_pool", "normals_mode",
+                    "interaction_mode"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 load_config(f"{key} = 3\n")
 
     def test_ratio_bounds(self):
@@ -230,6 +250,15 @@ class TestConfig:
             RunConfig(alpha_sdf=-1.0).validate()
         with pytest.raises(ConfigError):
             RunConfig(patch_k=0).validate()
+        for clip in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="grad_clip"):
+                RunConfig(grad_clip=clip).validate()
+
+    @pytest.mark.parametrize("name", ["n_init_points", "n_init_residues"])
+    def test_inversion_starts_need_two_points(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 2"):
+            RunConfig(**{name: 1}).validate()
+        assert getattr(RunConfig(**{name: 2}).validate(), name) == 2
 
     def test_override_precedence(self):
         cfg = load_config("patch_k = 16\n")

@@ -179,23 +179,10 @@ class TestProjection:
 
 
 class TestNormals:
-    def test_single_atom_radial_both_modes(self):
+    def test_single_atom_normal_is_radial(self):
         coords, radii = single_atom(1.4)
-        p = np.array([[0.0, 1.4, 0.0]])
-        for mode in ("sdf-gradient", "weighted-pca"):
-            n = sf.estimate_normals(p, coords, radii, mode)
-            np.testing.assert_allclose(n, [[0.0, 1.0, 0.0]], atol=1e-9)
-
-    def test_pca_agrees_with_sdf_gradient(self):
-        structure = random_protein(3, n_residues=3)
-        cfg = toy_config()
-        cloud, _ = sf.build_surface(structure, cfg, seed=4)
-        n_sdf = sf.estimate_normals(cloud.points, structure.coords, structure.radii,
-                                    "sdf-gradient")
-        n_pca = sf.estimate_normals(cloud.points, structure.coords, structure.radii,
-                                    "weighted-pca")
-        dots = (n_sdf * n_pca).sum(axis=1)
-        assert np.mean(dots > 0.9) >= 0.95
+        n = sf.estimate_normals(np.array([[0.0, 1.4, 0.0]]), coords, radii)
+        np.testing.assert_allclose(n, [[0.0, 1.0, 0.0]], atol=1e-9)
 
     def test_inversion_flips_normals(self):
         structure = random_protein(9, n_residues=3)
@@ -203,8 +190,8 @@ class TestNormals:
         rng = np.random.default_rng(1)
         pts = sf.project_to_isosurface(
             sf.sample_candidates(structure, 10, 1.0, rng), coords, radii, 1.4, 60, 0.3)
-        n1 = sf.estimate_normals(pts, coords, radii, "sdf-gradient")
-        n2 = sf.estimate_normals(-pts, -coords, radii, "sdf-gradient")
+        n1 = sf.estimate_normals(pts, coords, radii)
+        n2 = sf.estimate_normals(-pts, -coords, radii)
         np.testing.assert_allclose(n2, -n1, atol=1e-9)
 
 
