@@ -230,8 +230,15 @@ def param(x) -> Tensor:
     return Tensor(x, requires_grad=True, op="param")
 
 
+# ops that only move entries: their output is finite when every input is a
+# checked op output; leaves (params, constants) are never checked on entry
+_STRUCTURAL_OPS = frozenset({"reshape", "transpose"})
+_LEAF_OPS = frozenset({"leaf", "const", "param"})
+
+
 def _make(values, op, parents, vjp) -> Tensor:
-    _check_finite(values, op)
+    if op not in _STRUCTURAL_OPS or any(p.op in _LEAF_OPS for p in parents):
+        _check_finite(values, op)
     if any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, op=op, parents=parents, vjp=vjp, _owned=True)
     return Tensor(values, op=op, _owned=True)

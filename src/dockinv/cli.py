@@ -91,6 +91,9 @@ def _load_pretrain_corpus(args, cfg: RunConfig, mdl: PipelineModel):
     samples = []
     for f in files:
         cloud = fileio.read_pointcloud(f)
+        if len(cloud) < cfg.patch_k:
+            raise InputError(f"{f}: cloud has {len(cloud)} points, fewer than "
+                             f"patch_k={cfg.patch_k}")
         samples.append(prepare_sample(cloud, build_patches(cloud, cfg), mdl))
     return samples
 
@@ -244,8 +247,8 @@ def _jsonable(v):
 
 
 class InputError(ValueError):
-    """A metrics input file holds a row that cannot be read, or rows that the
-    metric cannot use."""
+    """An input file holds a row that cannot be read, or data that the command
+    cannot use."""
 
 
 def _read_lines(path) -> list[str]:

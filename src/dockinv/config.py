@@ -27,8 +27,7 @@ class RunConfig:
     eta_molecule: int = 40         # candidate oversampling per molecule atom
     m_protein: int = 5000          # surface points sampled for proteins
     m_molecule: int = 0            # 0 -> max(512, 64 * atom count)
-    t_sdf: int = 50                # projection gradient-descent steps
-    alpha_sdf: float = 0.1         # projection step size
+    t_sdf: int = 50                # bound on the projection's Newton iterations
     projection_tol: float = 1e-3   # |SDF - r_iso| acceptance band, Angstrom
     rho: float = 0.125             # patch-center ratio (no value stated upstream)
     patch_k: int = 32              # neighbors per patch
@@ -113,7 +112,7 @@ class RunConfig:
             if v < 2:
                 raise ConfigError(f"{name} must be >= 2, got {v}")
         steps = {
-            "alpha_sdf": self.alpha_sdf, "projection_tol": self.projection_tol,
+            "projection_tol": self.projection_tol,
             "pretrain_lr": self.pretrain_lr, "finetune_lr": self.finetune_lr,
             "eta_max": self.eta_max, "eta_min": self.eta_min,
             "gumbel_tau": self.gumbel_tau, "tau_acc": self.tau_acc,

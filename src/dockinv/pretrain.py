@@ -60,10 +60,10 @@ def draw_mask_plan(n_patches: int, ratio: float, seed: int) -> MaskPlan:
 def gumbel_quantize(hidden, codebook, tau: float, noise: np.ndarray):
     """Relaxed codebook lookup.
 
-    The posterior q is the softmax of negative squared distances between the
-    hidden token and codebook entries; the output token mixes entries with
-    softmax((g + log q) / tau) weights, where g is the Gumbel ``noise`` (same
-    shape as q).
+    The posterior q is the softmax of negative squared distances between each
+    row of the (T, d) ``hidden`` and the codebook entries; each output token
+    mixes entries with softmax((g + log q) / tau) weights, where g is the
+    Gumbel ``noise`` (same shape as q).
 
     Returns (quantized tokens, posterior q).
     """
@@ -71,9 +71,6 @@ def gumbel_quantize(hidden, codebook, tau: float, noise: np.ndarray):
         raise ad.ContractError("gumbel temperature must be positive")
     h = ad.as_tensor(hidden)
     e = ad.as_tensor(codebook)
-    single = h.ndim == 1
-    if single:
-        h = ad.reshape(h, (1, -1))
     t, d = h.shape
     nb = e.shape[0]
     diff = ad.sub(ad.reshape(h, (t, 1, d)), ad.reshape(e, (1, nb, d)))
@@ -82,10 +79,7 @@ def gumbel_quantize(hidden, codebook, tau: float, noise: np.ndarray):
     log_q = ad.sub(logits, ad.logsumexp(logits, axis=1, keepdims=True))
     g = np.asarray(noise, dtype=float)
     weights = ad.softmax(ad.mul(ad.add(log_q, g), 1.0 / tau), axis=1)
-    z = ad.matmul(weights, e)
-    if single:
-        return ad.reshape(z, (-1,)), ad.reshape(q, (-1,))
-    return z, q
+    return ad.matmul(weights, e), q
 
 
 def chamfer_loss(pred, target) -> Tensor:

@@ -2,7 +2,7 @@
 
 The molecular surface is the ``r_probe`` iso-level of a smoothed distance
 field over atom centers. Candidate points sampled around atoms are projected
-onto the iso-surface by gradient descent, downsampled, equipped with normals
+onto the iso-surface by Newton steps, downsampled, equipped with normals
 and per-point chemical/atomic/geometric features, and partitioned into
 fixed-size patches via farthest point sampling + KNN.
 
@@ -229,21 +229,30 @@ def project_to_isosurface(
     radii: np.ndarray,
     r_iso: float,
     t_sdf: int,
-    alpha_sdf: float,
     tol: float = 1e-3,
     m: int | None = None,
     rng: np.random.Generator | None = None,
 ):
-    """Gradient-descend candidates onto the ``r_iso`` level set.
+    """Newton-project candidates onto the ``r_iso`` level set.
 
-    Runs ``t_sdf`` steps of descent on (SDF - r_iso)^2, drops points outside
-    the ``tol`` band, and (optionally) downsamples the survivors to exactly
-    ``m`` points uniformly at random with the supplied generator.
+    Each of at most ``t_sdf`` iterations evaluates the points still active and
+    moves each by ``-(s - r_iso) grad s / max(|grad s|^2, 1e-6)``; a point
+    leaves the active set once ``|s - r_iso| <= 0.1 tol``. One final
+    evaluation over every candidate drops points outside the ``tol`` band,
+    and (optionally) the survivors are downsampled to exactly ``m`` points
+    uniformly at random with the supplied generator.
     """
     pts = np.array(candidates, dtype=float)
+    active = np.arange(len(pts))
     for _ in range(t_sdf):
-        sdf, grad = sdf_value_grad(pts, coords, radii)
-        pts = pts - alpha_sdf * 2.0 * (sdf - r_iso)[:, None] * grad
+        sdf, grad = sdf_value_grad(pts[active], coords, radii)
+        resid = sdf - r_iso
+        moving = np.abs(resid) > 0.1 * tol
+        active, resid, grad = active[moving], resid[moving], grad[moving]
+        if not len(active):
+            break
+        step = resid / np.maximum((grad * grad).sum(axis=1), 1e-6)
+        pts[active] -= step[:, None] * grad
     sdf, _ = sdf_value_grad(pts, coords, radii)
     keep = np.abs(sdf - r_iso) <= tol
     survivors = pts[keep]
@@ -482,8 +491,7 @@ def build_surface(
     per_atom = cfg.eta_protein if is_protein else cfg.eta_molecule
     cands = sample_candidates(structure, per_atom, cfg.sigma_upsample, rng, minimum=2 * m)
     points = project_to_isosurface(
-        cands, coords, radii, cfg.r_probe, cfg.t_sdf, cfg.alpha_sdf,
-        tol=cfg.projection_tol, m=m, rng=rng,
+        cands, coords, radii, cfg.r_probe, cfg.t_sdf, tol=cfg.projection_tol, m=m, rng=rng,
     )
     normals = estimate_normals(points, coords, radii)
     chem, _ = chemical_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)

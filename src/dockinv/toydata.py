@@ -35,7 +35,7 @@ def toy_config(**overrides) -> RunConfig:
     base = dict(
         m_protein=96, m_molecule=64, patch_k=8, k_geom=6, rho=0.125,
         multiplicity=6, conv_k=8, n_radial_basis=6, d_code=24, codebook_size=24,
-        head_hidden=24, t_sdf=40, alpha_sdf=0.3, pretrain_lr=0.05,
+        head_hidden=24, t_sdf=40, pretrain_lr=0.05,
         eta_protein=12, eta_molecule=24,
     )
     base.update(overrides)

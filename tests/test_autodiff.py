@@ -245,6 +245,23 @@ def test_non_finite_entry_raises_naming_the_op_at_any_size(size, bad):
         ad.mul(ad.constant(values), 2.0)
 
 
+@pytest.mark.parametrize("op, move", [("reshape", lambda t: ad.reshape(t, (2, 2))),
+                                      ("transpose", ad.transpose)])
+def test_structural_ops_skip_the_check_only_behind_a_checked_op(op, move, monkeypatch):
+    bad = np.array([[1.0, np.nan], [2.0, 3.0]])
+    # a leaf is unchecked, so the first op that moves its entries raises
+    for leaf in (ad.constant(bad), ad.param(bad)):
+        with pytest.raises(ad.DomainError, match=f"'{op}'"):
+            move(leaf)
+    # a non-finite op output raises at the op that made it
+    with pytest.raises(ad.DomainError, match="'exp'"):
+        move(ad.exp(ad.constant(np.array([[1.0, 1e4], [0.0, 0.0]]))))
+    checked = []
+    monkeypatch.setattr(ad, "_check_finite", lambda values, name: checked.append(name))
+    move(ad.mul(ad.param(np.ones((2, 2))), 2.0))
+    assert checked == ["mul"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_finite_values_whose_sum_overflows_pass():
     big = ad.add(ad.constant(np.array([1e308, 1e308])), ad.constant(0.0))

@@ -124,6 +124,24 @@ def test_malformed_corpus_cloud_exits_1_naming_the_file(tmp_path, capsys):
     assert f"error: {corpus / 'bad.mdpc'}: points must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_points", [0, 5])
+def test_corpus_cloud_smaller_than_a_patch_exits_1_naming_the_file(n_points, tmp_path,
+                                                                   capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    rng = np.random.default_rng(n_points)
+    fileio.write_pointcloud(
+        SimpleNamespace(points=rng.standard_normal((n_points, 3)),
+                        normals=np.tile([0.0, 0.0, 1.0], (n_points, 1)),
+                        features=np.zeros((n_points, 17)), molecule_type="protein"),
+        corpus / "small.mdpc")
+    argv = ["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "model.ckpt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {corpus / 'small.mdpc'}: cloud has {n_points} points" in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("cut", [4, 8, 11])
 def test_truncated_checkpoint_exits_1(cut, tmp_path, pdb, capsys):
     ckpt = tmp_path / "model.ckpt"

@@ -247,8 +247,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(mask_ratio=1.5).validate()
         with pytest.raises(ConfigError):
-            RunConfig(alpha_sdf=-1.0).validate()
-        with pytest.raises(ConfigError):
             RunConfig(patch_k=0).validate()
         for clip in (0.0, -1.0):
             with pytest.raises(ConfigError, match="grad_clip"):

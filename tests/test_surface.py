@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dockinv import autodiff as ad
 from dockinv import surface as sf
+from dockinv.config import RunConfig
 from dockinv.equivariant import random_rotation
 from dockinv.structures import Atom, MolecularStructure, Residue
 from dockinv.toydata import random_molecule, random_protein, toy_config
@@ -113,27 +114,36 @@ class TestSdfKernel:
         assert peak < 16e6
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Row counts of the kernel calls made through ``surface.sdf_value_grad``."""
+    seen = []
+    kernel = sf.sdf_value_grad
+
+    def spy(points, coords, radii):
+        seen.append(np.atleast_2d(points).shape[0])
+        return kernel(points, coords, radii)
+
+    monkeypatch.setattr(sf, "sdf_value_grad", spy)
+    return seen
+
+
 class TestSdfCallContract:
-    """Stage 1 reaches the kernel through the module attribute, one call per
-    evaluation over every point (the benchmark's span hooks rely on it)."""
+    """Stage 1 reaches the kernel through the module attribute. The projection's
+    last call is its acceptance test over every candidate (the benchmark's span
+    hooks rely on both)."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        kernel = sf.sdf_value_grad
-
-        def spy(points, coords, radii):
-            seen.append(np.atleast_2d(points).shape[0])
-            return kernel(points, coords, radii)
-
-        monkeypatch.setattr(sf, "sdf_value_grad", spy)
-        return seen
-
-    def test_projection_calls_once_per_step_plus_acceptance(self, calls):
+    def test_projection_ends_with_one_call_over_every_candidate(self, calls):
         structure = random_protein(5, n_residues=3)
         cands = sf.sample_candidates(structure, 4, 1.0, np.random.default_rng(0))
-        sf.project_to_isosurface(cands, structure.coords, structure.radii, 1.4, 6, 0.1)
-        assert calls == [len(cands)] * 7
+        for t_sdf in (1, 2, 6, 50):
+            calls.clear()
+            sf.project_to_isosurface(cands, structure.coords, structure.radii, 1.4, t_sdf)
+            assert calls[-1] == len(cands)
+            assert 2 <= len(calls) <= t_sdf + 1
+            iterations = calls[:-1]     # over the active points, which only shrink
+            assert iterations[0] == len(cands)
+            assert all(b <= a for a, b in zip(iterations, iterations[1:]))
 
     def test_normals_call_once(self, calls):
         coords, radii = single_atom(1.4)
@@ -143,17 +153,18 @@ class TestSdfCallContract:
 
 
 class TestProjection:
-    def test_single_atom_converges_to_probe_radius(self):
+    def test_single_atom_converges_to_probe_radius(self, calls):
         coords, radii = single_atom(1.4)
-        cands = np.array([[3.0, 0, 0], [0, 2.5, 0], [0, 0, -4.0]])
-        pts = sf.project_to_isosurface(cands, coords, radii, 1.4, 60, 0.3)
-        assert len(pts) == 3
-        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.4, atol=1e-3)
+        cands = np.array([[3.0, 0, 0], [0, 2.5, 0], [0, 0, -4.0], [0.3, -0.2, 0.1]])
+        pts = sf.project_to_isosurface(cands, coords, radii, 1.4, 60)
+        assert len(calls) <= 4
+        assert len(pts) == 4
+        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.4, atol=1e-4)
 
     def test_point_on_surface_is_fixed(self):
         coords, radii = single_atom(1.4)
         start = np.array([[1.4, 0.0, 0.0]])
-        pts = sf.project_to_isosurface(start, coords, radii, 1.4, 50, 0.3)
+        pts = sf.project_to_isosurface(start, coords, radii, 1.4, 50)
         np.testing.assert_allclose(pts, start, atol=1e-9)
 
     def test_exact_sample_count_and_tolerance(self):
@@ -162,8 +173,7 @@ class TestProjection:
         rng = np.random.default_rng(0)
         cands = sf.sample_candidates(structure, 12, cfg.sigma_upsample, rng, minimum=200)
         pts = sf.project_to_isosurface(cands, structure.coords, structure.radii,
-                                       cfg.r_probe, cfg.t_sdf, cfg.alpha_sdf,
-                                       tol=1e-3, m=96, rng=rng)
+                                       cfg.r_probe, cfg.t_sdf, tol=1e-3, m=96, rng=rng)
         assert pts.shape == (96, 3)
         sdf, _ = sf.sdf_value_grad(pts, structure.coords, structure.radii)
         assert np.abs(sdf - cfg.r_probe).max() <= 1e-3
@@ -172,10 +182,20 @@ class TestProjection:
         coords, radii = single_atom(1.4)
         cands = np.array([[3.0, 0, 0]])
         with pytest.raises(sf.InsufficientSurfaceError) as err:
-            sf.project_to_isosurface(cands, coords, radii, 1.4, 50, 0.3, m=10,
+            sf.project_to_isosurface(cands, coords, radii, 1.4, 50, m=10,
                                      rng=np.random.default_rng(0))
         assert err.value.survivors == 1
         assert err.value.requested == 10
+
+    def test_chain_that_fixed_step_descent_left_short_now_builds(self):
+        # fixed-step gradient descent (50 steps of 0.1) left only 883 of this
+        # chain's 2,000 candidates in band, short of m_protein=1000
+        structure = random_protein(3000, n_residues=20)
+        cfg = RunConfig(m_protein=1000).validate()
+        cloud, _ = sf.build_surface(structure, cfg, seed=0)
+        assert len(cloud) == 1000
+        sdf, _ = sf.sdf_value_grad(cloud.points, structure.coords, structure.radii)
+        assert np.abs(sdf - cfg.r_probe).max() <= cfg.projection_tol
 
 
 class TestNormals:
@@ -189,7 +209,7 @@ class TestNormals:
         coords, radii = structure.coords, structure.radii
         rng = np.random.default_rng(1)
         pts = sf.project_to_isosurface(
-            sf.sample_candidates(structure, 10, 1.0, rng), coords, radii, 1.4, 60, 0.3)
+            sf.sample_candidates(structure, 10, 1.0, rng), coords, radii, 1.4, 60)
         n1 = sf.estimate_normals(pts, coords, radii)
         n2 = sf.estimate_normals(-pts, -coords, radii)
         np.testing.assert_allclose(n2, -n1, atol=1e-9)
