@@ -6,12 +6,27 @@ which produced it. Calling :func:`backward` on a scalar builds a :class:`Tape`
 (a topological ordering of the reachable graph) and accumulates gradients in
 one reverse sweep, visiting each node exactly once.
 
+Besides the elementwise, linear-algebra and structural primitives here, a
+module may build a larger computation as one graph node with
+:func:`primitive`: it runs the forward in numpy and hands over a hand-written
+vjp. Such a vjp saves only the arrays its gradients read, and only for
+parents that require grad, so a no-grad call saves nothing. Its output is
+checked for finiteness once, like any op output; its intermediates are not.
+``equivariant.ConvLayer.apply`` (one node per output order) and
+``inversion._geom_block`` are built this way.
+
+Each op pays a fixed Python cost, so the core keeps it small: a binary op
+lets numpy broadcast and turns numpy's ``ValueError`` into a
+:class:`ShapeError` naming both shapes, and op outputs skip the coercion of
+``Tensor.__init__``.
+
 Only first-order gradients are supported. All values are float64.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,13 +43,13 @@ __all__ = [
     "param",
     "backward",
     "grad_check",
+    "primitive",
     "add",
     "sub",
     "mul",
     "div",
     "neg",
     "matmul",
-    "bmm",
     "einsum",
     "exp",
     "log",
@@ -80,7 +95,7 @@ def _check_finite(values: np.ndarray, op: str) -> None:
     # inf entry, or a sum that overflows) needs the elementwise scan. On a
     # freshly computed op output the sum is the faster test at every size
     # from 1e3 to 4e6 entries (5-40%, 2-core VM), so no size starts with the scan.
-    if not np.isfinite(values.sum()) and not np.all(np.isfinite(values)):
+    if not math.isfinite(np.add.reduce(values, None)) and not np.isfinite(values).all():
         raise DomainError(f"non-finite values produced by '{op}'")
 
 
@@ -118,37 +133,27 @@ class Tensor:
     ``_Node``; a tensor computed without any grad-requiring parent records no
     ``parents`` and no vjp, so a no-grad evaluation keeps no intermediate
     alive once its tensors are dropped.
+
+    The constructor makes leaves and constants and copies what it is given.
+    Op outputs, including those of a :func:`primitive` with a hand-written
+    vjp, are built by ``_make`` without that coercion: a fresh C-contiguous
+    float64 array is frozen in place, and only a scalar or a non-contiguous
+    view is copied. Every tensor, leaf or op output, draws the next
+    ``node_id``.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "op", "_node", "node_id")
 
-    def __init__(
-        self,
-        values,
-        requires_grad: bool = False,
-        op: str = "leaf",
-        parents: tuple = (),
-        vjp: Callable[[np.ndarray], tuple] | None = None,
-        _owned: bool = False,
-    ):
-        # _owned marks freshly computed op outputs, which may be frozen in
-        # place; external arrays are always copied so callers keep theirs
-        # writable (and 0-d shapes are preserved).
-        if (
-            _owned
-            and isinstance(values, np.ndarray)
-            and values.dtype == np.float64
-            and values.flags.c_contiguous
-        ):
-            arr = values
-        else:
-            arr = np.array(values, dtype=np.float64, order="C")
+    def __init__(self, values, requires_grad: bool = False, op: str = "leaf"):
+        # external arrays are always copied so callers keep theirs writable
+        # (and 0-d shapes are preserved)
+        arr = np.array(values, dtype=np.float64, order="C")
         arr.flags.writeable = False
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.op = op
-        self._node = _Node(op, parents, vjp) if self.requires_grad and vjp is not None else None
+        self._node = None
         self.node_id = next(_node_counter)
 
     @property
@@ -237,11 +242,45 @@ _LEAF_OPS = frozenset({"leaf", "const", "param"})
 
 
 def _make(values, op, parents, vjp) -> Tensor:
+    # a fresh C-contiguous float64 result is frozen in place; anything else
+    # (a numpy scalar, a transposed or sliced view) becomes a C-ordered copy
+    if (type(values) is not np.ndarray or values.dtype != np.float64
+            or not values.flags.c_contiguous):
+        values = np.array(values, dtype=np.float64, order="C")
     if op not in _STRUCTURAL_OPS or any(p.op in _LEAF_OPS for p in parents):
         _check_finite(values, op)
-    if any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, op=op, parents=parents, vjp=vjp, _owned=True)
-    return Tensor(values, op=op, _owned=True)
+    values.flags.writeable = False
+    t = object.__new__(Tensor)
+    t.values = values
+    t.grad = None
+    t.op = op
+    for p in parents:
+        if p.requires_grad:
+            t.requires_grad = True
+            t._node = _Node(op, parents, vjp)
+            break
+    else:
+        t.requires_grad = False
+        t._node = None
+    t.node_id = next(_node_counter)
+    return t
+
+
+def primitive(values: np.ndarray, op: str, parents: tuple,
+              vjp: Callable[[np.ndarray], tuple] | None) -> Tensor:
+    """One graph node for a computation with a hand-written vjp.
+
+    ``values`` is the forward result, computed in numpy from the ``values``
+    of ``parents`` (a tuple of Tensors); a fresh C-contiguous array is frozen
+    in place and becomes the output's, so the caller must not write to it
+    afterwards. ``vjp(g)`` returns one gradient per
+    parent, in order, each of its parent's shape; it is called only when some
+    parent requires grad, and may return None for a parent that does not.
+    The output is checked for finiteness under the name ``op``. The vjp
+    closure should hold only the arrays its gradients read, and only for
+    parents that require grad: the graph keeps it until the backward sweep.
+    """
+    return _make(values, op, parents, vjp)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -257,11 +296,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"'{op}' cannot broadcast shapes {a.shape} and {b.shape}") from None
+def _shape_error(a: Tensor, b: Tensor, op: str) -> ShapeError:
+    return ShapeError(f"'{op}' cannot broadcast shapes {a.shape} and {b.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +306,30 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b, "add")
-    out = a.values + b.values
+    try:
+        out = a.values + b.values
+    except ValueError:
+        raise _shape_error(a, b, "add") from None
     sa, sb = a.shape, b.shape
     return _make(out, "add", (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b, "sub")
-    out = a.values - b.values
+    try:
+        out = a.values - b.values
+    except ValueError:
+        raise _shape_error(a, b, "sub") from None
     sa, sb = a.shape, b.shape
     return _make(out, "sub", (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b, "mul")
-    out = a.values * b.values
+    try:
+        out = a.values * b.values
+    except ValueError:
+        raise _shape_error(a, b, "mul") from None
     sa, sb = a.shape, b.shape
     # each operand's values are saved only for the other operand's gradient
     av = a.values if b.requires_grad else None
@@ -302,15 +344,18 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b, "div")
-    if np.any(b.values == 0.0):
+    if (b.values == 0.0).any():
         raise DomainError("division by zero")
-    out = a.values / b.values
+    try:
+        out = a.values / b.values
+    except ValueError:
+        raise _shape_error(a, b, "div") from None
     sa, sb, bv = a.shape, b.shape, b.values
+    a_grad = a.requires_grad
     av = a.values if b.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g / bv, sa),
+        return (_unbroadcast(g / bv, sa) if a_grad else None,
                 None if av is None else _unbroadcast(-g * av / (bv * bv), sb))
 
     return _make(out, "div", (a, b), vjp)
@@ -372,7 +417,7 @@ def tanh(a) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.values, 0.0)
-    mask = (a.values > 0.0).astype(np.float64)
+    mask = (a.values > 0.0).astype(np.float64) if a.requires_grad else None
     return _make(out, "relu", (a,), lambda g: (g * mask,))
 
 
@@ -381,7 +426,7 @@ def clip(a, lo=None, hi=None) -> Tensor:
     lo_v = -np.inf if lo is None else float(lo)
     hi_v = np.inf if hi is None else float(hi)
     out = np.clip(a.values, lo_v, hi_v)
-    mask = ((a.values > lo_v) & (a.values < hi_v)).astype(np.float64)
+    mask = ((a.values > lo_v) & (a.values < hi_v)).astype(np.float64) if a.requires_grad else None
     return _make(out, "clip", (a,), lambda g: (g * mask,))
 
 
@@ -415,24 +460,6 @@ def matmul(a, b) -> Tensor:
         return (None if bv is None else g @ bv.T, None if av is None else av.T @ g)
 
     return _make(out, "matmul", (a, b), vjp)
-
-
-def bmm(a, b) -> Tensor:
-    """Batched matmul over the leading axis: (B, n, k) @ (B, k, m) -> (B, n, m)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError(f"bmm expects 3-D operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm shapes incompatible: {a.shape} vs {b.shape}")
-    out = a.values @ b.values
-    av = a.values if b.requires_grad else None
-    bv = b.values if a.requires_grad else None
-
-    def vjp(g):
-        return (None if bv is None else g @ bv.transpose(0, 2, 1),
-                None if av is None else av.transpose(0, 2, 1) @ g)
-
-    return _make(out, "bmm", (a, b), vjp)
 
 
 def einsum(spec: str, a, b) -> Tensor:
@@ -500,22 +527,21 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 def _extreme(a, axis, keepdims, kind):
     a = as_tensor(a)
     red = np.max if kind == "max" else np.min
+    if axis is not None and not isinstance(axis, int):
+        raise ContractError(f"{kind} reduction over multiple axes is unsupported")
     out = red(a.values, axis=axis, keepdims=keepdims)
-    out_kd = red(a.values, axis=axis, keepdims=True)
+    if not a.requires_grad:
+        return _make(out, kind, (a,), None)
     # route gradient to the first extremal entry along the reduced axes
-    hit = a.values == out_kd
+    hit = a.values == red(a.values, axis=axis, keepdims=True)
     if axis is None:
-        flat = hit.reshape(-1)
-        first = np.zeros_like(flat)
-        first[np.argmax(flat)] = True
-        mask = first.reshape(a.shape).astype(np.float64)
+        mask = np.zeros(a.size)
+        mask[np.argmax(hit.reshape(-1))] = 1.0
+        mask = mask.reshape(a.shape)
     else:
-        ax = axis % a.ndim if isinstance(axis, int) else axis
-        if not isinstance(ax, int):
-            raise ContractError(f"{kind} reduction over multiple axes is unsupported")
-        idx = np.argmax(hit, axis=ax)
+        ax = axis % a.ndim
         mask = np.zeros(a.shape)
-        np.put_along_axis(mask, np.expand_dims(idx, ax), 1.0, axis=ax)
+        np.put_along_axis(mask, np.expand_dims(np.argmax(hit, axis=ax), ax), 1.0, axis=ax)
 
     def vjp(g):
         if axis is not None and not keepdims:

@@ -276,9 +276,9 @@ def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis, max_lf: int =
     edge Tensors are differentiable through positions exactly when ``coords``
     requires grad. ``pool`` (n, n_basis, k) holds each point's radial basis
     values over its k neighbours, laid out to pool a path's per-edge products
-    with one ``bmm``. ``edge_scale`` (E, 1, 1) is 1/k on a neighbour edge and
-    0 on a self-edge, whose direction is zero: it masks every l_f > 0 path and
-    carries the neighbour mean's 1/k. ``kc`` starts empty:
+    with one batched matmul. ``edge_scale`` (E, 1, 1) is 1/k on a neighbour
+    edge and 0 on a self-edge, whose direction is zero: it masks every
+    l_f > 0 path and carries the neighbour mean's 1/k. ``kc`` starts empty:
     :meth:`ConvLayer.apply` fills one entry per (l_out, l_f, l_in) path with
     l_f > 0 the first time the path runs, and every later layer or encode over
     this geometry reuses it.
@@ -311,6 +311,13 @@ class ConvLayer:
     path first pools its coupled inputs over the neighbours once per basis
     function (``geom["pool"]``) and then applies the (n_basis * c_in, c_out)
     weights once per point. No per-edge weight matrix is formed.
+
+    Each output order is one autodiff node (op ``"conv"``) with a
+    hand-written vjp, built by :func:`_conv_order` over every path into that
+    order. Its parents are ``geom["pool"]`` and, of the input channels, each
+    path's cached coupled harmonics ``geom["kc"]``, each path's weight and
+    (order 0) the bias, those that require grad; through ``pool`` and ``kc``
+    coordinate gradients reach :func:`conv_geometry`.
     """
 
     def __init__(self, name: str, layout_in: dict[int, int], layout_out: dict[int, int],
@@ -343,40 +350,124 @@ class ConvLayer:
         return params
 
     def apply(self, params: dict, field: IrrepsField, geom: dict) -> IrrepsField:
-        n, k, flat, pool = geom["n"], geom["k"], geom["flat"], geom["pool"]
-        n_basis = self.basis.n_basis
-        gathered: dict[int, Tensor] = {}
-        sums: dict[int, Tensor] = {}
+        k = geom["k"]
+        channels = {l: ad.as_tensor(ch) for l, ch in field.channels.items()}
+        gathered = {l: ch.values[geom["flat"]] for l, ch in channels.items()}   # (E, c_in, ni)
+        terms: dict[int, list] = {}
         for (l_in, l_f, l_out) in self.paths:
-            c_in, c_out = self.layout_in[l_in], self.layout_out[l_out]
-            ni, no = 2 * l_in + 1, 2 * l_out + 1
-            if l_in not in gathered:
-                gathered[l_in] = ad.gather(field.channels[l_in], flat)   # (E, c_in, ni)
-            cg = coupling_tensor(l_out, l_f, l_in)                       # (no, nf, ni)
+            cg = coupling_tensor(l_out, l_f, l_in)                             # (no, nf, ni)
             if l_f == 0:
-                kc = cg[:, 0, :].T * (_C0 / k)                           # (ni, no) constant
-                y = ad.matmul(ad.reshape(gathered[l_in], (-1, ni)), kc)
+                kc = np.ascontiguousarray(cg[:, 0, :].T * (_C0 / k))           # (ni, no) constant
             else:
                 kc = geom["kc"].get((l_out, l_f, l_in))
                 if kc is None:
                     # (E, ni, no): coupling contracted with the harmonics,
-                    # scaled by edge_scale, laid out for the bmm
+                    # scaled by edge_scale, laid out for the per-edge product
                     kc = ad.mul(ad.einsum("ef,fio->eio", geom["sph"][l_f], cg.transpose(1, 2, 0)),
                                 geom["edge_scale"])
                     geom["kc"][(l_out, l_f, l_in)] = kc
-                y = ad.bmm(gathered[l_in], kc)                           # (E, c_in, no)
-            pooled = ad.bmm(pool, ad.reshape(y, (n, k, c_in * no)))      # (n, n_basis, c_in*no)
-            # one row per (point, output component), one column per (basis, input channel)
-            rows = ad.transpose(ad.reshape(pooled, (n, n_basis, c_in, no)), (0, 3, 1, 2))
-            w = ad.reshape(params[f"{self.name}.w{l_in}{l_f}{l_out}"], (n_basis * c_in, c_out))
-            msg = ad.matmul(ad.reshape(rows, (n * no, n_basis * c_in)), w)   # (n*no, c_out)
-            sums[l_out] = msg if l_out not in sums else ad.add(sums[l_out], msg)
-        # paths into one order share their (n*no, c_out) sum; it is laid out once
-        out = {l: ad.transpose(ad.reshape(s, (n, 2 * l + 1, -1)), (0, 2, 1)) for l, s in sums.items()}
-        bias_key = f"{self.name}.bias0"
-        if 0 in out and bias_key in params:
-            out[0] = ad.add(out[0], ad.reshape(params[bias_key], (1, -1, 1)))
+            w = ad.as_tensor(params[f"{self.name}.w{l_in}{l_f}{l_out}"])
+            terms.setdefault(l_out, []).append((l_in, kc, w))
+        bias = params.get(f"{self.name}.bias0")
+        out = {l_out: _conv_order(terms[l_out], channels, gathered, geom, self.basis.n_basis,
+                                  ad.as_tensor(bias) if l_out == 0 and bias is not None else None)
+               for l_out in sorted(terms)}
         return IrrepsField(out)
+
+
+def _conv_order(terms: list, channels: dict, gathered: dict, geom: dict, n_basis: int,
+                bias: Tensor | None) -> Tensor:
+    """The (n, c_out, 2 l_out + 1) output of every path into one order, as one node.
+
+    ``terms`` holds one ``(l_in, kc, w)`` per path: ``kc`` is the (ni, no)
+    constant coupling of an l_f = 0 path or the (E, ni, no) coupled-harmonics
+    Tensor of an l_f > 0 path. A path computes ``y = G @ kc`` per edge (G the
+    gathered input channel), pools it with ``pool @ y``, lays the result out
+    as one row per (point, output component) and applies its weights; the
+    paths' messages are summed, then the bias is added. The vjp keeps G only
+    for a ``kc`` that requires grad, y only when ``pool`` does, and a path's
+    rows only when its weight does.
+    """
+    n, k, flat, pool = geom["n"], geom["k"], geom["flat"], geom["pool"]
+    pool_v = pool.values
+    parents, slots = [pool], {}
+
+    def slot(t: Tensor) -> int | None:
+        """Position of a grad-requiring parent; None for one that needs no gradient."""
+        if not t.requires_grad:
+            return None
+        if id(t) not in slots:
+            slots[id(t)] = len(parents)
+            parents.append(t)
+        return slots[id(t)]
+
+    # the vjp reads these records, never the parent Tensors: a parent in the
+    # closure would keep an intermediate field alive for as long as the graph
+    s, saved = None, []
+    for l_in, kc, w in terms:
+        G = gathered[l_in]
+        c_in, ni = G.shape[1:]
+        per_edge = isinstance(kc, Tensor)
+        kc_v = kc.values if per_edge else kc
+        no = kc_v.shape[-1]
+        w_mat = w.values.reshape(n_basis * c_in, -1)
+        if per_edge:
+            y = G @ kc_v                                                        # (E, c_in, no)
+        else:
+            y = G.reshape(-1, ni) @ kc_v                                        # (E*c_in, no)
+        pooled = pool_v @ y.reshape(n, k, c_in * no)                        # (n, n_basis, c_in*no)
+        # one row per (point, output component), one column per (basis, input channel)
+        rows = pooled.reshape(n, n_basis, c_in, no).transpose(0, 3, 1, 2).reshape(n * no, -1)
+        msg = rows @ w_mat                                                      # (n*no, c_out)
+        s = msg if s is None else s + msg
+        kc_slot = slot(kc) if per_edge else None
+        saved.append((slot(channels[l_in]), G.shape, kc_slot, kc_v, None if kc_slot is None else G,
+                      slot(w), w.shape, w_mat, y if pool.requires_grad else None,
+                      rows if w.requires_grad else None))
+        # freed before the next path allocates its own: paths into one order
+        # have the same sizes, so keeping them doubles the forward's peak
+        del y, pooled, rows
+    out = s.reshape(n, no, -1).transpose(0, 2, 1)
+    bias_slot = None
+    if bias is not None:
+        out = out + bias.values.reshape(1, -1, 1)
+        bias_slot = slot(bias)
+    n_parents = len(parents)
+
+    def vjp(g):
+        grads = [None] * n_parents
+        gs = g.transpose(0, 2, 1).reshape(n * no, -1)                          # (n*no, c_out)
+        if bias_slot is not None:
+            grads[bias_slot] = g.sum(axis=(0, 2))
+        for ch_slot, g_shape, kc_slot, kc_v, G, w_slot, w_shape, w_mat, y, rows in saved:
+            if rows is not None:
+                grads[w_slot] = (rows.T @ gs).reshape(w_shape)
+            if ch_slot is None and kc_slot is None and y is None:
+                continue
+            e, c_in, ni = g_shape
+            g_pooled = (gs @ w_mat.T).reshape(n, no, n_basis, c_in).transpose(0, 2, 3, 1)
+            g_pooled = g_pooled.reshape(n, n_basis, c_in * no)
+            if y is not None:
+                g_pool = g_pooled @ y.reshape(n, k, c_in * no).transpose(0, 2, 1)
+                grads[0] = g_pool if grads[0] is None else grads[0] + g_pool
+            if ch_slot is None and kc_slot is None:
+                continue
+            g_y = pool_v.transpose(0, 2, 1) @ g_pooled                          # (n, k, c_in*no)
+            if kc_v.ndim == 2:
+                g_g = g_y.reshape(-1, no) @ kc_v.T                             # (E*c_in, ni)
+            else:
+                g_y = g_y.reshape(e, c_in, no)
+                if kc_slot is not None:
+                    grads[kc_slot] = G.transpose(0, 2, 1) @ g_y                 # (E, ni, no)
+                if ch_slot is None:
+                    continue
+                g_g = g_y @ kc_v.transpose(0, 2, 1)                             # (E, c_in, ni)
+            if grads[ch_slot] is None:
+                grads[ch_slot] = np.zeros((n, c_in, ni))
+            np.add.at(grads[ch_slot], flat, g_g.reshape(g_shape))
+        return tuple(grads)
+
+    return ad.primitive(out, "conv", tuple(parents), vjp)
 
 
 # ---------------------------------------------------------------------------

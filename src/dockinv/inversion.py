@@ -179,37 +179,56 @@ def _neighborhood_average(omega: Tensor, values: Tensor) -> Tensor:
 
 def _geom_block(x: Tensor, x_np: np.ndarray, k_geom: int) -> Tensor:
     """Differentiable geometric descriptors over frozen k-NN neighborhoods:
-    scaled covariance trace, covariance determinant, and a squashed density."""
+    scaled covariance trace, covariance determinant, and a squashed density.
+
+    One autodiff node (op ``"geom-block"``) with a hand-written vjp; the vjp
+    keeps its intermediates only when ``x`` requires grad.
+    """
     n = x_np.shape[0]
     k = min(k_geom, n - 1)
     nbr, _ = neighbors.knn(x_np, x_np, k, exclude_self=True)
+    flat = nbr.reshape(-1)
 
-    nbr_pts = ad.reshape(ad.gather(x, nbr.reshape(-1)), (n, k, 3))
-    mu = ad.reduce_mean(nbr_pts, axis=1, keepdims=True)
-    c = ad.sub(nbr_pts, mu)                                   # (n, k, 3)
-    cov = {}
-    for a in range(3):
-        for b in range(a, 3):
-            cov[(a, b)] = ad.reduce_mean(ad.mul(c[:, :, a], c[:, :, b]), axis=1)
-    trace = ad.add(ad.add(cov[(0, 0)], cov[(1, 1)]), cov[(2, 2)])
-    det = ad.sub(
-        ad.add(
-            ad.mul(cov[(0, 0)], ad.sub(ad.mul(cov[(1, 1)], cov[(2, 2)]),
-                                       ad.mul(cov[(1, 2)], cov[(1, 2)]))),
-            ad.mul(cov[(0, 2)], ad.sub(ad.mul(cov[(0, 1)], cov[(1, 2)]),
-                                       ad.mul(cov[(1, 1)], cov[(0, 2)])))),
-        ad.mul(cov[(0, 1)], ad.sub(ad.mul(cov[(0, 1)], cov[(2, 2)]),
-                                   ad.mul(cov[(1, 2)], cov[(0, 2)]))),
-    )
-    diffs = ad.sub(nbr_pts, ad.reshape(x, (n, 1, 3)))
-    dists = ad.power(ad.add(ad.reduce_sum(ad.mul(diffs, diffs), axis=2), 1e-24), 0.5)
-    d_raw = ad.reduce_mean(dists, axis=1)
-    density = ad.div(d_raw, ad.add(d_raw, 2.0))
-    return ad.concat(
-        [ad.reshape(ad.mul(trace, 0.1), (n, 1)), ad.reshape(det, (n, 1)),
-         ad.reshape(density, (n, 1))],
-        axis=1,
-    )
+    nbr_pts = x.values[flat].reshape(n, k, 3)
+    c = nbr_pts - nbr_pts.mean(axis=1, keepdims=True)                 # (n, k, 3)
+    c00, c01, c02, c11, c12, c22 = ((c[:, :, a] * c[:, :, b]).mean(axis=1)
+                                    for a in range(3) for b in range(a, 3))
+    trace = c00 + c11 + c22
+    det = ((c00 * (c11 * c22 - c12 * c12) + c02 * (c01 * c12 - c11 * c02))
+           - c01 * (c01 * c22 - c12 * c02))
+    diffs = nbr_pts - x.values.reshape(n, 1, 3)
+    dists = ((diffs * diffs).sum(axis=2) + 1e-24) ** 0.5
+    d_raw = dists.mean(axis=1)
+    density = d_raw / (d_raw + 2.0)
+    out = np.concatenate([(trace * 0.1).reshape(n, 1), det.reshape(n, 1), density.reshape(n, 1)],
+                         axis=1)
+    if not x.requires_grad:
+        return ad.primitive(out, "geom-block", (x,), None)
+
+    # cofactors of the symmetric covariance: d det / d cov
+    cof = np.empty((n, 3, 3))
+    cof[:, 0, 0] = c11 * c22 - c12 * c12
+    cof[:, 1, 1] = c00 * c22 - c02 * c02
+    cof[:, 2, 2] = c00 * c11 - c01 * c01
+    cof[:, 0, 1] = cof[:, 1, 0] = c02 * c12 - c01 * c22
+    cof[:, 0, 2] = cof[:, 2, 0] = c01 * c12 - c11 * c02
+    cof[:, 1, 2] = cof[:, 2, 1] = c01 * c02 - c00 * c12
+    unit = diffs / dists[:, :, None]
+    d_density = 2.0 / ((d_raw + 2.0) * (d_raw + 2.0) * k)                 # d density / d dist
+
+    def vjp(g):
+        # d loss / d cov as a symmetric matrix m, so that with
+        # cov_ab = mean_j c_ja c_jb the gradient of c is (2/k) c m; it sums
+        # to zero over each neighbourhood (as c does), so it passes through
+        # the mean subtraction unchanged
+        m = cof * g[:, 1, None, None]
+        m[:, [0, 1, 2], [0, 1, 2]] += 0.1 * g[:, :1]
+        g_diffs = unit * (g[:, 2] * d_density)[:, None, None]
+        g_x = np.zeros((n, 3))
+        np.add.at(g_x, flat, ((2.0 / k) * (c @ m) + g_diffs).reshape(-1, 3))
+        return (g_x - g_diffs.sum(axis=1),)
+
+    return ad.primitive(out, "geom-block", (x,), vjp)
 
 
 def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> Tensor:

@@ -8,7 +8,7 @@ import pytest
 from conftest import write_pdb
 
 from dockinv import autodiff as ad
-from dockinv import fileio, inversion, theory, toydata
+from dockinv import fileio, inversion, neighbors, theory, toydata
 from dockinv.finetune import finetune_run, load_complex_dir
 from dockinv.pretrain import pretrain_run
 from dockinv.structures import AMINO_ACIDS, write_molecule
@@ -38,8 +38,7 @@ def _objective_of(kind, state, ctx, mdl, params, cfg, frozen):
         parts, gx, gf, _ = inversion.composite_objective(
             probe, ctx, mdl, params, cfg, frozen=frozen, need_grad=t.requires_grad)
         grad = gx if kind == "x" else gf
-        return ad.Tensor(parts["F"], requires_grad=t.requires_grad, op="objective",
-                         parents=(t,), vjp=lambda g: (g * grad,))
+        return ad.primitive(np.array(parts["F"]), "objective", (t,), lambda g: (g * grad,))
 
     return fn
 
@@ -53,6 +52,77 @@ def test_objective_gradient_matches_central_differences(toy_cfg, mdl, init_param
                                rng=np.random.default_rng(seed))
         assert report.passed, (kind, report)
         assert np.abs(report.analytic).max() > 1e-4, kind  # not a vacuous match
+
+
+def test_objective_tensor_count_stays_bounded(toy_cfg, mdl, init_params, ctx, start):
+    # every tensor draws a node_id; written per op, the conv and _geom_block
+    # alone brought the count to 678, which is Python overhead on every step
+    for need_grad in (True, False):
+        before = ad.constant(0.0).node_id
+        inversion.composite_objective(start, ctx, mdl, init_params, toy_cfg, need_grad=need_grad)
+        assert ad.constant(0.0).node_id - before - 1 <= 383, need_grad
+
+
+def geom_block_per_op_reference(x, x_np, k_geom):
+    """inversion._geom_block as about 59 autodiff ops, as it ran before its
+    hand-written vjp: the same numpy calls in the same order."""
+    n = x_np.shape[0]
+    k = min(k_geom, n - 1)
+    nbr, _ = neighbors.knn(x_np, x_np, k, exclude_self=True)
+    nbr_pts = ad.reshape(ad.gather(x, nbr.reshape(-1)), (n, k, 3))
+    mu = ad.reduce_mean(nbr_pts, axis=1, keepdims=True)
+    c = ad.sub(nbr_pts, mu)
+    cov = {}
+    for a in range(3):
+        for b in range(a, 3):
+            cov[(a, b)] = ad.reduce_mean(ad.mul(c[:, :, a], c[:, :, b]), axis=1)
+    trace = ad.add(ad.add(cov[(0, 0)], cov[(1, 1)]), cov[(2, 2)])
+    det = ad.sub(
+        ad.add(
+            ad.mul(cov[(0, 0)], ad.sub(ad.mul(cov[(1, 1)], cov[(2, 2)]),
+                                       ad.mul(cov[(1, 2)], cov[(1, 2)]))),
+            ad.mul(cov[(0, 2)], ad.sub(ad.mul(cov[(0, 1)], cov[(1, 2)]),
+                                       ad.mul(cov[(1, 1)], cov[(0, 2)])))),
+        ad.mul(cov[(0, 1)], ad.sub(ad.mul(cov[(0, 1)], cov[(2, 2)]),
+                                   ad.mul(cov[(1, 2)], cov[(0, 2)]))),
+    )
+    diffs = ad.sub(nbr_pts, ad.reshape(x, (n, 1, 3)))
+    dists = ad.power(ad.add(ad.reduce_sum(ad.mul(diffs, diffs), axis=2), 1e-24), 0.5)
+    d_raw = ad.reduce_mean(dists, axis=1)
+    density = ad.div(d_raw, ad.add(d_raw, 2.0))
+    return ad.concat([ad.reshape(ad.mul(trace, 0.1), (n, 1)), ad.reshape(det, (n, 1)),
+                      ad.reshape(density, (n, 1))], axis=1)
+
+
+@pytest.mark.parametrize("n, k_geom", [(24, 8), (12, 8), (5, 8)])
+def test_geom_block_matches_per_op_reference(n, k_geom):
+    rng = np.random.default_rng(n)
+    x_np = rng.standard_normal((n, 3)) * 1.5
+    weights = rng.standard_normal((n, 3))
+    results = []
+    for block in (inversion._geom_block, geom_block_per_op_reference):
+        x = ad.param(x_np)
+        out = block(x, x_np, k_geom)
+        ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+        results.append((out.values, x.grad))
+    (got, got_grad), (ref, ref_grad) = results
+    assert got.tobytes() == ref.tobytes()
+    assert np.abs(got_grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+    assert inversion._geom_block(ad.constant(x_np), x_np, k_geom).values.tobytes() == ref.tobytes()
+
+
+def test_geom_block_coordinate_grad_check_on_twelve_points():
+    rng = np.random.default_rng(20)
+    x_np = rng.standard_normal((12, 3))
+    weights = rng.standard_normal((12, 3))
+
+    def fn(x):
+        # the neighbourhoods stay those of x_np, as in one objective call
+        return ad.reduce_sum(ad.mul(inversion._geom_block(x, x_np, 8), weights))
+
+    report = ad.grad_check(fn, x_np, step=1e-6, tolerance=1e-6)
+    assert report.passed, report
+    assert np.abs(report.analytic).max() > 1e-2
 
 
 def _assert_bonds_in_range(coords, pairs, cfg):
