@@ -56,7 +56,6 @@ __all__ = [
     "power",
     "sigmoid",
     "tanh",
-    "relu",
     "clip",
     "softmax",
     "logsumexp",
@@ -70,8 +69,6 @@ __all__ = [
     "reshape",
     "transpose",
     "cos",
-    "sin",
-    "sqrt",
 ]
 
 
@@ -394,10 +391,6 @@ def power(a, p: float) -> Tensor:
     return _make(out, "power", (a,), lambda g: (g * p * av ** (p - 1.0),))
 
 
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = np.empty_like(a.values)
@@ -414,13 +407,6 @@ def tanh(a) -> Tensor:
     return _make(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.values, 0.0)
-    mask = (a.values > 0.0).astype(np.float64) if a.requires_grad else None
-    return _make(out, "relu", (a,), lambda g: (g * mask,))
-
-
 def clip(a, lo=None, hi=None) -> Tensor:
     a = as_tensor(a)
     lo_v = -np.inf if lo is None else float(lo)
@@ -434,12 +420,6 @@ def cos(a) -> Tensor:
     a = as_tensor(a)
     av = a.values
     return _make(np.cos(av), "cos", (a,), lambda g: (-g * np.sin(av),))
-
-
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-    av = a.values
-    return _make(np.sin(av), "sin", (a,), lambda g: (g * np.cos(av),))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ The encoder lifts numpy inputs to constant Tensors, so receptors (no grad),
 training samples (parameter grads) and ligand states (coordinate grads) run
 the same ops; ``requires_grad`` on the inputs decides what the graph keeps.
 
+Each caller names the output orders it reads (``orders`` of
+:meth:`Encoder.apply` and :meth:`ConvLayer.apply`): the last conv layer runs
+only the paths into those orders, and each order it returns is bitwise the
+one an encode over every order returns. The stages read order 0 (the heads)
+or orders 0 and 1 (pretraining's patch tokens); nothing reads order 2 of an
+encoder's output, and attention attends order 0 only.
+
 Orders above 2 are unsupported.
 """
 
@@ -152,6 +159,19 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 _COUPLING_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
+_COUPLING_OPERATORS = None
+
+
+def _coupling_operators() -> list[dict[int, np.ndarray]]:
+    """Order-0/1/2 operators of the four fixed rotations that constrain every
+    coupling solve, built once per process."""
+    global _COUPLING_OPERATORS
+    if _COUPLING_OPERATORS is None:
+        rng = np.random.default_rng(20240002)
+        rotations = [random_rotation(rng) for _ in range(4)]
+        _COUPLING_OPERATORS = [{l: rotation_operator(l, rot) for l in range(3)}
+                               for rot in rotations]
+    return _COUPLING_OPERATORS
 
 
 def coupling_tensor(l_out: int, l_f: int, l_in: int) -> np.ndarray:
@@ -159,7 +179,7 @@ def coupling_tensor(l_out: int, l_f: int, l_in: int) -> np.ndarray:
     Y_{l_f} (x) f_{l_in} -> order l_out.
 
     Solved once per triple as the (one-dimensional) nullspace of the
-    equivariance constraint over a few fixed rotations, normalized to unit
+    equivariance constraint over four fixed rotations, normalized to unit
     Frobenius norm with a deterministic sign.
     """
     key = (l_out, l_f, l_in)
@@ -168,16 +188,13 @@ def coupling_tensor(l_out: int, l_f: int, l_in: int) -> np.ndarray:
     if not abs(l_f - l_in) <= l_out <= l_f + l_in:
         raise EquivariantError(f"path (l_in={l_in}, l_f={l_f}, l_out={l_out}) violates triangle rule")
     no, nf, ni = 2 * l_out + 1, 2 * l_f + 1, 2 * l_in + 1
-    rng = np.random.default_rng(20240002)
     blocks = []
-    for _ in range(4):
-        rot = random_rotation(rng)
-        d_out = rotation_operator(l_out, rot)
-        d_fi = np.kron(rotation_operator(l_f, rot), rotation_operator(l_in, rot))
+    for ops in _coupling_operators():
+        d_fi = np.kron(ops[l_f], ops[l_in])
         # constraint D_out T = T D_fi on T of shape (no, nf*ni)
-        blocks.append(np.kron(np.eye(nf * ni), d_out) - np.kron(d_fi.T, np.eye(no)))
+        blocks.append(np.kron(np.eye(nf * ni), ops[l_out]) - np.kron(d_fi.T, np.eye(no)))
     system = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(system)
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
     null_dim = int(np.sum(s < 1e-8 * max(float(s.max()), 1.0)))
     if null_dim != 1:
         raise EquivariantError(f"coupling space for {key} has dimension {null_dim}")
@@ -349,12 +366,24 @@ class ConvLayer:
             params[key] = rng.standard_normal(shape) / math.sqrt(fan_in)
         return params
 
-    def apply(self, params: dict, field: IrrepsField, geom: dict) -> IrrepsField:
+    def apply(self, params: dict, field: IrrepsField, geom: dict, orders=None) -> IrrepsField:
+        """The output field over ``orders`` (default: every order of ``layout_out``).
+
+        Only the paths into those orders run, so an order left out costs
+        nothing and fills no ``geom["kc"]`` entry; each order computed is
+        bitwise the same as in a call over every order.
+        """
+        orders = set(self.layout_out if orders is None else orders)
+        if not orders <= self.layout_out.keys():
+            raise EquivariantError(f"{self.name} has no output orders {sorted(orders)}; "
+                                   f"its layout is {self.layout_out}")
         k = geom["k"]
         channels = {l: ad.as_tensor(ch) for l, ch in field.channels.items()}
         gathered = {l: ch.values[geom["flat"]] for l, ch in channels.items()}   # (E, c_in, ni)
         terms: dict[int, list] = {}
         for (l_in, l_f, l_out) in self.paths:
+            if l_out not in orders:
+                continue
             cg = coupling_tensor(l_out, l_f, l_in)                             # (no, nf, ni)
             if l_f == 0:
                 kc = np.ascontiguousarray(cg[:, 0, :].T * (_C0 / k))           # (ni, no) constant
@@ -501,9 +530,13 @@ def encoder_input(features, points) -> IrrepsField:
 
 
 class Encoder:
-    """Two-layer gated tensor-field network producing an order-0/1/2 field."""
+    """Two-layer gated tensor-field network producing an order-0/1/2 field.
 
-    def __init__(self, n_scalar_in: int, cfg):
+    Its parameter names are ``{prefix}enc{i}.w{l_in}{l_f}{l_out}`` and
+    ``{prefix}enc{i}.bias0``, so one flat dict can hold several encoders.
+    """
+
+    def __init__(self, n_scalar_in: int, cfg, prefix: str = ""):
         self.n_scalar_in = n_scalar_in
         self.mult = cfg.multiplicity
         self.max_order = cfg.max_order
@@ -521,7 +554,8 @@ class Encoder:
         for i in range(cfg.n_conv_layers):
             last = i == cfg.n_conv_layers - 1
             out_layout = layout_hidden if last else layout_hidden_raw
-            self.layers.append(ConvLayer(f"enc{i}", layout, out_layout, self.basis, self.max_order))
+            self.layers.append(ConvLayer(f"{prefix}enc{i}", layout, out_layout, self.basis,
+                                         self.max_order))
             layout = layout_hidden
         self.out_layout = layout_hidden
 
@@ -547,20 +581,28 @@ class Encoder:
             out[l] = ad.mul(field.channels[l], gates)
         return IrrepsField(out)
 
-    def apply(self, params: dict, features, points, geom: dict | None = None) -> IrrepsField:
+    def apply(self, params: dict, features, points, geom: dict | None = None,
+              orders=None) -> IrrepsField:
         """Encode one cloud. ``features``/``points`` may be numpy or Tensors.
 
         Pass a precomputed ``geom`` (from :func:`conv_geometry`) to skip the
         per-call edge geometry when encoding the same cloud repeatedly.
+
+        ``orders`` (default: all of ``out_layout``) picks the output orders.
+        The hidden layers always compute every order, since each output order
+        reads all of them; the last layer runs only the paths into ``orders``,
+        and each order returned is bitwise the one a call over every order
+        returns.
         """
         points = ad.as_tensor(points)
         if geom is None:
             geom = conv_geometry(points, knn_indices(points.values, self.conv_k), self.basis,
                                  self.max_order)
         field = encoder_input(features, points)
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            field = layer.apply(params, field, geom)
-            if i < len(self.layers) - 1:
+            field = layer.apply(params, field, geom, orders if i == last else None)
+            if i < last:
                 field = self._gate(field)
         return field
 
@@ -574,10 +616,12 @@ def equivariant_attention(
     ligand: IrrepsField,
     params: dict,
 ):
-    """Scalar-scored cross-attention with per-order value projections.
+    """Scalar-scored cross-attention over order-0 channels.
 
-    Scores come from order-0 channels only (hence rigid-motion invariant);
-    values carry every order. Returns (attended receptor field, fused vector,
+    Scores come from order-0 channels only (hence rigid-motion invariant),
+    and only the order-0 values are projected and attended: no stage reads
+    an attended higher order, so the fields need carry no more than order 0.
+    Returns (attended receptor field, holding order 0 only, fused vector,
     score matrix). The fused vector, of length 2d, is mean- and max-pooling
     over receptor points of the sum of original and attended order-0 features.
     """
@@ -590,23 +634,20 @@ def equivariant_attention(
     k = ad.matmul(ad.reshape(zl0, (-1, d)), params["attn.wk"])
     scores = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d)), axis=1)
 
-    attended = {}
-    for l, ch in ligand.channels.items():
-        n_l, c, m = ch.shape
-        flat = ad.reshape(ad.transpose(ch, (0, 2, 1)), (n_l * m, c))
-        proj = ad.matmul(flat, params[f"attn.wv{l}"])
-        proj = ad.transpose(ad.reshape(proj, (n_l, m, c)), (0, 2, 1))
-        att = ad.matmul(scores, ad.reshape(proj, (n_l, c * m)))
-        attended[l] = ad.reshape(att, (-1, c, m))
-    attended_field = IrrepsField(attended)
+    n_l, c, m = zl0.shape
+    flat = ad.reshape(ad.transpose(zl0, (0, 2, 1)), (n_l * m, c))
+    proj = ad.matmul(flat, params["attn.wv0"])
+    proj = ad.transpose(ad.reshape(proj, (n_l, m, c)), (0, 2, 1))
+    att = ad.matmul(scores, ad.reshape(proj, (n_l, c * m)))
+    attended0 = ad.reshape(att, (-1, c, m))
 
     orig = ad.reshape(zr0, (-1, d))
-    att0 = ad.reshape(attended[0], (-1, d))
+    att0 = ad.reshape(attended0, (-1, d))
     summary = ad.add(orig, att0)
     fused = ad.concat(
         [ad.reduce_mean(summary, axis=0), ad.reduce_max(summary, axis=0)], axis=0
     )
-    return attended_field, fused, scores
+    return IrrepsField({0: attended0}), fused, scores
 
 
 def attention_param_shapes(d: int, layout: dict[int, int]) -> dict[str, tuple]:

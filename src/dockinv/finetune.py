@@ -17,7 +17,15 @@ from . import autodiff as ad
 from . import neighbors
 from .autodiff import Tensor
 from .config import RunConfig
-from .model import PipelineModel, adam_step, as_tensors, collect_grads, mean_terms, train_loop
+from .model import (
+    HEAD_ORDERS,
+    PipelineModel,
+    adam_step,
+    as_tensors,
+    collect_grads,
+    mean_terms,
+    train_loop,
+)
 from .structures import parse_molecule, parse_pdb
 from .surface import PatchSet, SurfacePointCloud, build_surface
 
@@ -124,9 +132,9 @@ def complex_forward(mdl: PipelineModel, params_t: dict, sample: ComplexSample, c
     affinity, gate tensor used by the affinity loss).
     """
     zr = mdl.encode(params_t, sample.receptor.features, sample.receptor.points,
-                    "protein", geom=sample.receptor_geom)
+                    "protein", geom=sample.receptor_geom, orders=HEAD_ORDERS)
     zl = mdl.encode(params_t, sample.ligand.features, sample.ligand.points,
-                    sample.ligand.molecule_type, geom=sample.ligand_geom)
+                    sample.ligand.molecule_type, geom=sample.ligand_geom, orders=HEAD_ORDERS)
     return mdl.complex_heads(params_t, zr, zl)
 
 

@@ -21,7 +21,7 @@ from . import neighbors
 from .autodiff import Tensor
 from .config import RunConfig
 from .finetune import affinity_loss, geometric_pseudolabels, interaction_loss, pocket_loss
-from .model import PipelineModel
+from .model import HEAD_ORDERS, PipelineModel
 from .structures import (
     AA_ELEMENT_PROFILE,
     AMINO_ACIDS,
@@ -289,10 +289,15 @@ def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> 
 
 @dataclass
 class ReceptorContext:
-    """Receptor-side constants reused across every inversion step."""
+    """Receptor-side constants reused across every inversion step.
+
+    ``field_values`` holds the receptor encoding's ``HEAD_ORDERS`` channels
+    as numpy arrays (order 0 only): attention and the heads read nothing
+    else, so :func:`prepare_receptor` encodes no other order.
+    """
 
     points: np.ndarray
-    field_values: dict                  # numpy irreps channels
+    field_values: dict                  # {order: (n, c, 2l+1) numpy channel}
 
     def field(self):
         from .equivariant import IrrepsField
@@ -302,7 +307,7 @@ class ReceptorContext:
 
 def prepare_receptor(mdl: PipelineModel, params: dict, cloud) -> ReceptorContext:
     field = mdl.encode(params, cloud.features, cloud.points, "protein",
-                       geom=mdl.precompute_geometry(cloud.points, "protein"))
+                       geom=mdl.precompute_geometry(cloud.points, "protein"), orders=HEAD_ORDERS)
     # Copied after the encoder's large temporaries are freed: the originals sit
     # between those temporaries, and keeping them would split the free heap
     # that the next receptor's encode needs in one piece.
@@ -340,7 +345,7 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
 
     x_t = Tensor(state.x, requires_grad=need_grad, op="param")
     f_t = Tensor(state.f, requires_grad=need_grad, op="param")
-    enc, _ = mdl.encoder_for(state.molecule_type)
+    enc = mdl.encoder_for(state.molecule_type)
     if frozen is None:
         frozen = {
             "nbr": knn_indices(state.x, enc.conv_k),
@@ -349,7 +354,7 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
         }
     feats = state_features(x_t, f_t, state.molecule_type, cfg)
     geom = conv_geometry(x_t, frozen["nbr"], enc.basis, enc.max_order)
-    z_l = mdl.encode(params, feats, x_t, state.molecule_type, geom=geom)
+    z_l = mdl.encode(params, feats, x_t, state.molecule_type, geom=geom, orders=HEAD_ORDERS)
     pocket, y_int, dg_hat, gate = mdl.complex_heads(params, ctx.field(), z_l)
     y_geom = frozen["y_geom"]
     l_pocket = pocket_loss(pocket, y_geom, y_geom, cfg.lambda_p)

@@ -33,14 +33,16 @@ __all__ = [
 N_SCALARS_PROTEIN = 14   # 4 chem + 6 atom + 3 geom + type flag
 N_SCALARS_MOLECULE = 16  # 4 chem + 8 atom + 3 geom + type flag
 N_CONTEXT = 3            # nearest visible patches fed to the patch decoder
+HEAD_ORDERS = (0,)       # encoder orders that attention and the task heads read
+TOKEN_ORDERS = (0, 1)    # encoder orders that patch tokens pool
 
 
 class PipelineModel:
     """Hyper-shape and parameter bookkeeping for the full pipeline."""
 
     def __init__(self, cfg: RunConfig):
-        self.enc_protein = Encoder(N_SCALARS_PROTEIN, cfg)
-        self.enc_molecule = Encoder(N_SCALARS_MOLECULE, cfg)
+        self.enc_protein = Encoder(N_SCALARS_PROTEIN, cfg, prefix="encp.")
+        self.enc_molecule = Encoder(N_SCALARS_MOLECULE, cfg, prefix="encm.")
         self.d0 = cfg.multiplicity
         self.d_code = cfg.d_code
         self.n_codes = cfg.codebook_size
@@ -49,10 +51,7 @@ class PipelineModel:
 
     # -- parameter table -------------------------------------------------
     def param_shapes(self) -> dict[str, tuple]:
-        shapes: dict[str, tuple] = {}
-        for prefix, enc in (("encp", self.enc_protein), ("encm", self.enc_molecule)):
-            for key, shape in enc.param_shapes().items():
-                shapes[f"{prefix}.{key}"] = shape
+        shapes = {**self.enc_protein.param_shapes(), **self.enc_molecule.param_shapes()}
         for prefix in ("liftp", "liftm"):
             shapes[f"{prefix}.w"] = (4 * self.d0, self.d_code)  # l=0 (c) + l=1 (3c) pooled
             shapes[f"{prefix}.b"] = (self.d_code,)
@@ -91,21 +90,25 @@ class PipelineModel:
         return params
 
     # -- encoding ----------------------------------------------------------
-    def encoder_for(self, molecule_type: str) -> tuple[Encoder, str]:
-        if molecule_type == "protein":
-            return self.enc_protein, "encp"
-        return self.enc_molecule, "encm"
+    def encoder_for(self, molecule_type: str) -> Encoder:
+        return self.enc_protein if molecule_type == "protein" else self.enc_molecule
 
     def precompute_geometry(self, points: np.ndarray, molecule_type: str) -> dict:
-        enc, _ = self.encoder_for(molecule_type)
+        enc = self.encoder_for(molecule_type)
         nbr = knn_indices(np.asarray(points), enc.conv_k)
         return conv_geometry(points, nbr, enc.basis, enc.max_order)
 
     def encode(self, params: dict, features, points, molecule_type: str,
-               geom: dict | None = None) -> IrrepsField:
-        enc, prefix = self.encoder_for(molecule_type)
-        scoped = {k[len(prefix) + 1 :]: v for k, v in params.items() if k.startswith(prefix + ".")}
-        return enc.apply(scoped, features, points, geom=geom)
+               geom: dict | None = None, orders=None) -> IrrepsField:
+        """Encode one cloud with its molecule type's encoder.
+
+        ``orders`` (default: every order) names the output orders the caller
+        reads: ``HEAD_ORDERS`` for attention and the heads, ``TOKEN_ORDERS``
+        for patch tokens. Orders left out are not computed; the ones returned
+        are bitwise those of a full encode.
+        """
+        return self.encoder_for(molecule_type).apply(params, features, points, geom=geom,
+                                                     orders=orders)
 
     def patch_tokens(self, params: dict, field: IrrepsField, member_idx: np.ndarray,
                      molecule_type: str) -> Tensor:
@@ -115,7 +118,7 @@ class PipelineModel:
         p, k = member_idx.shape
         flat_idx = member_idx.reshape(-1)
         pooled = []
-        for l in (0, 1):
+        for l in TOKEN_ORDERS:
             ch = field.channels[l]
             n, c, m = ch.shape
             grouped = ad.gather(ad.reshape(ch, (n, c * m)), flat_idx)

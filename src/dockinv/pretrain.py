@@ -19,6 +19,7 @@ from .autodiff import Tensor
 from .config import RunConfig
 from .model import (
     N_CONTEXT,
+    TOKEN_ORDERS,
     PipelineModel,
     as_tensors,
     clip_grads,
@@ -185,7 +186,7 @@ def _forward_sample(mdl, params_t, sample: PretrainSample, cfg: RunConfig,
     plan = draw_mask_plan(len(sample.patches.center_indices), cfg.mask_ratio,
                           int(rng.integers(0, 2**31 - 1)))
     field = mdl.encode(params_t, sample.cloud.features, sample.cloud.points,
-                       sample.cloud.molecule_type, geom=sample.geom)
+                       sample.cloud.molecule_type, geom=sample.geom, orders=TOKEN_ORDERS)
     tokens = mdl.patch_tokens(params_t, field, sample.patches.member_indices,
                               sample.cloud.molecule_type)
     masked_tokens = ad.gather(tokens, plan.masked)

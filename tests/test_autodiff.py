@@ -32,11 +32,9 @@ PRIMITIVE_CASES = {
     "clip": lambda x: ad.reduce_sum(ad.clip(x, -0.5, 0.5) ** 2),
     "sigmoid": lambda x: ad.reduce_sum(ad.sigmoid(x) ** 2),
     "tanh": lambda x: ad.reduce_sum(ad.tanh(x) ** 2),
-    "relu": lambda x: ad.reduce_sum(ad.relu(ad.add(x, 0.1)) ** 2),
     "reshape": lambda x: ad.reduce_sum(ad.reshape(x, (2, 6)) ** 2),
     "transpose": lambda x: ad.reduce_sum(ad.transpose(ad.reshape(x, (3, 4))) ** 2),
     "cos": lambda x: ad.reduce_sum(ad.cos(x) ** 2),
-    "sin": lambda x: ad.reduce_sum(ad.sin(x) ** 2),
 }
 
 
@@ -46,8 +44,6 @@ def kink_gap(name, x0):
         rows = np.sort(np.reshape(x0, (3, 4)), axis=1)
         gaps = rows[:, -1] - rows[:, -2] if name == "max" else rows[:, 1] - rows[:, 0]
         return gaps.min()
-    if name == "relu":
-        return np.abs(x0 + 0.1).min()
     if name == "clip":
         return np.abs(np.abs(x0) - 0.5).min()
     return np.inf

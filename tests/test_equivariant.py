@@ -129,6 +129,38 @@ class TestCoupling:
                 np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def per_triple_coupling_reference(l_out, l_f, l_in):
+    """The coupling solve as it ran before its rotations were cached: four
+    rotations drawn, and their operators built, for every triple."""
+    no, nf, ni = 2 * l_out + 1, 2 * l_f + 1, 2 * l_in + 1
+    rng = np.random.default_rng(20240002)
+    blocks = []
+    for _ in range(4):
+        rot = eq.random_rotation(rng)
+        d_out = eq.rotation_operator(l_out, rot)
+        d_fi = np.kron(eq.rotation_operator(l_f, rot), eq.rotation_operator(l_in, rot))
+        blocks.append(np.kron(np.eye(nf * ni), d_out) - np.kron(d_fi.T, np.eye(no)))
+    _, _, vh = np.linalg.svd(np.vstack(blocks))
+    t = vh[-1].reshape(nf * ni, no).T
+    t = t / np.linalg.norm(t)
+    flat = t.reshape(-1)
+    if flat[np.argmax(np.abs(flat))] < 0:
+        t = -t
+    return t.reshape(no, nf, ni)
+
+
+def test_coupling_solve_matches_per_triple_reference(monkeypatch):
+    # a fresh solve, as in a new process: no cached tensors or operators
+    monkeypatch.setattr(eq, "_COUPLING_CACHE", {})
+    monkeypatch.setattr(eq, "_COUPLING_OPERATORS", None)
+    triples = [(lo, lf, li) for li in range(3) for lf in range(3) for lo in range(3)
+               if abs(lf - li) <= lo <= lf + li]
+    assert len(triples) == 15
+    for triple in triples:
+        assert np.array_equal(eq.coupling_tensor(*triple),
+                              per_triple_coupling_reference(*triple)), triple
+
+
 class TestRadialBasis:
     def test_zero_beyond_cutoff(self):
         basis = eq.RadialBasis(5.0, 8)
@@ -288,13 +320,17 @@ def _bmm(a, b):
                         lambda g: (g @ b.values.transpose(0, 2, 1), a.values.transpose(0, 2, 1) @ g))
 
 
-def per_op_reference(layer, params, field, geom):
+def per_op_reference(layer, params, field, geom, orders=None):
     """The conv as about ten autodiff ops per path, as it ran before the
-    one-node-per-order primitive: the same numpy calls in the same order."""
+    one-node-per-order primitive: the same numpy calls in the same order,
+    over the paths into ``orders`` (default: every output order)."""
     n, k, flat, pool = geom["n"], geom["k"], geom["flat"], geom["pool"]
     n_basis = layer.basis.n_basis
+    orders = layer.layout_out if orders is None else orders
     gathered, sums = {}, {}
     for (l_in, l_f, l_out) in layer.paths:
+        if l_out not in orders:
+            continue
         c_in, c_out = layer.layout_in[l_in], layer.layout_out[l_out]
         ni, no = 2 * l_in + 1, 2 * l_out + 1
         if l_in not in gathered:
@@ -419,6 +455,61 @@ class TestConvAgainstPerOpReference:
         assert peak < 45e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def _order_loss(field, weights):
+    return ad.reduce_sum(ad.concat([ad.reshape(ad.mul(field.channels[l], weights[l]), (-1,))
+                                    for l in sorted(weights)]))
+
+
+class TestOutputOrders:
+    """An encode over fewer orders returns those orders bitwise as a full
+    encode does, and their gradients too, and skips the rest."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["toy", "default"])
+    @pytest.mark.parametrize("inputs", ["numpy", "param-grad", "coord-grad"])
+    @pytest.mark.parametrize("orders", [(0,), (0, 1)], ids=["0", "01"])
+    def test_restricted_encode_matches_full(self, cfg, inputs, orders):
+        rng = np.random.default_rng(20)
+        enc, params = build_encoder(cfg)
+        pts, feats = random_cloud(rng, 30, scale=2.0)
+        weights = {l: rng.standard_normal((30, enc.out_layout[l], 2 * l + 1)) for l in orders}
+        nbr = eq.knn_indices(pts, enc.conv_k)
+
+        def encode(restrict):
+            ps = {key: ad.param(v) if inputs == "param-grad" else v for key, v in params.items()}
+            x = ad.param(pts) if inputs == "coord-grad" else pts
+            geom = eq.conv_geometry(x, nbr, enc.basis, enc.max_order)
+            field = enc.apply(ps, feats, x, geom=geom, orders=orders if restrict else None)
+            if inputs != "numpy":
+                ad.backward(_order_loss(field, weights))
+            leaves = ps if inputs == "param-grad" else {"x": x}
+            grads = {key: t.grad for key, t in leaves.items() if isinstance(t, ad.Tensor)}
+            return field.values(), grads, set(geom["kc"])
+
+        got, got_grads, got_kc = encode(True)
+        ref, ref_grads, ref_kc = encode(False)
+        assert sorted(got) == list(orders) and sorted(ref) == [0, 1, 2]
+        for l in orders:
+            assert got[l].tobytes() == ref[l].tobytes(), l
+        assert got_grads.keys() == ref_grads.keys()
+        for key, g in ref_grads.items():
+            if g is None:
+                assert got_grads[key] is None, key
+            else:
+                assert got_grads[key].tobytes() == g.tobytes(), key
+        # the skipped paths of the last layer fill no coupled-harmonics entry
+        *hidden, last = enc.layers
+        run = [path for layer in hidden for path in layer.paths]
+        run += [path for path in last.paths if path[2] in orders]
+        assert got_kc == {(l_out, l_f, l_in) for (l_in, l_f, l_out) in run if l_f > 0}
+        assert got_kc < ref_kc
+
+    def test_unknown_order_rejected(self, small_cfg):
+        enc, params = build_encoder(small_cfg)
+        pts, feats = random_cloud(np.random.default_rng(21), 8)
+        with pytest.raises(eq.EquivariantError):
+            enc.apply(params, feats, pts, orders=(0, 3))
+
+
 class TestConvAgainstPerEdgeReference:
     @pytest.mark.parametrize("cfg", [toy_config(), RunConfig().validate()], ids=["toy", "default"])
     def test_every_path_of_both_layers(self, cfg):
@@ -529,14 +620,13 @@ class TestAttention:
         np.testing.assert_allclose(scores.values, 1.0 / 6.0, atol=1e-12)
 
     def test_single_ligand_point_passthrough(self, small_cfg):
+        # only order 0 is attended: no stage reads a higher attended order
         zr, zl, attn, *_ = self._setup(small_cfg, n_l=1)
         attended, _, _ = eq.equivariant_attention(zr, zl, attn)
-        for l, ch in zl.values().items():
-            n_l, c, m = ch.shape
-            w = attn[f"attn.wv{l}"]
-            proj = np.einsum("ncm,cd->ndm", ch, w)
-            expected = np.repeat(proj, attended.channels[l].shape[0], axis=0)
-            np.testing.assert_allclose(attended.values()[l], expected, atol=1e-12)
+        assert set(attended.channels) == {0}
+        proj = np.einsum("ncm,cd->ndm", zl.values()[0], attn["attn.wv0"])
+        expected = np.repeat(proj, attended.channels[0].shape[0], axis=0)
+        np.testing.assert_allclose(attended.values()[0], expected, atol=1e-12)
 
     def test_empty_ligand_rejected(self, small_cfg):
         zr, zl, attn, *_ = self._setup(small_cfg)

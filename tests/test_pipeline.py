@@ -9,8 +9,9 @@ from conftest import write_pdb
 
 from dockinv import autodiff as ad
 from dockinv import fileio, inversion, neighbors, theory, toydata
-from dockinv.finetune import finetune_run, load_complex_dir
-from dockinv.pretrain import pretrain_run
+from dockinv.finetune import finetune_loss, finetune_run, load_complex_dir
+from dockinv.model import PipelineModel, as_tensors
+from dockinv.pretrain import pretrain_loss, pretrain_run
 from dockinv.structures import AMINO_ACIDS, write_molecule
 
 
@@ -54,13 +55,79 @@ def test_objective_gradient_matches_central_differences(toy_cfg, mdl, init_param
         assert np.abs(report.analytic).max() > 1e-4, kind  # not a vacuous match
 
 
+def _objective_tensors(start, ctx, mdl, params, cfg, need_grad=True):
+    """(parts, gx, gf, tensors created) of one composite_objective call."""
+    before = ad.constant(0.0).node_id
+    parts, gx, gf, _ = inversion.composite_objective(start, ctx, mdl, params, cfg,
+                                                     need_grad=need_grad)
+    return parts, gx, gf, ad.constant(0.0).node_id - before - 1
+
+
 def test_objective_tensor_count_stays_bounded(toy_cfg, mdl, init_params, ctx, start):
     # every tensor draws a node_id; written per op, the conv and _geom_block
-    # alone brought the count to 678, which is Python overhead on every step
+    # alone brought the count to 678, and encoding orders 1 and 2 that no
+    # head reads to 383, which is Python overhead on every step
     for need_grad in (True, False):
-        before = ad.constant(0.0).node_id
-        inversion.composite_objective(start, ctx, mdl, init_params, toy_cfg, need_grad=need_grad)
-        assert ad.constant(0.0).node_id - before - 1 <= 383, need_grad
+        count = _objective_tensors(start, ctx, mdl, init_params, toy_cfg, need_grad)[3]
+        assert count <= 335, need_grad
+
+
+def test_objective_over_head_orders_matches_full_encode(toy_cfg, mdl, init_params,
+                                                        receptor_cloud, monkeypatch):
+    # the receptor and ligand encodes compute order 0 only; an objective over
+    # full encodes gives bitwise the same F and gradients from more tensors
+    def run():
+        ctx_ = inversion.prepare_receptor(mdl, init_params, receptor_cloud[0])
+        start_ = inversion.initial_state(ctx_, mdl, init_params, toy_cfg, "small-molecule", 0)
+        return ctx_, _objective_tensors(start_, ctx_, mdl, init_params, toy_cfg)
+
+    ctx_got, (parts, gx, gf, count) = run()
+    full_encode = PipelineModel.encode
+    monkeypatch.setattr(PipelineModel, "encode",
+                        lambda self, *args, orders=None, **kw: full_encode(self, *args, **kw))
+    ctx_ref, (parts_ref, gx_ref, gf_ref, count_ref) = run()
+    assert sorted(ctx_got.field_values) == [0] and sorted(ctx_ref.field_values) == [0, 1, 2]
+    assert ctx_got.field_values[0].tobytes() == ctx_ref.field_values[0].tobytes()
+    assert parts == parts_ref
+    assert gx.tobytes() == gx_ref.tobytes() and gf.tobytes() == gf_ref.tobytes()
+    assert count < count_ref
+
+
+class _ReadRecorder(dict):
+    """A parameter dict that records every name read from it."""
+
+    def __init__(self, params, reads: set):
+        super().__init__(params)
+        self.reads = reads
+
+    def __getitem__(self, name):
+        self.reads.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        if name in self:
+            self.reads.add(name)
+        return super().get(name, default)
+
+
+def test_parameters_no_stage_reads(toy_cfg, mdl, init_params, surface_corpus, complex_corpus,
+                                   receptor_cloud):
+    # these arrays feed only encoder and attention outputs that nothing reads;
+    # they stay in the table because deleting them changes the draws of
+    # init_params and every checkpoint
+    reads: set = set()
+    assert {s.cloud.molecule_type for s in surface_corpus} == {"protein", "small-molecule"}
+    pretrain_loss(mdl, _ReadRecorder(as_tensors(init_params), reads), surface_corpus, toy_cfg, 0)
+    finetune_loss(mdl, _ReadRecorder(as_tensors(init_params), reads), complex_corpus[0], toy_cfg)
+    params = _ReadRecorder(init_params, reads)
+    ctx = inversion.prepare_receptor(mdl, params, receptor_cloud[0])
+    for mode in ("continuous-pgd", "discrete-accept"):
+        inversion.run_inversion(ctx, mdl, params, toy_cfg, seed=0, mode=mode, steps=2)
+    unread = sorted(set(mdl.param_shapes()) - reads)
+    assert unread == sorted(
+        ["attn.wv1", "attn.wv2"]
+        + [f"{enc}.enc1.w{path}" for enc in ("encp", "encm")
+           for path in ("022", "112", "122", "202", "212", "222")])
 
 
 def geom_block_per_op_reference(x, x_np, k_geom):
