@@ -12,8 +12,11 @@ module may build a larger computation as one graph node with
 vjp. Such a vjp saves only the arrays its gradients read, and only for
 parents that require grad, so a no-grad call saves nothing. Its output is
 checked for finiteness once, like any op output; its intermediates are not.
-``equivariant.ConvLayer.apply`` (one node per output order) and
-``inversion._geom_block`` are built this way.
+The encoder's edge geometry (``equivariant.conv_geometry``: the radial
+pool and the edge harmonics), its convolution (``equivariant.ConvLayer.apply``,
+one node per output order) and the ligand descriptors of
+``inversion.state_features`` (``_pairwise_omega``, ``_geom_block``) are built
+this way.
 
 Each op pays a fixed Python cost, so the core keeps it small: a binary op
 lets numpy broadcast and turns numpy's ``ValueError`` into a
@@ -50,10 +53,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
-    "einsum",
-    "exp",
     "log",
-    "power",
     "sigmoid",
     "tanh",
     "clip",
@@ -68,7 +68,6 @@ __all__ = [
     "reduce_min",
     "reshape",
     "transpose",
-    "cos",
 ]
 
 
@@ -209,9 +208,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -363,13 +359,6 @@ def neg(a) -> Tensor:
     return _make(-a.values, "neg", (a,), lambda g: (-g,))
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.values)
-    return _make(out, "exp", (a,), lambda g: (g * out,))
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.values <= 0.0):
@@ -377,18 +366,6 @@ def log(a) -> Tensor:
     av = a.values
     out = np.log(av)
     return _make(out, "log", (a,), lambda g: (g / av,))
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    if p != round(p) and np.any(a.values < 0.0):
-        raise DomainError(f"power({p}) of negative input")
-    if p < 1.0 and p != 0.0 and np.any(a.values == 0.0):
-        raise DomainError(f"power({p}) at zero has unbounded derivative")
-    av = a.values
-    out = av**p
-    return _make(out, "power", (a,), lambda g: (g * p * av ** (p - 1.0),))
 
 
 def sigmoid(a) -> Tensor:
@@ -416,12 +393,6 @@ def clip(a, lo=None, hi=None) -> Tensor:
     return _make(out, "clip", (a,), lambda g: (g * mask,))
 
 
-def cos(a) -> Tensor:
-    a = as_tensor(a)
-    av = a.values
-    return _make(np.cos(av), "cos", (a,), lambda g: (-g * np.sin(av),))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra / reductions
 # ---------------------------------------------------------------------------
@@ -440,31 +411,6 @@ def matmul(a, b) -> Tensor:
         return (None if bv is None else g @ bv.T, None if av is None else av.T @ g)
 
     return _make(out, "matmul", (a, b), vjp)
-
-
-def einsum(spec: str, a, b) -> Tensor:
-    """Two-operand ``np.einsum`` with an explicit output, e.g. ``"ef,fio->eio"``.
-
-    Each subscript appears once per term and in at least two of the three
-    terms, so each vjp is the einsum that puts ``g`` where its operand was.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    ins, arrow, so = spec.partition("->")
-    sa, _, sb = ins.partition(",")
-    terms = (sa, sb, so)
-    if not arrow or any(len(set(t)) != len(t) or sum(c in u for u in terms) < 2
-                        for t in terms for c in t):
-        raise ContractError(f"einsum spec {spec!r} is not a two-operand contraction")
-    if len(sa) != a.ndim or len(sb) != b.ndim:
-        raise ShapeError(f"einsum {spec!r} does not fit shapes {a.shape} and {b.shape}")
-    av = a.values if b.requires_grad else None
-    bv = b.values if a.requires_grad else None
-
-    def vjp(g):
-        return (None if bv is None else np.einsum(f"{so},{sb}->{sa}", g, bv),
-                None if av is None else np.einsum(f"{so},{sa}->{sb}", g, av))
-
-    return _make(np.einsum(spec, a.values, b.values), "einsum", (a, b), vjp)
 
 
 def _norm_axis(axis, ndim):

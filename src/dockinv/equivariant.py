@@ -8,9 +8,10 @@ Order 0 is rotation-invariant; higher orders transform by the operators from
 transformation rule. Component order follows the harmonics: the ``l=1`` basis
 is ``(y, z, x)``.
 
-The encoder lifts numpy inputs to constant Tensors, so receptors (no grad),
-training samples (parameter grads) and ligand states (coordinate grads) run
-the same ops; ``requires_grad`` on the inputs decides what the graph keeps.
+The encoder lifts numpy points and features to constant Tensors (numpy
+weights are read in place), so receptors (no grad), training samples
+(parameter grads) and ligand states (coordinate grads) run the same code;
+``requires_grad`` on the inputs decides what the graph keeps.
 
 Each caller names the output orders it reads (``orders`` of
 :meth:`Encoder.apply` and :meth:`ConvLayer.apply`): the last conv layer runs
@@ -63,8 +64,8 @@ class EquivariantError(ValueError):
 def _sph_columns(l: int, x, y, z):
     """Harmonic components as expressions in coordinate columns.
 
-    Works for numpy arrays and Tensors alike; all polynomials are homogeneous
-    so the same code serves unit directions exactly.
+    All polynomials are homogeneous, so the same code serves unit directions
+    exactly.
     """
     if l == 0:
         return [x * 0.0 + _C0]
@@ -102,13 +103,21 @@ def real_spherical_harmonics(l: int, direction: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _sph_matrix_np(l: int, unit: np.ndarray) -> np.ndarray:
+def _sph_matrix(l: int, unit: np.ndarray) -> np.ndarray:
     return np.stack(_sph_columns(l, unit[:, 0], unit[:, 1], unit[:, 2]), axis=-1)
 
 
-def _sph_matrix(l: int, unit: Tensor) -> Tensor:
-    cols = _sph_columns(l, unit[:, 0], unit[:, 1], unit[:, 2])
-    return ad.concat([ad.reshape(c, (-1, 1)) for c in cols], axis=1)
+def _sph_matrix_vjp(l: int, unit: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(E, 3) gradient on the directions of the (E, 2l+1) harmonics' gradient ``g``."""
+    x, y, z = unit[:, 0], unit[:, 1], unit[:, 2]
+    if l == 1:
+        return _C1 * g[:, [2, 0, 1]]
+    g0, g1, g2, g3, g4 = g.T
+    return np.stack([
+        _C2A * (y * g0 + z * g3) + x * (2.0 * _C2C * g4 - 2.0 * _C2B * g2),
+        _C2A * (x * g0 + z * g1) - y * (2.0 * _C2B * g2 + 2.0 * _C2C * g4),
+        _C2A * (y * g1 + x * g3) + z * (4.0 * _C2B * g2),
+    ], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +150,8 @@ def rotation_operator(l: int, rotation: np.ndarray) -> np.ndarray:
         return r[np.ix_(perm, perm)]
     if l == 2:
         v = _fit_dirs()
-        a = _sph_matrix_np(2, v)
-        b = _sph_matrix_np(2, v @ r.T)
+        a = _sph_matrix(2, v)
+        b = _sph_matrix(2, v @ r.T)
         d_t, *_ = np.linalg.lstsq(a, b, rcond=None)
         return d_t.T
     raise EquivariantError(f"unsupported rotation order {l}")
@@ -266,15 +275,22 @@ class RadialBasis:
         spacing = self.cutoff / max(self.n_basis - 1, 1)
         self.inv_two_sq = 1.0 / (2.0 * spacing * spacing)
 
-    def evaluate(self, r) -> Tensor:
-        """(E, n_basis) basis values at edge lengths ``r`` (numpy or Tensor)."""
-        r = ad.as_tensor(r)
-        mask = (r.values < self.cutoff).astype(float)
-        env_raw = ad.mul(ad.add(ad.cos(ad.div(ad.mul(r, np.pi), self.cutoff)), 1.0), 0.5)
-        env = ad.mul(env_raw, mask)
-        rr = ad.reshape(r, (-1, 1))
-        g = ad.exp(ad.mul(ad.power(ad.sub(rr, self.centers[None, :]), 2.0), -self.inv_two_sq))
-        return ad.mul(g, ad.reshape(env, (-1, 1)))
+    def evaluate(self, r: np.ndarray) -> np.ndarray:
+        """(E, n_basis) basis values at the (E,) edge lengths ``r``."""
+        mask = (r < self.cutoff).astype(float)
+        env = ((np.cos((r * np.pi) / self.cutoff) + 1.0) * 0.5) * mask
+        g = np.exp(((r.reshape(-1, 1) - self.centers) ** 2.0) * -self.inv_two_sq)
+        return g * env.reshape(-1, 1)
+
+    def derivative(self, r: np.ndarray) -> np.ndarray:
+        """(E, n_basis) derivatives of :meth:`evaluate` in ``r``."""
+        mask = (r < self.cutoff).astype(float)
+        arg = (r * np.pi) / self.cutoff
+        env = ((np.cos(arg) + 1.0) * 0.5) * mask
+        d_env = (-0.5 * np.pi / self.cutoff) * np.sin(arg) * mask
+        diff = r.reshape(-1, 1) - self.centers
+        g = np.exp((diff ** 2.0) * -self.inv_two_sq)
+        return g * (d_env.reshape(-1, 1) - (2.0 * self.inv_two_sq) * diff * env.reshape(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +305,59 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
 def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis, max_lf: int = 2) -> dict:
     """Edge quantities shared by every conv layer over one neighbor table.
 
-    ``coords`` (numpy or Tensor) is lifted with :func:`ad.as_tensor`, so the
-    edge Tensors are differentiable through positions exactly when ``coords``
-    requires grad. ``pool`` (n, n_basis, k) holds each point's radial basis
-    values over its k neighbours, laid out to pool a path's per-edge products
-    with one batched matmul. ``edge_scale`` (E, 1, 1) is 1/k on a neighbour
-    edge and 0 on a self-edge, whose direction is zero: it masks every
-    l_f > 0 path and carries the neighbour mean's 1/k. ``kc`` starts empty:
-    :meth:`ConvLayer.apply` fills one entry per (l_out, l_f, l_in) path with
-    l_f > 0 the first time the path runs, and every later layer or encode over
-    this geometry reuses it.
+    ``pool`` (n, n_basis, k) holds each point's radial basis values over its
+    k neighbours, laid out to pool a path's per-edge products with one
+    batched matmul; ``sph[l_f]`` (E, 2 l_f + 1) holds the order-l_f harmonics
+    of the edge directions, for l_f = 1..``max_lf``. Each is one autodiff node
+    (ops ``"radial-pool"`` and ``"edge-harmonics"``) computed in numpy, whose
+    one parent is ``coords`` lifted with :func:`ad.as_tensor`: they are
+    differentiable through positions exactly when ``coords`` requires grad,
+    and a vjp saves only the edge arrays its gradient reads.
+
+    ``edge_scale`` (E, 1, 1) is 1/k on a neighbour edge and 0 on a self-edge,
+    whose direction is zero: it masks every l_f > 0 path and carries the
+    neighbour mean's 1/k. ``kc`` starts empty: :meth:`ConvLayer.apply` fills
+    one numpy entry per (l_out, l_f, l_in) path with l_f > 0 the first time
+    the path runs, and every later layer or encode over this geometry reuses
+    it.
     """
     n, k = nbr_idx.shape
     flat = nbr_idx.reshape(-1)
     src = np.repeat(np.arange(n), k)
     edge_scale = (flat != src).astype(float)[:, None, None] / k
     coords = ad.as_tensor(coords)
-    dvec = ad.sub(ad.gather(coords, flat), ad.gather(coords, src))
-    rsq = ad.reduce_sum(ad.mul(dvec, dvec), axis=1)
-    r = ad.power(ad.add(rsq, 1e-24), 0.5)
-    unit = ad.div(dvec, ad.reshape(r, (-1, 1)))
-    sph = {l_f: _sph_matrix(l_f, unit) for l_f in range(1, max_lf + 1)}
-    pool = ad.transpose(ad.reshape(basis.evaluate(r), (n, k, basis.n_basis)), (0, 2, 1))
+    x = coords.values
+    dvec = x[flat] - x[src]
+    r = ((dvec * dvec).sum(axis=1) + 1e-24) ** 0.5
+    unit = dvec / r.reshape(-1, 1)
+    n_basis = basis.n_basis
+    pool_v = np.ascontiguousarray(basis.evaluate(r).reshape(n, k, n_basis).transpose(0, 2, 1))
+    pool_vjp = sph_vjp = None
+    if coords.requires_grad:
+        d_basis = basis.derivative(r)                                   # (E, n_basis)
+
+        def edges_to_points(g_dvec):
+            # dvec = x[flat] - x[src], and src repeats each point k times
+            g_x = np.zeros((n, 3))
+            np.add.at(g_x, flat, g_dvec)
+            return (g_x - g_dvec.reshape(n, k, 3).sum(axis=1),)
+
+        def pool_vjp(g):
+            # dr / d dvec = dvec / r = unit, the 1e-24 notwithstanding
+            g_r = (g.transpose(0, 2, 1).reshape(-1, n_basis) * d_basis).sum(axis=1)
+            return edges_to_points(unit * g_r.reshape(-1, 1))
+
+        def sph_vjp(l_f):
+            def vjp(g):
+                g_unit = _sph_matrix_vjp(l_f, unit, g)
+                radial = (g_unit * unit).sum(axis=1, keepdims=True)
+                return edges_to_points((g_unit - unit * radial) / r.reshape(-1, 1))
+            return vjp
+
+    pool = ad.primitive(pool_v, "radial-pool", (coords,), pool_vjp)
+    sph = {l_f: ad.primitive(_sph_matrix(l_f, unit), "edge-harmonics", (coords,),
+                             None if sph_vjp is None else sph_vjp(l_f))
+           for l_f in range(1, max_lf + 1)}
     return {"n": n, "k": k, "flat": flat, "edge_scale": edge_scale, "pool": pool,
             "sph": sph, "kc": {}}
 
@@ -331,10 +378,14 @@ class ConvLayer:
 
     Each output order is one autodiff node (op ``"conv"``) with a
     hand-written vjp, built by :func:`_conv_order` over every path into that
-    order. Its parents are ``geom["pool"]`` and, of the input channels, each
-    path's cached coupled harmonics ``geom["kc"]``, each path's weight and
-    (order 0) the bias, those that require grad; through ``pool`` and ``kc``
-    coordinate gradients reach :func:`conv_geometry`.
+    order. Its parents are ``geom["pool"]`` and, of the input channels, the
+    edge harmonics ``geom["sph"][l_f]`` of its l_f > 0 paths, each path's
+    weight and (order 0) the bias, those that are grad-requiring Tensors;
+    through ``pool`` and ``sph`` coordinate gradients reach
+    :func:`conv_geometry`. Weights and bias given as numpy arrays are read in
+    place. A path's coupled harmonics ``kc`` are a numpy constant of the
+    geometry, cached in ``geom["kc"]``, that the node differentiates through
+    itself.
     """
 
     def __init__(self, name: str, layout_in: dict[int, int], layout_out: dict[int, int],
@@ -385,112 +436,127 @@ class ConvLayer:
             if l_out not in orders:
                 continue
             cg = coupling_tensor(l_out, l_f, l_in)                             # (no, nf, ni)
+            sph = None
             if l_f == 0:
                 kc = np.ascontiguousarray(cg[:, 0, :].T * (_C0 / k))           # (ni, no) constant
             else:
+                sph = geom["sph"][l_f]
                 kc = geom["kc"].get((l_out, l_f, l_in))
                 if kc is None:
                     # (E, ni, no): coupling contracted with the harmonics,
                     # scaled by edge_scale, laid out for the per-edge product
-                    kc = ad.mul(ad.einsum("ef,fio->eio", geom["sph"][l_f], cg.transpose(1, 2, 0)),
-                                geom["edge_scale"])
+                    kc = (np.einsum("ef,fio->eio", sph.values,
+                                    np.ascontiguousarray(cg.transpose(1, 2, 0)))
+                          * geom["edge_scale"])
                     geom["kc"][(l_out, l_f, l_in)] = kc
-            w = ad.as_tensor(params[f"{self.name}.w{l_in}{l_f}{l_out}"])
-            terms.setdefault(l_out, []).append((l_in, kc, w))
+            terms.setdefault(l_out, []).append(
+                (l_in, kc, sph, cg, params[f"{self.name}.w{l_in}{l_f}{l_out}"]))
         bias = params.get(f"{self.name}.bias0")
         out = {l_out: _conv_order(terms[l_out], channels, gathered, geom, self.basis.n_basis,
-                                  ad.as_tensor(bias) if l_out == 0 and bias is not None else None)
+                                  bias if l_out == 0 else None)
                for l_out in sorted(terms)}
         return IrrepsField(out)
 
 
 def _conv_order(terms: list, channels: dict, gathered: dict, geom: dict, n_basis: int,
-                bias: Tensor | None) -> Tensor:
+                bias) -> Tensor:
     """The (n, c_out, 2 l_out + 1) output of every path into one order, as one node.
 
-    ``terms`` holds one ``(l_in, kc, w)`` per path: ``kc`` is the (ni, no)
-    constant coupling of an l_f = 0 path or the (E, ni, no) coupled-harmonics
-    Tensor of an l_f > 0 path. A path computes ``y = G @ kc`` per edge (G the
-    gathered input channel), pools it with ``pool @ y``, lays the result out
-    as one row per (point, output component) and applies its weights; the
-    paths' messages are summed, then the bias is added. The vjp keeps G only
-    for a ``kc`` that requires grad, y only when ``pool`` does, and a path's
-    rows only when its weight does.
+    ``terms`` holds one ``(l_in, kc, sph, cg, w)`` per path, ``cg`` its
+    (no, nf, ni) coupling: ``kc`` is the (ni, no) constant coupling of an
+    l_f = 0 path (``sph`` None) or the (E, ni, no) numpy coupled harmonics of
+    an l_f > 0 path, ``cg`` contracted with the (E, nf) harmonics Tensor
+    ``sph`` and scaled by ``edge_scale``. A path computes ``y = G @ kc`` per
+    edge (G the gathered input channel), pools it with ``pool @ y``, lays the
+    result out as one row per (point, output component) and applies its
+    weights ``w``; the paths' messages are summed, then ``bias`` is added.
+    ``w`` and ``bias`` are Tensors or numpy arrays.
+
+    The parents are ``pool`` and the grad-requiring channels, harmonics,
+    weights and bias; the vjp maps ``G^T g_y`` through ``edge_scale`` and the
+    coupling onto ``sph``. It keeps G only for an ``sph`` that requires grad,
+    y only when ``pool`` does, and a path's rows only when its weight does.
     """
     n, k, flat, pool = geom["n"], geom["k"], geom["flat"], geom["pool"]
     pool_v = pool.values
+    edge_scale = geom["edge_scale"].reshape(-1, 1)
     parents, slots = [pool], {}
 
-    def slot(t: Tensor) -> int | None:
+    def slot(t) -> int | None:
         """Position of a grad-requiring parent; None for one that needs no gradient."""
-        if not t.requires_grad:
+        if not isinstance(t, Tensor) or not t.requires_grad:
             return None
         if id(t) not in slots:
             slots[id(t)] = len(parents)
             parents.append(t)
         return slots[id(t)]
 
+    def values(t) -> np.ndarray:
+        return t.values if isinstance(t, Tensor) else t
+
     # the vjp reads these records, never the parent Tensors: a parent in the
     # closure would keep an intermediate field alive for as long as the graph
     s, saved = None, []
-    for l_in, kc, w in terms:
+    for l_in, kc, sph, cg, w in terms:
         G = gathered[l_in]
         c_in, ni = G.shape[1:]
-        per_edge = isinstance(kc, Tensor)
-        kc_v = kc.values if per_edge else kc
-        no = kc_v.shape[-1]
-        w_mat = w.values.reshape(n_basis * c_in, -1)
-        if per_edge:
-            y = G @ kc_v                                                        # (E, c_in, no)
+        no = kc.shape[-1]
+        w_mat = values(w).reshape(n_basis * c_in, -1)
+        if kc.ndim == 3:
+            y = G @ kc                                                          # (E, c_in, no)
         else:
-            y = G.reshape(-1, ni) @ kc_v                                        # (E*c_in, no)
+            y = G.reshape(-1, ni) @ kc                                          # (E*c_in, no)
         pooled = pool_v @ y.reshape(n, k, c_in * no)                        # (n, n_basis, c_in*no)
         # one row per (point, output component), one column per (basis, input channel)
         rows = pooled.reshape(n, n_basis, c_in, no).transpose(0, 3, 1, 2).reshape(n * no, -1)
         msg = rows @ w_mat                                                      # (n*no, c_out)
         s = msg if s is None else s + msg
-        kc_slot = slot(kc) if per_edge else None
-        saved.append((slot(channels[l_in]), G.shape, kc_slot, kc_v, None if kc_slot is None else G,
-                      slot(w), w.shape, w_mat, y if pool.requires_grad else None,
-                      rows if w.requires_grad else None))
+        ch_slot, sph_slot, w_slot = slot(channels[l_in]), slot(sph), slot(w)
+        saved.append((ch_slot, G.shape, None if ch_slot is None else kc, sph_slot, cg,
+                      None if sph_slot is None else G, w_slot, w.shape, w_mat,
+                      y if pool.requires_grad else None, None if w_slot is None else rows))
         # freed before the next path allocates its own: paths into one order
         # have the same sizes, so keeping them doubles the forward's peak
         del y, pooled, rows
     out = s.reshape(n, no, -1).transpose(0, 2, 1)
     bias_slot = None
     if bias is not None:
-        out = out + bias.values.reshape(1, -1, 1)
+        out = out + values(bias).reshape(1, -1, 1)
         bias_slot = slot(bias)
     n_parents = len(parents)
+
+    def accumulate(grads, i, g):
+        grads[i] = g if grads[i] is None else grads[i] + g
 
     def vjp(g):
         grads = [None] * n_parents
         gs = g.transpose(0, 2, 1).reshape(n * no, -1)                          # (n*no, c_out)
         if bias_slot is not None:
             grads[bias_slot] = g.sum(axis=(0, 2))
-        for ch_slot, g_shape, kc_slot, kc_v, G, w_slot, w_shape, w_mat, y, rows in saved:
+        for ch_slot, g_shape, kc, sph_slot, cg, G, w_slot, w_shape, w_mat, y, rows in saved:
             if rows is not None:
                 grads[w_slot] = (rows.T @ gs).reshape(w_shape)
-            if ch_slot is None and kc_slot is None and y is None:
+            if ch_slot is None and sph_slot is None and y is None:
                 continue
             e, c_in, ni = g_shape
             g_pooled = (gs @ w_mat.T).reshape(n, no, n_basis, c_in).transpose(0, 2, 3, 1)
             g_pooled = g_pooled.reshape(n, n_basis, c_in * no)
             if y is not None:
-                g_pool = g_pooled @ y.reshape(n, k, c_in * no).transpose(0, 2, 1)
-                grads[0] = g_pool if grads[0] is None else grads[0] + g_pool
-            if ch_slot is None and kc_slot is None:
+                accumulate(grads, 0, g_pooled @ y.reshape(n, k, c_in * no).transpose(0, 2, 1))
+            if ch_slot is None and sph_slot is None:
                 continue
             g_y = pool_v.transpose(0, 2, 1) @ g_pooled                          # (n, k, c_in*no)
-            if kc_v.ndim == 2:
-                g_g = g_y.reshape(-1, no) @ kc_v.T                             # (E*c_in, ni)
+            if sph_slot is not None:
+                # kc = einsum("ef,fio->eio", sph, cg^T) * edge_scale
+                g_kc = G.transpose(0, 2, 1) @ g_y.reshape(e, c_in, no)          # (E, ni, no)
+                cg_io = cg.transpose(2, 0, 1).reshape(ni * no, -1)              # (ni*no, nf)
+                accumulate(grads, sph_slot, (g_kc.reshape(e, -1) @ cg_io) * edge_scale)
+            if ch_slot is None:
+                continue
+            if kc.ndim == 2:
+                g_g = g_y.reshape(-1, no) @ kc.T                               # (E*c_in, ni)
             else:
-                g_y = g_y.reshape(e, c_in, no)
-                if kc_slot is not None:
-                    grads[kc_slot] = G.transpose(0, 2, 1) @ g_y                 # (E, ni, no)
-                if ch_slot is None:
-                    continue
-                g_g = g_y @ kc_v.transpose(0, 2, 1)                             # (E, c_in, ni)
+                g_g = g_y.reshape(e, c_in, no) @ kc.transpose(0, 2, 1)         # (E, c_in, ni)
             if grads[ch_slot] is None:
                 grads[ch_slot] = np.zeros((n, c_in, ni))
             np.add.at(grads[ch_slot], flat, g_g.reshape(g_shape))

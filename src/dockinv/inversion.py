@@ -159,19 +159,32 @@ def _pairwise_omega(x: Tensor, x_np: np.ndarray, r_chem: float, r_probe: float, 
 
     Each point counts itself at an effective probe distance; off-diagonal
     weights use the live distances, masked by the current-neighborhood cutoff.
+
+    One autodiff node (op ``"omega"``) with a hand-written vjp; the vjp keeps
+    only the (n, n) weight derivative, and only when ``x`` requires grad.
     """
     n = x_np.shape[0]
     dist_np = neighbors.distances(x_np, x_np)
     mask = ((dist_np <= r_chem) & ~np.eye(n, dtype=bool)).astype(float)
-    diff = ad.sub(ad.reshape(x, (n, 1, 3)), ad.reshape(x, (1, n, 3)))
-    d = ad.power(ad.add(ad.reduce_sum(ad.mul(diff, diff), axis=2), 1e-24), 0.5)
-    omega_raw = ad.div(1.0, ad.add(ad.mul(d, 1.0 / r_probe), eps))
-    self_weight = (1.0 / (1.0 + eps)) * np.eye(n)
-    return ad.add(ad.mul(omega_raw, mask), self_weight)
+    xv = x.values
+    diff = xv.reshape(n, 1, 3) - xv.reshape(1, n, 3)
+    d = ((diff * diff).sum(axis=2) + 1e-24) ** 0.5
+    omega_raw = 1.0 / (d * (1.0 / r_probe) + eps)
+    out = omega_raw * mask + (1.0 / (1.0 + eps)) * np.eye(n)
+    if not x.requires_grad:
+        return ad.primitive(out, "omega", (x,), None)
+    # -d omega / d diff = coef * diff, with d d / d diff = diff / d
+    coef = mask * (omega_raw * omega_raw) / (r_probe * d)
+
+    def vjp(g):
+        g_diff = (g * coef).reshape(n, n, 1) * (xv.reshape(n, 1, 3) - xv.reshape(1, n, 3))
+        return (g_diff.sum(axis=0) - g_diff.sum(axis=1),)
+
+    return ad.primitive(out, "omega", (x,), vjp)
 
 
-def _neighborhood_average(omega: Tensor, values: Tensor) -> Tensor:
-    denom = ad.matmul(omega, np.ones((omega.shape[0], 1)))
+def _neighborhood_average(omega: Tensor, denom: Tensor, values: Tensor) -> Tensor:
+    """Rows of ``values`` averaged with ``omega``'s weights; ``denom`` is ``omega @ 1``."""
     if values.ndim == 1:
         values = ad.reshape(values, (-1, 1))
     return ad.div(ad.matmul(omega, values), denom)
@@ -237,13 +250,15 @@ def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> 
     Soft atom-type probabilities stand in for the hard element indicators of
     surface featurization, so the output matches the encoder's expected
     [chem | atom | geom | flag | coords] layout and is differentiable in both
-    coordinates and feature channels.
+    coordinates and feature channels. The neighbourhood averages share
+    one ``omega`` node and its row sums.
     """
     x_np = x.values if isinstance(x, Tensor) else np.asarray(x)
     x = ad.as_tensor(x)
     f = ad.as_tensor(f)
     n = x_np.shape[0]
     omega = _pairwise_omega(x, x_np, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
+    denom = ad.matmul(omega, np.ones((n, 1)))
 
     if molecule_type == "small-molecule":
         logits = ad.add(f[:, 0:8], ad.matmul(f[:, 9:11], _HYB_MAP.T))
@@ -253,8 +268,8 @@ def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> 
         hb_atom = ad.mul(ad.matmul(p, _SET_ONS[:, None]), ad.reshape(ad.sigmoid(polarity), (n, 1)))
         chg_atom = ad.matmul(p, (_SET_ON - _SET_CS)[:, None])
         phob_atom = ad.matmul(p, _SET_C[:, None])
-        atom_block = _neighborhood_average(omega, p)
-        charge_shift = ad.tanh(_neighborhood_average(omega, charge))
+        atom_block = _neighborhood_average(omega, denom, p)
+        charge_shift = ad.tanh(_neighborhood_average(omega, denom, charge))
         flag = 1.0
     elif molecule_type == "protein":
         p = ad.softmax(f[:, 0:20], axis=1)
@@ -266,16 +281,16 @@ def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> 
             ad.sub(ad.add(elem[:, 2], elem[:, 3]), ad.add(elem[:, 0], elem[:, 4])), (n, 1)
         )
         phob_atom = ad.reshape(elem[:, 0], (n, 1))
-        atom_block = _neighborhood_average(omega, elem)
+        atom_block = _neighborhood_average(omega, denom, elem)
         charge_shift = ad.constant(np.zeros((n, 1)))
         flag = 0.0
     else:
         raise ValueError(f"unknown molecule type {molecule_type!r}")
 
-    h_bond = _neighborhood_average(omega, hb_atom)
-    chg = ad.clip(ad.add(_neighborhood_average(omega, chg_atom), ad.mul(charge_shift, 0.25)),
-                  -1.0, 1.0)
-    phob = _neighborhood_average(omega, phob_atom)
+    h_bond = _neighborhood_average(omega, denom, hb_atom)
+    chg = ad.clip(ad.add(_neighborhood_average(omega, denom, chg_atom),
+                         ad.mul(charge_shift, 0.25)), -1.0, 1.0)
+    phob = _neighborhood_average(omega, denom, phob_atom)
     aro = ad.clip(ad.mul(phob, 1.0 / 4.5), 0.0, 1.0)
     chem_block = ad.concat([h_bond, chg, phob, aro], axis=1)
     geom_block = _geom_block(x, x_np, cfg.k_geom)
@@ -427,13 +442,13 @@ def _pair_sweep(pts: np.ndarray, bonded: np.ndarray, cfg: RunConfig) -> float:
     moved = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            d = float(np.linalg.norm(pts[j] - pts[i]))
+            # numpy's norm of a 1-D array is sqrt(v.dot(v)): the same bits
+            v = pts[j] - pts[i]
+            d = math.sqrt(v.dot(v))
             target = _pair_target(d, bool(bonded[i, j]), cfg)
             if target == d:
                 continue
-            axis = pts[j] - pts[i]
-            norm = np.linalg.norm(axis)
-            axis = axis / norm if norm > 1e-12 else _tiebreak_axis(i, j)
+            axis = v / d if d > 1e-12 else _tiebreak_axis(i, j)
             shift = 0.5 * (target - d)
             pts[i] -= shift * axis
             pts[j] += shift * axis

@@ -9,32 +9,33 @@ import pytest
 from dockinv import autodiff as ad
 
 
+def square(t):
+    return ad.mul(t, t)
+
+
 PRIMITIVE_CASES = {
-    "add": lambda x: ad.reduce_sum(ad.add(ad.add(x, 0.7), x) ** 2),
-    "sub": lambda x: ad.reduce_sum(ad.sub(x, 0.3) ** 2),
+    "add": lambda x: ad.reduce_sum(square(ad.add(ad.add(x, 0.7), x))),
+    "sub": lambda x: ad.reduce_sum(square(ad.sub(x, 0.3))),
     "mul": lambda x: ad.reduce_sum(ad.mul(x, x)),
     "div": lambda x: ad.reduce_sum(ad.div(1.0, ad.add(ad.mul(x, x), 1.0))),
-    "matmul": lambda x: ad.reduce_sum(ad.matmul(ad.reshape(x, (4, 3)), np.arange(6.0).reshape(3, 2)) ** 2),
-    "einsum": lambda x: ad.reduce_sum(
-        ad.einsum("ef,fio->eio", ad.reshape(x, (3, 4)), ad.reshape(ad.mul(x, x), (4, 3, 1))) ** 2),
-    "exp": lambda x: ad.reduce_sum(ad.exp(ad.mul(x, 0.5))),
+    "matmul": lambda x: ad.reduce_sum(
+        square(ad.matmul(ad.reshape(x, (4, 3)), np.arange(6.0).reshape(3, 2)))),
     "log": lambda x: ad.reduce_sum(ad.log(ad.add(ad.mul(x, x), 1.0))),
-    "power": lambda x: ad.reduce_sum(ad.power(ad.add(ad.mul(x, x), 0.5), 1.7)),
-    "sum": lambda x: ad.power(ad.reduce_sum(x), 2),
-    "mean": lambda x: ad.power(ad.reduce_mean(ad.mul(x, x)), 2),
-    "max": lambda x: ad.reduce_sum(ad.reduce_max(ad.reshape(x, (3, 4)), axis=1) ** 2),
-    "min": lambda x: ad.reduce_sum(ad.reduce_min(ad.reshape(x, (3, 4)), axis=1) ** 2),
-    "softmax": lambda x: ad.reduce_sum(ad.softmax(ad.reshape(x, (3, 4)), axis=1) ** 2),
-    "log-sum-exp": lambda x: ad.reduce_sum(ad.logsumexp(ad.reshape(x, (3, 4)), axis=1) ** 2),
+    "sum": lambda x: square(ad.reduce_sum(x)),
+    "mean": lambda x: square(ad.reduce_mean(ad.mul(x, x))),
+    "max": lambda x: ad.reduce_sum(square(ad.reduce_max(ad.reshape(x, (3, 4)), axis=1))),
+    "min": lambda x: ad.reduce_sum(square(ad.reduce_min(ad.reshape(x, (3, 4)), axis=1))),
+    "softmax": lambda x: ad.reduce_sum(square(ad.softmax(ad.reshape(x, (3, 4)), axis=1))),
+    "log-sum-exp": lambda x: ad.reduce_sum(square(ad.logsumexp(ad.reshape(x, (3, 4)), axis=1))),
     "euclidean-norm": lambda x: ad.reduce_sum(ad.norm(ad.reshape(ad.add(x, 3.0), (4, 3)), axis=1)),
-    "gather": lambda x: ad.reduce_sum(ad.gather(ad.reshape(x, (6, 2)), np.array([0, 3, 3, 5])) ** 2),
-    "concat": lambda x: ad.reduce_sum(ad.concat([x, ad.mul(x, 2.0)], axis=0) ** 2),
-    "clip": lambda x: ad.reduce_sum(ad.clip(x, -0.5, 0.5) ** 2),
-    "sigmoid": lambda x: ad.reduce_sum(ad.sigmoid(x) ** 2),
-    "tanh": lambda x: ad.reduce_sum(ad.tanh(x) ** 2),
-    "reshape": lambda x: ad.reduce_sum(ad.reshape(x, (2, 6)) ** 2),
-    "transpose": lambda x: ad.reduce_sum(ad.transpose(ad.reshape(x, (3, 4))) ** 2),
-    "cos": lambda x: ad.reduce_sum(ad.cos(x) ** 2),
+    "gather": lambda x: ad.reduce_sum(
+        square(ad.gather(ad.reshape(x, (6, 2)), np.array([0, 3, 3, 5])))),
+    "concat": lambda x: ad.reduce_sum(square(ad.concat([x, ad.mul(x, 2.0)], axis=0))),
+    "clip": lambda x: ad.reduce_sum(square(ad.clip(x, -0.5, 0.5))),
+    "sigmoid": lambda x: ad.reduce_sum(square(ad.sigmoid(x))),
+    "tanh": lambda x: ad.reduce_sum(square(ad.tanh(x))),
+    "reshape": lambda x: ad.reduce_sum(square(ad.reshape(x, (2, 6)))),
+    "transpose": lambda x: ad.reduce_sum(square(ad.transpose(ad.reshape(x, (3, 4))))),
 }
 
 
@@ -68,14 +69,6 @@ def test_primitive_gradients_match_central_differences(name):
     assert checked >= 80
 
 
-def test_power_example():
-    x = ad.param(3.0)
-    y = ad.power(x, 2)
-    y.backward()
-    assert y.item() == 9.0
-    assert float(np.asarray(x.grad)) == 6.0
-
-
 def test_logsumexp_example():
     x = ad.param(np.array([0.0, 0.0]))
     y = ad.logsumexp(x, axis=0)
@@ -90,22 +83,10 @@ def test_matmul_gradient_vs_finite_differences():
     b0 = rng.standard_normal((3, 2))
 
     def f(a):
-        return ad.reduce_sum(ad.matmul(a, ad.constant(b0)) ** 2)
+        return ad.reduce_sum(square(ad.matmul(a, ad.constant(b0))))
 
     report = ad.grad_check(f, a0, step=1e-5, tolerance=1e-6)
     assert report.passed
-
-
-def test_einsum_matches_numpy_and_rejects_one_sided_index():
-    rng = np.random.default_rng(0)
-    a0, b0 = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 5))
-    out = ad.einsum("bij,bjk->bik", a0, b0)
-    assert out.values.tobytes() == np.einsum("bij,bjk->bik", a0, b0).tobytes()
-    for spec in ("bij,bjk->bi", "bij,bjk", "bii,bjk->bik"):
-        with pytest.raises(ad.ContractError):
-            ad.einsum(spec, a0, b0)
-    with pytest.raises(ad.ShapeError):
-        ad.einsum("ij,bjk->bik", a0, b0)
 
 
 def test_grad_check_simple_example():
@@ -160,7 +141,7 @@ def test_backward_visits_each_node_once():
 
 def test_tape_topological_order():
     x = ad.param(np.array([1.0, 2.0]))
-    y = ad.reduce_sum(ad.exp(x) * x)
+    y = ad.reduce_sum(ad.tanh(x) * x)
     tape = ad.Tape.trace(y)
     position = {id(n): i for i, n in enumerate(tape.nodes)}
     for node in tape.nodes:
@@ -172,7 +153,7 @@ def test_bitwise_reproducibility():
     def run():
         rng = np.random.default_rng(42)
         x = ad.param(rng.standard_normal((5, 5)))
-        y = ad.reduce_sum(ad.softmax(ad.matmul(x, ad.transpose(x)), axis=1) ** 2)
+        y = ad.reduce_sum(square(ad.softmax(ad.matmul(x, ad.transpose(x)), axis=1)))
         ad.backward(y)
         return y.values.tobytes(), x.grad.tobytes()
 
@@ -230,9 +211,10 @@ def test_values_are_immutable():
         x.values[0] = 5.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_forward_rejects_non_finite_results():
-    with pytest.raises(ad.DomainError, match="'exp'"):
-        ad.exp(ad.constant(1e4))
+    with pytest.raises(ad.DomainError, match="'mul'"):
+        ad.mul(ad.constant(1e200), ad.constant(1e200))
     with pytest.raises(ad.DomainError, match="'add'"):
         ad.add(ad.constant(np.array([1.0, np.nan])), ad.constant(1.0))
 
@@ -246,6 +228,7 @@ def test_non_finite_entry_raises_naming_the_op_at_any_size(size, bad):
         ad.mul(ad.constant(values), 2.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("op, move", [("reshape", lambda t: ad.reshape(t, (2, 2))),
                                       ("transpose", ad.transpose)])
 def test_structural_ops_skip_the_check_only_behind_a_checked_op(op, move, monkeypatch):
@@ -255,8 +238,8 @@ def test_structural_ops_skip_the_check_only_behind_a_checked_op(op, move, monkey
         with pytest.raises(ad.DomainError, match=f"'{op}'"):
             move(leaf)
     # a non-finite op output raises at the op that made it
-    with pytest.raises(ad.DomainError, match="'exp'"):
-        move(ad.exp(ad.constant(np.array([[1.0, 1e4], [0.0, 0.0]]))))
+    with pytest.raises(ad.DomainError, match="'mul'"):
+        move(ad.mul(ad.constant(np.array([[1.0, 1e200], [0.0, 0.0]])), 1e200))
     checked = []
     monkeypatch.setattr(ad, "_check_finite", lambda values, name: checked.append(name))
     move(ad.mul(ad.param(np.ones((2, 2))), 2.0))
@@ -292,15 +275,15 @@ def test_primitive_runs_its_vjp_only_for_grad_parents():
 
 def test_no_grad_nodes_record_no_graph():
     c = ad.constant(np.array([1.0, 2.0]))
-    y = ad.reduce_sum(ad.exp(c) * c)
+    y = ad.reduce_sum(ad.tanh(c) * c)
     assert y.parents == () and y._node is None and not y.requires_grad
     assert len(ad.Tape.trace(y)) == 1
 
     x = ad.param(np.array([1.0, 2.0]))
-    z = ad.reduce_sum(ad.exp(c) * x)
+    z = ad.reduce_sum(ad.tanh(c) * x)
     assert z.parents and z.requires_grad
     z.backward()
-    np.testing.assert_array_equal(x.grad, np.exp(c.values))
+    np.testing.assert_array_equal(x.grad, np.tanh(c.values))
 
 
 def test_graph_frees_values_no_vjp_reads():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import per_op
 from dockinv import autodiff as ad
 from dockinv import equivariant as eq
 from dockinv.config import RunConfig
@@ -166,8 +167,8 @@ class TestRadialBasis:
         basis = eq.RadialBasis(5.0, 8)
         r = np.array([4.999, 5.0, 6.0, 100.0])
         vals = basis.evaluate(r)
-        assert np.all(vals.values[1:] == 0.0)
-        assert np.any(vals.values[0] > 0.0)
+        assert np.all(vals[1:] == 0.0)
+        assert np.any(vals[0] > 0.0)
 
 
 def build_encoder(cfg, seed=0, n_scalars=14):
@@ -266,7 +267,8 @@ class TestConvolution:
         paths = {(l_out, l_f, l_in) for layer in enc.layers
                  for (l_in, l_f, l_out) in layer.paths if l_f > 0}
         assert set(geom["kc"]) == paths
-        assert all(isinstance(kc, ad.Tensor) for kc in geom["kc"].values())
+        # numpy constants of the geometry: the conv node differentiates through them
+        assert all(type(kc) is np.ndarray for kc in geom["kc"].values())
         cached = dict(geom["kc"])
         second = enc.apply(params, feats, pts, geom=geom)
         assert all(geom["kc"][key] is kc for key, kc in cached.items())
@@ -296,7 +298,7 @@ def per_edge_reference(layer, params, field, pts, nbr):
     dvec = pts[flat] - pts[src]
     r = np.sqrt((dvec * dvec).sum(axis=1) + 1e-24)
     unit = dvec / r[:, None]
-    basis = layer.basis.evaluate(r).values                          # (E, n_basis)
+    basis = layer.basis.evaluate(r)                                 # (E, n_basis)
     out = {}
     for (l_in, l_f, l_out) in layer.paths:
         c_in, c_out = layer.layout_in[l_in], layer.layout_out[l_out]
@@ -306,7 +308,7 @@ def per_edge_reference(layer, params, field, pts, nbr):
         if l_f == 0:
             msg = mixed @ (cg[:, 0, :] * eq.real_spherical_harmonics(0, [0.0, 0.0, 1.0])[0]).T
         else:
-            sph = eq._sph_matrix_np(l_f, unit) * (flat != src)[:, None]
+            sph = eq._sph_matrix(l_f, unit) * (flat != src)[:, None]
             msg = mixed @ np.einsum("ef,ofi->eio", sph, cg)         # (E, c_out, no)
         pooled = msg.reshape(n, k, c_out, -1).sum(axis=1) / k
         out[l_out] = out.get(l_out, 0.0) + pooled
@@ -323,7 +325,9 @@ def _bmm(a, b):
 def per_op_reference(layer, params, field, geom, orders=None):
     """The conv as about ten autodiff ops per path, as it ran before the
     one-node-per-order primitive: the same numpy calls in the same order,
-    over the paths into ``orders`` (default: every output order)."""
+    over the paths into ``orders`` (default: every output order). Each
+    path's coupled harmonics are an op over ``geom["sph"]``, cached in
+    ``geom["kc"]`` as a Tensor."""
     n, k, flat, pool = geom["n"], geom["k"], geom["flat"], geom["pool"]
     n_basis = layer.basis.n_basis
     orders = layer.layout_out if orders is None else orders
@@ -342,7 +346,7 @@ def per_op_reference(layer, params, field, geom, orders=None):
         else:
             kc = geom["kc"].get((l_out, l_f, l_in))
             if kc is None:
-                kc = ad.mul(ad.einsum("ef,fio->eio", geom["sph"][l_f], cg.transpose(1, 2, 0)),
+                kc = ad.mul(per_op.einsum("ef,fio->eio", geom["sph"][l_f], cg.transpose(1, 2, 0)),
                             geom["edge_scale"])
                 geom["kc"][(l_out, l_f, l_in)] = kc
             y = _bmm(gathered[l_in], kc)
@@ -455,6 +459,92 @@ class TestConvAgainstPerOpReference:
         assert peak < 45e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def _edge_cloud(cfg, n, seed):
+    """A cloud whose neighbour tables hold self-edges and edges beyond the cutoff."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 3)) * 3.0
+    nbr = eq.knn_indices(pts, cfg.conv_k)
+    r = np.linalg.norm(pts[nbr] - pts[:, None, :], axis=2)
+    assert (r == 0.0).any() and (r > cfg.conv_cutoff).any() and (r < cfg.conv_cutoff).any()
+    return pts, nbr, rng
+
+
+def _geometry_weights(rng, cfg, nbr):
+    """Loss weights on pool and harmonics; a self-edge's harmonics get none,
+    as in the conv, since the direction of a zero edge has no derivative."""
+    n, k = nbr.shape
+    neighbour = (nbr.reshape(-1) != np.repeat(np.arange(n), k))[:, None]
+    return {0: rng.standard_normal((n, cfg.n_radial_basis, k)),
+            1: rng.standard_normal((n * k, 3)) * neighbour,
+            2: rng.standard_normal((n * k, 5)) * neighbour}
+
+
+def _geometry_loss(geom, weights):
+    terms = [ad.reduce_sum(ad.mul(geom["pool"], weights[0]))]
+    terms += [ad.reduce_sum(ad.mul(sph, weights[l_f])) for l_f, sph in sorted(geom["sph"].items())]
+    return ad.add(ad.add(terms[0], terms[1]), terms[2])
+
+
+class TestGeometryAgainstPerOpReference:
+    """``conv_geometry``'s pool and harmonics nodes against the op chain they replace."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["toy", "default"])
+    @pytest.mark.parametrize("lift", [np.asarray, ad.constant, ad.param],
+                             ids=["numpy", "constant", "param"])
+    def test_pool_and_harmonics_bitwise_equal(self, cfg, lift):
+        pts, nbr, _ = _edge_cloud(cfg, 40, 30)
+        basis = eq.RadialBasis(cfg.conv_cutoff, cfg.n_radial_basis)
+        got = eq.conv_geometry(lift(pts), nbr, basis, cfg.max_order)
+        ref = per_op.conv_geometry(lift(pts), nbr, basis, cfg.max_order)
+        assert got["pool"].values.tobytes() == ref["pool"].values.tobytes()
+        assert got["pool"].shape == (40, cfg.n_radial_basis, cfg.conv_k)
+        assert sorted(got["sph"]) == sorted(ref["sph"]) == [1, 2]
+        for l_f, sph in ref["sph"].items():
+            assert got["sph"][l_f].values.tobytes() == sph.values.tobytes(), l_f
+        assert got["edge_scale"].tobytes() == ref["edge_scale"].tobytes()
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["toy", "default"])
+    def test_coordinate_gradients_match(self, cfg):
+        pts, nbr, rng = _edge_cloud(cfg, 40, 31)
+        basis = eq.RadialBasis(cfg.conv_cutoff, cfg.n_radial_basis)
+        weights = _geometry_weights(rng, cfg, nbr)
+        grads = []
+        for build in (eq.conv_geometry, per_op.conv_geometry):
+            x = ad.param(pts)
+            ad.backward(_geometry_loss(build(x, nbr, basis, cfg.max_order), weights))
+            grads.append(x.grad)
+        got, ref = grads
+        scale = np.abs(ref).max()
+        assert scale > 0
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+
+    def test_grad_check_on_twelve_points(self):
+        cfg = toy_config()
+        rng = np.random.default_rng(32)
+        pts = rng.standard_normal((12, 3)) * 2.0
+        nbr = eq.knn_indices(pts, cfg.conv_k)
+        basis = eq.RadialBasis(cfg.conv_cutoff, cfg.n_radial_basis)
+        weights = _geometry_weights(rng, cfg, nbr)
+        report = ad.grad_check(
+            lambda x: _geometry_loss(eq.conv_geometry(x, nbr, basis, cfg.max_order), weights),
+            pts, step=1e-6, tolerance=1e-6)
+        assert report.passed, report
+        assert np.abs(report.analytic).max() > 1e-3   # not a vacuous match
+
+    @pytest.mark.parametrize("lift", [np.asarray, ad.constant], ids=["numpy", "constant"])
+    def test_no_grad_geometry_keeps_no_vjp(self, small_cfg, lift):
+        pts, nbr, _ = _edge_cloud(small_cfg, 16, 33)
+        basis = eq.RadialBasis(small_cfg.conv_cutoff, small_cfg.n_radial_basis)
+        geom = eq.conv_geometry(lift(pts), nbr, basis, small_cfg.max_order)
+        nodes = [geom["pool"], *geom["sph"].values()]
+        assert [t.op for t in nodes] == ["radial-pool", "edge-harmonics", "edge-harmonics"]
+        assert all(t._node is None and not t.requires_grad for t in nodes)
+        x = ad.param(pts)
+        geom = eq.conv_geometry(x, nbr, basis, small_cfg.max_order)
+        nodes = [geom["pool"], *geom["sph"].values()]
+        assert all(t._node.parents == (x,) for t in nodes)
+
+
 def _order_loss(field, weights):
     return ad.reduce_sum(ad.concat([ad.reshape(ad.mul(field.channels[l], weights[l]), (-1,))
                                     for l in sorted(weights)]))
@@ -563,7 +653,7 @@ class TestConvAgainstPerEdgeReference:
         n, k = nbr.shape
         dvec = pts[nbr] - pts[:, None, :]
         r = np.sqrt((dvec * dvec).sum(axis=2) + 1e-24)      # self-edges as conv_geometry has them
-        expected = enc.basis.evaluate(r.reshape(-1)).values.reshape(n, k, -1).transpose(0, 2, 1)
+        expected = enc.basis.evaluate(r.reshape(-1)).reshape(n, k, -1).transpose(0, 2, 1)
         np.testing.assert_allclose(pool.values, expected, rtol=1e-12, atol=1e-15)
         first = enc.apply(params, feats, pts, geom=geom)
         second = enc.apply(params, feats, pts, geom=geom)

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import write_pdb
+import per_op
 
 from dockinv import autodiff as ad
 from dockinv import fileio, inversion, neighbors, theory, toydata
+from dockinv.config import RunConfig
 from dockinv.finetune import finetune_loss, finetune_run, load_complex_dir
 from dockinv.model import PipelineModel, as_tensors
 from dockinv.pretrain import pretrain_loss, pretrain_run
@@ -65,11 +67,12 @@ def _objective_tensors(start, ctx, mdl, params, cfg, need_grad=True):
 
 def test_objective_tensor_count_stays_bounded(toy_cfg, mdl, init_params, ctx, start):
     # every tensor draws a node_id; written per op, the conv and _geom_block
-    # alone brought the count to 678, and encoding orders 1 and 2 that no
-    # head reads to 383, which is Python overhead on every step
+    # alone brought the count to 678, encoding orders 1 and 2 that no head
+    # reads to 383, and conv_geometry, the coupled harmonics and the omega
+    # weights to 335, which is Python overhead on every step
     for need_grad in (True, False):
         count = _objective_tensors(start, ctx, mdl, init_params, toy_cfg, need_grad)[3]
-        assert count <= 335, need_grad
+        assert count <= 190, need_grad
 
 
 def test_objective_over_head_orders_matches_full_encode(toy_cfg, mdl, init_params,
@@ -154,7 +157,7 @@ def geom_block_per_op_reference(x, x_np, k_geom):
                                    ad.mul(cov[(1, 2)], cov[(0, 2)]))),
     )
     diffs = ad.sub(nbr_pts, ad.reshape(x, (n, 1, 3)))
-    dists = ad.power(ad.add(ad.reduce_sum(ad.mul(diffs, diffs), axis=2), 1e-24), 0.5)
+    dists = per_op.power(ad.add(ad.reduce_sum(ad.mul(diffs, diffs), axis=2), 1e-24), 0.5)
     d_raw = ad.reduce_mean(dists, axis=1)
     density = ad.div(d_raw, ad.add(d_raw, 2.0))
     return ad.concat([ad.reshape(ad.mul(trace, 0.1), (n, 1)), ad.reshape(det, (n, 1)),
@@ -190,6 +193,62 @@ def test_geom_block_coordinate_grad_check_on_twelve_points():
     report = ad.grad_check(fn, x_np, step=1e-6, tolerance=1e-6)
     assert report.passed, report
     assert np.abs(report.analytic).max() > 1e-2
+
+
+@pytest.mark.parametrize("cfg", [toydata.toy_config(), RunConfig().validate()],
+                         ids=["toy", "default"])
+def test_pairwise_omega_matches_per_op_reference(cfg):
+    rng = np.random.default_rng(21)
+    x_np = rng.standard_normal((24, 3)) * 3.0
+    off = ~np.eye(24, dtype=bool)
+    dist = neighbors.distances(x_np, x_np)[off]
+    assert (dist <= cfg.r_chem).any() and (dist > cfg.r_chem).any()   # both sides of the mask
+    weights = rng.standard_normal((24, 24))
+    results = []
+    for omega in (inversion._pairwise_omega, per_op.pairwise_omega):
+        x = ad.param(x_np)
+        out = omega(x, x_np, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
+        ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+        results.append((out.values, x.grad))
+    (got, got_grad), (ref, ref_grad) = results
+    assert got.tobytes() == ref.tobytes()
+    assert np.abs(got_grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+    no_grad = inversion._pairwise_omega(ad.constant(x_np), x_np, cfg.r_chem, cfg.r_probe,
+                                        cfg.eps_omega)
+    assert no_grad.values.tobytes() == ref.tobytes()
+    assert no_grad.op == "omega" and no_grad._node is None
+
+
+def test_pairwise_omega_coordinate_grad_check_on_twelve_points(toy_cfg):
+    rng = np.random.default_rng(22)
+    x_np = rng.standard_normal((12, 3)) * 2.0
+    weights = rng.standard_normal((12, 12))
+
+    def fn(x):
+        # the cutoff mask stays that of x_np, as in one objective call
+        out = inversion._pairwise_omega(x, x_np, toy_cfg.r_chem, toy_cfg.r_probe,
+                                        toy_cfg.eps_omega)
+        return ad.reduce_sum(ad.mul(out, weights))
+
+    report = ad.grad_check(fn, x_np, step=1e-6, tolerance=1e-6)
+    assert report.passed, report
+    assert np.abs(report.analytic).max() > 1e-2
+
+
+def test_pair_sweep_matches_two_norm_reference(toy_cfg):
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(4, 16))
+        pts = rng.standard_normal((n, 3)) * 1.2
+        i, j = rng.choice(n, size=2, replace=False)
+        pts[j] = pts[i]                                # a coincident pair: the tie-break axis
+        bonded = np.triu(rng.random((n, n)) < 0.3, 1)
+        bonded = bonded | bonded.T
+        got, ref = pts.copy(), pts.copy()
+        for _ in range(3):
+            moved = inversion._pair_sweep(got, bonded, toy_cfg)
+            assert moved == per_op.pair_sweep(ref, bonded, toy_cfg), trial
+            assert np.array_equal(got, ref), trial
 
 
 def _assert_bonds_in_range(coords, pairs, cfg):
