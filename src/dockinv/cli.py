@@ -42,6 +42,24 @@ def _banner(command: str, cfg: RunConfig, seed: int) -> None:
     print(f"dockinv {command}: seed={seed} config-digest={cfg.digest()}", file=sys.stderr)
 
 
+def _load_params(path, cfg: RunConfig, mdl: PipelineModel) -> dict:
+    """A checkpoint's parameters. It is an input error unless it holds exactly
+    the model's arrays, at the model's shapes."""
+    params, _, _ = fileio.load_checkpoint(
+        path, expected_digest=cfg.digest(),
+        warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
+    shapes = mdl.param_shapes()
+    for name in sorted(shapes.keys() | params.keys()):
+        if name not in params:
+            raise InputError(f"{path}: checkpoint lacks the model's array {name!r}")
+        if name not in shapes:
+            raise InputError(f"{path}: checkpoint array {name!r} is not a model parameter")
+        if params[name].shape != shapes[name]:
+            raise InputError(f"{path}: checkpoint array {name!r} has shape "
+                             f"{params[name].shape}, the model's has {shapes[name]}")
+    return params
+
+
 def _load_structure(path: Path):
     text = path.read_text()
     if path.suffix in (".mol", ".txt"):
@@ -122,16 +140,11 @@ def cmd_finetune(args) -> int:
     cfg = _effective_config(args)
     _banner("finetune", cfg, args.seed)
     mdl = PipelineModel(cfg)
-    scaler = None
+    params = _load_params(args.init, cfg, mdl) if args.init else None
     if args.corpus == "toy":
         samples, scaler = toydata.toy_complex_corpus(args.corpus_size, cfg, mdl, seed=args.seed)
     else:
         samples, scaler = load_complex_dir(args.corpus, cfg, mdl, seed=args.seed)
-    params = None
-    if args.init:
-        params, _, _ = fileio.load_checkpoint(
-            args.init, expected_digest=cfg.digest(),
-            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
     log_lines = []
     params, history = finetune_run(
         samples, cfg, steps=args.steps, seed=args.seed, mdl=mdl, params=params,
@@ -156,12 +169,8 @@ def cmd_invert(args) -> int:
         print(f"error: input not found: {receptor_path}", file=sys.stderr)
         return 1
     mdl = PipelineModel(cfg)
-    if args.checkpoint:
-        params, _, meta = fileio.load_checkpoint(
-            args.checkpoint, expected_digest=cfg.digest(),
-            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
-    else:
-        params, meta = mdl.init_params(args.seed), {}
+    params = (_load_params(args.checkpoint, cfg, mdl) if args.checkpoint
+              else mdl.init_params(args.seed))
     structure = parse_pdb(receptor_path.read_text())
     cloud, _ = build_surface(structure, cfg, seed=args.seed)
     ctx = prepare_receptor(mdl, params, cloud)

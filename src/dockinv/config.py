@@ -31,7 +31,6 @@ class RunConfig:
     projection_tol: float = 1e-3   # |SDF - r_iso| acceptance band, Angstrom
     rho: float = 0.125             # patch-center ratio (no value stated upstream)
     patch_k: int = 32              # neighbors per patch
-    r_patch: float = 5.0           # patch radius bound, Angstrom
     r_chem: float = 5.0            # chemical neighborhood radius, Angstrom
     k_geom: int = 10               # neighbors for geometric descriptors
     eps_omega: float = 1e-6        # epsilon in the probe-scaled weights
@@ -39,12 +38,10 @@ class RunConfig:
     interface_cutoff_protein: float = 2.0
 
     # -- encoder -------------------------------------------------------------
-    max_order: int = 2             # maximum spherical-harmonic order L
     multiplicity: int = 16         # channels per order in hidden layers
     n_radial_basis: int = 8
     conv_k: int = 16               # conv neighborhood size
     conv_cutoff: float = 5.0       # radial cutoff, Angstrom
-    n_conv_layers: int = 2
 
     # -- stage 2: pretraining --------------------------------------------------
     mask_ratio: float = 0.5        # delta
@@ -96,9 +93,9 @@ class RunConfig:
         counts = {
             "eta_protein": self.eta_protein, "eta_molecule": self.eta_molecule,
             "m_protein": self.m_protein, "t_sdf": self.t_sdf, "patch_k": self.patch_k,
-            "k_geom": self.k_geom, "max_order": self.max_order,
+            "k_geom": self.k_geom,
             "multiplicity": self.multiplicity, "n_radial_basis": self.n_radial_basis,
-            "conv_k": self.conv_k, "n_conv_layers": self.n_conv_layers,
+            "conv_k": self.conv_k,
             "codebook_size": self.codebook_size, "d_code": self.d_code,
             "head_hidden": self.head_hidden, "decode_every": self.decode_every,
             "max_repair_rounds": self.max_repair_rounds, "max_step_retries": self.max_step_retries,
@@ -117,7 +114,7 @@ class RunConfig:
             "eta_max": self.eta_max, "eta_min": self.eta_min,
             "gumbel_tau": self.gumbel_tau, "tau_acc": self.tau_acc,
             "r_probe": self.r_probe, "sigma_upsample": self.sigma_upsample,
-            "r_patch": self.r_patch, "r_chem": self.r_chem,
+            "r_chem": self.r_chem,
             "conv_cutoff": self.conv_cutoff, "sigma_motif": self.sigma_motif,
             "clash_floor": self.clash_floor, "bond_min": self.bond_min,
             "bond_max": self.bond_max, "sigma_init": self.sigma_init,
@@ -132,8 +129,6 @@ class RunConfig:
             raise ConfigError("eta_min must not exceed eta_max")
         if self.bond_min >= self.bond_max:
             raise ConfigError("bond_min must be below bond_max")
-        if self.max_order > 2:
-            raise ConfigError("max_order above 2 is unsupported")
         return self
 
     def m_for(self, molecule_type: str, n_atoms: int) -> int:

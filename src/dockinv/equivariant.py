@@ -13,14 +13,14 @@ weights are read in place), so receptors (no grad), training samples
 (parameter grads) and ligand states (coordinate grads) run the same code;
 ``requires_grad`` on the inputs decides what the graph keeps.
 
+The encoder's output holds orders 0 and 1, the orders the stages read: order
+0 (attention and the heads) and orders 0 and 1 (pretraining's patch tokens).
 Each caller names the output orders it reads (``orders`` of
 :meth:`Encoder.apply` and :meth:`ConvLayer.apply`): the last conv layer runs
 only the paths into those orders, and each order it returns is bitwise the
-one an encode over every order returns. The stages read order 0 (the heads)
-or orders 0 and 1 (pretraining's patch tokens); nothing reads order 2 of an
-encoder's output, and attention attends order 0 only.
+one an encode over both orders returns. Attention attends order 0 only.
 
-Orders above 2 are unsupported.
+Harmonic and hidden orders stop at 2.
 """
 
 from __future__ import annotations
@@ -218,11 +218,11 @@ def coupling_tensor(l_out: int, l_f: int, l_in: int) -> np.ndarray:
     return tensor
 
 
-def allowed_paths(layout_in: dict[int, int], orders_out, max_order: int = 2):
-    """All (l_in, l_f, l_out) triples within the triangle rule and order cap."""
+def allowed_paths(layout_in: dict[int, int], orders_out):
+    """All (l_in, l_f, l_out) triples, l_f = 0..2, within the triangle rule."""
     paths = []
     for l_in in sorted(layout_in):
-        for l_f in range(max_order + 1):
+        for l_f in range(3):
             for l_out in orders_out:
                 if abs(l_in - l_f) <= l_out <= l_in + l_f:
                     paths.append((l_in, l_f, l_out))
@@ -245,10 +245,6 @@ class IrrepsField:
                 raise EquivariantError(
                     f"order-{l} channel has width {ch.shape[-1]}, expected {2 * l + 1}"
                 )
-
-    @property
-    def layout(self) -> dict[int, int]:
-        return {l: ch.shape[1] for l, ch in self.channels.items()}
 
     @property
     def n_points(self) -> int:
@@ -302,13 +298,13 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     return neighbors.knn(points, points, k)[0]
 
 
-def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis, max_lf: int = 2) -> dict:
+def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis) -> dict:
     """Edge quantities shared by every conv layer over one neighbor table.
 
     ``pool`` (n, n_basis, k) holds each point's radial basis values over its
     k neighbours, laid out to pool a path's per-edge products with one
     batched matmul; ``sph[l_f]`` (E, 2 l_f + 1) holds the order-l_f harmonics
-    of the edge directions, for l_f = 1..``max_lf``. Each is one autodiff node
+    of the edge directions, for l_f = 1, 2. Each is one autodiff node
     (ops ``"radial-pool"`` and ``"edge-harmonics"``) computed in numpy, whose
     one parent is ``coords`` lifted with :func:`ad.as_tensor`: they are
     differentiable through positions exactly when ``coords`` requires grad,
@@ -357,7 +353,7 @@ def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis, max_lf: int =
     pool = ad.primitive(pool_v, "radial-pool", (coords,), pool_vjp)
     sph = {l_f: ad.primitive(_sph_matrix(l_f, unit), "edge-harmonics", (coords,),
                              None if sph_vjp is None else sph_vjp(l_f))
-           for l_f in range(1, max_lf + 1)}
+           for l_f in (1, 2)}
     return {"n": n, "k": k, "flat": flat, "edge_scale": edge_scale, "pool": pool,
             "sph": sph, "kc": {}}
 
@@ -389,12 +385,12 @@ class ConvLayer:
     """
 
     def __init__(self, name: str, layout_in: dict[int, int], layout_out: dict[int, int],
-                 basis: RadialBasis, max_order: int = 2):
+                 basis: RadialBasis):
         self.name = name
         self.layout_in = dict(layout_in)
         self.layout_out = dict(layout_out)
         self.basis = basis
-        self.paths = allowed_paths(layout_in, sorted(layout_out), max_order)
+        self.paths = allowed_paths(layout_in, sorted(layout_out))
 
     def param_shapes(self) -> dict[str, tuple]:
         shapes = {}
@@ -405,17 +401,6 @@ class ConvLayer:
             if l_out == 0:
                 shapes[f"{self.name}.bias0"] = (c,)
         return shapes
-
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        params = {}
-        for key, shape in self.param_shapes().items():
-            if key.endswith("bias0"):
-                params[key] = np.zeros(shape)
-                continue
-            l_in = int(key.split(".w")[-1][0])
-            fan_in = self.layout_in[l_in] * self.basis.n_basis * len(self.paths)
-            params[key] = rng.standard_normal(shape) / math.sqrt(fan_in)
-        return params
 
     def apply(self, params: dict, field: IrrepsField, geom: dict, orders=None) -> IrrepsField:
         """The output field over ``orders`` (default: every order of ``layout_out``).
@@ -596,34 +581,27 @@ def encoder_input(features, points) -> IrrepsField:
 
 
 class Encoder:
-    """Two-layer gated tensor-field network producing an order-0/1/2 field.
+    """Two gated tensor-field conv layers producing an order-0/1 field.
+
+    ``enc0`` maps the input field (``{0: n_scalar_in, 1: 1}``) to 3c scalars
+    and c channels each of orders 1 and 2; the gate passes c scalars through
+    tanh and scales the order-1 and order-2 channels by sigmoids of the other
+    2c. ``enc1`` maps that field to c channels each of orders 0 and 1
+    (``out_layout``), the orders the stages read.
 
     Its parameter names are ``{prefix}enc{i}.w{l_in}{l_f}{l_out}`` and
     ``{prefix}enc{i}.bias0``, so one flat dict can hold several encoders.
     """
 
     def __init__(self, n_scalar_in: int, cfg, prefix: str = ""):
-        self.n_scalar_in = n_scalar_in
-        self.mult = cfg.multiplicity
-        self.max_order = cfg.max_order
+        c = self.mult = cfg.multiplicity
         self.conv_k = cfg.conv_k
         self.basis = RadialBasis(cfg.conv_cutoff, cfg.n_radial_basis)
-        c = self.mult
-        self.orders = list(range(self.max_order + 1))
-        gate_extra = c * (len(self.orders) - 1)
-        layout_hidden_raw = {0: c + gate_extra}
-        for l in self.orders[1:]:
-            layout_hidden_raw[l] = c
-        layout_hidden = {l: c for l in self.orders}
-        self.layers = []
-        layout = {0: n_scalar_in, 1: 1}
-        for i in range(cfg.n_conv_layers):
-            last = i == cfg.n_conv_layers - 1
-            out_layout = layout_hidden if last else layout_hidden_raw
-            self.layers.append(ConvLayer(f"{prefix}enc{i}", layout, out_layout, self.basis,
-                                         self.max_order))
-            layout = layout_hidden
-        self.out_layout = layout_hidden
+        self.out_layout = {0: c, 1: c}
+        self.layers = [
+            ConvLayer(f"{prefix}enc0", {0: n_scalar_in, 1: 1}, {0: 3 * c, 1: c, 2: c}, self.basis),
+            ConvLayer(f"{prefix}enc1", {0: c, 1: c, 2: c}, self.out_layout, self.basis),
+        ]
 
     def param_shapes(self) -> dict[str, tuple]:
         shapes = {}
@@ -631,20 +609,12 @@ class Encoder:
             shapes.update(layer.param_shapes())
         return shapes
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        params = {}
-        for layer in self.layers:
-            params.update(layer.init_params(rng))
-        return params
-
     def _gate(self, field: IrrepsField) -> IrrepsField:
         c = self.mult
         scalars = field.channels[0]
-        feats = ad.tanh(scalars[:, :c, :])
-        out = {0: feats}
-        for idx, l in enumerate(self.orders[1:]):
-            gates = ad.sigmoid(scalars[:, c * (idx + 1) : c * (idx + 2), :])
-            out[l] = ad.mul(field.channels[l], gates)
+        out = {0: ad.tanh(scalars[:, :c, :])}
+        for l in (1, 2):
+            out[l] = ad.mul(field.channels[l], ad.sigmoid(scalars[:, c * l : c * (l + 1), :]))
         return IrrepsField(out)
 
     def apply(self, params: dict, features, points, geom: dict | None = None,
@@ -654,23 +624,18 @@ class Encoder:
         Pass a precomputed ``geom`` (from :func:`conv_geometry`) to skip the
         per-call edge geometry when encoding the same cloud repeatedly.
 
-        ``orders`` (default: all of ``out_layout``) picks the output orders.
-        The hidden layers always compute every order, since each output order
-        reads all of them; the last layer runs only the paths into ``orders``,
-        and each order returned is bitwise the one a call over every order
+        ``orders`` (default: both orders of ``out_layout``) picks the output
+        orders. ``enc0`` always computes every order, since each output order
+        reads all of them; ``enc1`` runs only the paths into ``orders``, and
+        each order returned is bitwise the one a call over both orders
         returns.
         """
         points = ad.as_tensor(points)
         if geom is None:
-            geom = conv_geometry(points, knn_indices(points.values, self.conv_k), self.basis,
-                                 self.max_order)
-        field = encoder_input(features, points)
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            field = layer.apply(params, field, geom, orders if i == last else None)
-            if i < last:
-                field = self._gate(field)
-        return field
+            geom = conv_geometry(points, knn_indices(points.values, self.conv_k), self.basis)
+        enc0, enc1 = self.layers
+        hidden = self._gate(enc0.apply(params, encoder_input(features, points), geom))
+        return enc1.apply(params, hidden, geom, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -714,10 +679,3 @@ def equivariant_attention(
         [ad.reduce_mean(summary, axis=0), ad.reduce_max(summary, axis=0)], axis=0
     )
     return IrrepsField({0: attended0}), fused, scores
-
-
-def attention_param_shapes(d: int, layout: dict[int, int]) -> dict[str, tuple]:
-    shapes = {"attn.wq": (d, d), "attn.wk": (d, d)}
-    for l, c in layout.items():
-        shapes[f"attn.wv{l}"] = (c, c)
-    return shapes

@@ -368,7 +368,7 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
                                              cfg.interface_cutoff_ligand),
         }
     feats = state_features(x_t, f_t, state.molecule_type, cfg)
-    geom = conv_geometry(x_t, frozen["nbr"], enc.basis, enc.max_order)
+    geom = conv_geometry(x_t, frozen["nbr"], enc.basis)
     z_l = mdl.encode(params, feats, x_t, state.molecule_type, geom=geom, orders=HEAD_ORDERS)
     pocket, y_int, dg_hat, gate = mdl.complex_heads(params, ctx.field(), z_l)
     y_geom = frozen["y_geom"]

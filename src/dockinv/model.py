@@ -19,7 +19,6 @@ from .config import RunConfig
 from .equivariant import (
     Encoder,
     IrrepsField,
-    attention_param_shapes,
     conv_geometry,
     equivariant_attention,
     knn_indices,
@@ -65,7 +64,8 @@ class PipelineModel:
         shapes["dec.bc"] = (self.patch_k * 3,)
         shapes["dec.wk"] = (h, 3)
         shapes["dec.bk"] = (3,)
-        shapes.update(attention_param_shapes(self.d0, self.enc_protein.out_layout))
+        for name in ("wq", "wk", "wv0"):  # order-0 queries, keys and values
+            shapes[f"attn.{name}"] = (self.d0, self.d0)
         # 2 * d0 inputs: [own | attended] per receptor point for pocket, fused for int and aff
         for head in ("pocket", "int", "aff"):
             shapes[f"{head}.w1"] = (2 * self.d0, h)
@@ -96,13 +96,13 @@ class PipelineModel:
     def precompute_geometry(self, points: np.ndarray, molecule_type: str) -> dict:
         enc = self.encoder_for(molecule_type)
         nbr = knn_indices(np.asarray(points), enc.conv_k)
-        return conv_geometry(points, nbr, enc.basis, enc.max_order)
+        return conv_geometry(points, nbr, enc.basis)
 
     def encode(self, params: dict, features, points, molecule_type: str,
                geom: dict | None = None, orders=None) -> IrrepsField:
         """Encode one cloud with its molecule type's encoder.
 
-        ``orders`` (default: every order) names the output orders the caller
+        ``orders`` (default: orders 0 and 1) names the output orders the caller
         reads: ``HEAD_ORDERS`` for attention and the heads, ``TOKEN_ORDERS``
         for patch tokens. Orders left out are not computed; the ones returned
         are bitwise those of a full encode.

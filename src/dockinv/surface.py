@@ -93,9 +93,7 @@ class PatchSet:
     mean: np.ndarray                    # (P, d)
     var: np.ndarray                     # (P, d)
     interface: np.ndarray               # (P,) 0/1 labels
-    radius_relaxed: np.ndarray          # (P,) True where members exceed r_patch
     labeled: bool = True                # False when no partner was supplied
-    degenerate: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +415,13 @@ def fps(points: np.ndarray, count, start: int | None = None) -> np.ndarray:
     return chosen
 
 
-def knn(centers: np.ndarray, points: np.ndarray, k: int, r_patch: float = np.inf):
-    """K nearest points per center (ties to the lowest index).
-
-    A patch whose K-th neighbor lies beyond ``r_patch`` keeps its K nearest
-    members anyway and is flagged as radius-relaxed.
-    """
+def knn(centers: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
+    """(P, k) member table: the k nearest points per center (ties to the lowest index)."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     pts = np.asarray(points, dtype=float)
     if len(pts) < k:
         raise SurfaceError(f"knn needs at least k={k} points, got {len(pts)}")
-    members, dist = neighbors.knn(centers, pts, k)
-    return members, dist.max(axis=1) > r_patch
+    return neighbors.knn(centers, pts, k)[0]
 
 
 def pool_patch_stats(features: np.ndarray, member_indices: np.ndarray):
@@ -469,12 +462,12 @@ def build_patches(cloud: SurfacePointCloud, cfg: RunConfig,
     """
     points = cloud.points
     centers = fps(points, float(cfg.rho))   # a float is a ratio, an int a count
-    members, relaxed = knn(points[centers], points, cfg.patch_k, cfg.r_patch)
+    members = knn(points[centers], points, cfg.patch_k)
     mean, var = pool_patch_stats(cloud.features, members)
     is_protein = cloud.molecule_type == "protein"
     cutoff = cfg.interface_cutoff_ligand if is_protein else cfg.interface_cutoff_protein
     labels, labeled = interface_labels(points, members, partner_points, cutoff)
-    return PatchSet(centers, members, mean, var, labels, relaxed, labeled)
+    return PatchSet(centers, members, mean, var, labels, labeled)
 
 
 def build_surface(

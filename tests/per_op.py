@@ -57,11 +57,23 @@ def radial_basis(basis: eq.RadialBasis, r: ad.Tensor) -> ad.Tensor:
 
 
 def _sph_matrix(l: int, unit: ad.Tensor) -> ad.Tensor:
-    cols = eq._sph_columns(l, unit[:, 0], unit[:, 1], unit[:, 2])
+    """``equivariant._sph_columns`` for l = 1, 2 as autodiff ops, product by product."""
+    x, y, z = unit[:, 0], unit[:, 1], unit[:, 2]
+    if l == 1:
+        cols = [ad.mul(y, eq._C1), ad.mul(z, eq._C1), ad.mul(x, eq._C1)]
+    else:
+        xx, yy = ad.mul(x, x), ad.mul(y, y)
+        cols = [
+            ad.mul(ad.mul(x, eq._C2A), y),
+            ad.mul(ad.mul(y, eq._C2A), z),
+            ad.mul(ad.sub(ad.sub(ad.mul(ad.mul(z, 2.0), z), xx), yy), eq._C2B),
+            ad.mul(ad.mul(z, eq._C2A), x),
+            ad.mul(ad.sub(xx, yy), eq._C2C),
+        ]
     return ad.concat([ad.reshape(c, (-1, 1)) for c in cols], axis=1)
 
 
-def conv_geometry(coords, nbr_idx: np.ndarray, basis: eq.RadialBasis, max_lf: int = 2) -> dict:
+def conv_geometry(coords, nbr_idx: np.ndarray, basis: eq.RadialBasis) -> dict:
     """``equivariant.conv_geometry`` with ``pool`` and ``sph`` built op by op."""
     n, k = nbr_idx.shape
     flat = nbr_idx.reshape(-1)
@@ -72,7 +84,7 @@ def conv_geometry(coords, nbr_idx: np.ndarray, basis: eq.RadialBasis, max_lf: in
     rsq = ad.reduce_sum(ad.mul(dvec, dvec), axis=1)
     r = power(ad.add(rsq, 1e-24), 0.5)
     unit = ad.div(dvec, ad.reshape(r, (-1, 1)))
-    sph = {l_f: _sph_matrix(l_f, unit) for l_f in range(1, max_lf + 1)}
+    sph = {l_f: _sph_matrix(l_f, unit) for l_f in (1, 2)}
     pool = ad.transpose(ad.reshape(radial_basis(basis, r), (n, k, basis.n_basis)), (0, 2, 1))
     return {"n": n, "k": k, "flat": flat, "edge_scale": edge_scale, "pool": pool,
             "sph": sph, "kc": {}}

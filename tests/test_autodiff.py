@@ -90,7 +90,7 @@ def test_matmul_gradient_vs_finite_differences():
 
 
 def test_grad_check_simple_example():
-    report = ad.grad_check(lambda x: ad.reduce_sum(x * x), np.array([1.0, 2.0]))
+    report = ad.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), np.array([1.0, 2.0]))
     assert report.passed
     np.testing.assert_allclose(report.analytic, [2.0, 4.0], atol=1e-12)
 
@@ -99,7 +99,7 @@ def test_grad_check_allows_rounding_at_small_gradient():
     # the gradient 2e-8 of the first coordinate is below the rounding error
     # of a central difference of f ~ 15, which must not read as a failure
     x0 = np.array([1e-8, 2.0, -1.5, 3.0])
-    report = ad.grad_check(lambda x: ad.reduce_sum(x * x), x0)
+    report = ad.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), x0)
     assert report.passed, f"max rel err {report.max_rel_err:.3e} at {report.worst_index}"
     np.testing.assert_allclose(report.analytic, 2 * x0, atol=1e-12)
 
@@ -124,16 +124,16 @@ def test_grad_check_rejects_non_scalar():
 
 def test_no_double_accumulation():
     x = ad.param(1.0)
-    y = x + x
+    y = ad.add(x, x)
     y.backward()
     assert float(np.asarray(x.grad)) == 2.0
 
 
 def test_backward_visits_each_node_once():
     x = ad.param(np.array([1.0, 2.0]))
-    a = x * x
-    b = a + a          # reuses a twice
-    c = ad.reduce_sum(b * a)
+    a = ad.mul(x, x)
+    b = ad.add(a, a)   # reuses a twice
+    c = ad.reduce_sum(ad.mul(b, a))
     tape = c.backward()
     non_leaf = sum(1 for node in tape.nodes if node.parents)
     assert tape.visit_count == non_leaf
@@ -141,7 +141,7 @@ def test_backward_visits_each_node_once():
 
 def test_tape_topological_order():
     x = ad.param(np.array([1.0, 2.0]))
-    y = ad.reduce_sum(ad.tanh(x) * x)
+    y = ad.reduce_sum(ad.mul(ad.tanh(x), x))
     tape = ad.Tape.trace(y)
     position = {id(n): i for i, n in enumerate(tape.nodes)}
     for node in tape.nodes:
@@ -275,12 +275,12 @@ def test_primitive_runs_its_vjp_only_for_grad_parents():
 
 def test_no_grad_nodes_record_no_graph():
     c = ad.constant(np.array([1.0, 2.0]))
-    y = ad.reduce_sum(ad.tanh(c) * c)
+    y = ad.reduce_sum(ad.mul(ad.tanh(c), c))
     assert y.parents == () and y._node is None and not y.requires_grad
     assert len(ad.Tape.trace(y)) == 1
 
     x = ad.param(np.array([1.0, 2.0]))
-    z = ad.reduce_sum(ad.tanh(c) * x)
+    z = ad.reduce_sum(ad.mul(ad.tanh(c), x))
     assert z.parents and z.requires_grad
     z.backward()
     np.testing.assert_array_equal(x.grad, np.tanh(c.values))

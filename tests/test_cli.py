@@ -10,6 +10,7 @@ from conftest import write_pdb
 from dockinv import fileio, toydata
 from dockinv.cli import main
 from dockinv.config import RunConfig
+from dockinv.model import PipelineModel
 from dockinv.structures import parse_pdb, write_molecule
 from dockinv.surface import build_patches, build_surface
 
@@ -151,6 +152,33 @@ def test_truncated_checkpoint_exits_1(cut, tmp_path, pdb, capsys):
             "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "error: truncated checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["invert", "finetune"])
+@pytest.mark.parametrize("change, message", [
+    ("missing", "lacks the model's array 'attn.wq'"),
+    ("extra", "array 'attn.wv1' is not a model parameter"),
+    ("shape", "array 'attn.wq' has shape (6, 5), the model's has (6, 6)"),
+])
+def test_checkpoint_not_matching_the_model_exits_1(command, change, message, tmp_path, pdb,
+                                                   config_file, toy_cfg, capsys):
+    # checked when loaded, before a surface or a corpus is built
+    params = PipelineModel(toy_cfg).init_params(0)
+    if change == "missing":
+        del params["attn.wq"]
+    elif change == "extra":
+        params["attn.wv1"] = np.zeros((6, 6))
+    else:
+        params["attn.wq"] = params["attn.wq"][:, :5]
+    ckpt = tmp_path / "model.ckpt"
+    fileio.save_checkpoint(ckpt, params, toy_cfg.digest())
+    out = tmp_path / "out"
+    argv = (["invert", "--receptor", str(pdb), "--checkpoint", str(ckpt)]
+            if command == "invert" else ["finetune", "--init", str(ckpt)])
+    assert main(argv + ["--config", str(config_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {ckpt}: checkpoint {message}" in err and "warning" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, text", [

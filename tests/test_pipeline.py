@@ -1,6 +1,8 @@
 """Stages 2-4 on real pipeline objects: the inversion objective's gradient,
 repair invariants, decode and training determinism, checkpoint resume."""
 
+import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from dockinv.finetune import finetune_loss, finetune_run, load_complex_dir
 from dockinv.model import PipelineModel, as_tensors
 from dockinv.pretrain import pretrain_loss, pretrain_run
 from dockinv.structures import AMINO_ACIDS, write_molecule
+from dockinv.surface import build_surface
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +92,7 @@ def test_objective_over_head_orders_matches_full_encode(toy_cfg, mdl, init_param
     monkeypatch.setattr(PipelineModel, "encode",
                         lambda self, *args, orders=None, **kw: full_encode(self, *args, **kw))
     ctx_ref, (parts_ref, gx_ref, gf_ref, count_ref) = run()
-    assert sorted(ctx_got.field_values) == [0] and sorted(ctx_ref.field_values) == [0, 1, 2]
+    assert sorted(ctx_got.field_values) == [0] and sorted(ctx_ref.field_values) == [0, 1]
     assert ctx_got.field_values[0].tobytes() == ctx_ref.field_values[0].tobytes()
     assert parts == parts_ref
     assert gx.tobytes() == gx_ref.tobytes() and gf.tobytes() == gf_ref.tobytes()
@@ -115,9 +118,6 @@ class _ReadRecorder(dict):
 
 def test_parameters_no_stage_reads(toy_cfg, mdl, init_params, surface_corpus, complex_corpus,
                                    receptor_cloud):
-    # these arrays feed only encoder and attention outputs that nothing reads;
-    # they stay in the table because deleting them changes the draws of
-    # init_params and every checkpoint
     reads: set = set()
     assert {s.cloud.molecule_type for s in surface_corpus} == {"protein", "small-molecule"}
     pretrain_loss(mdl, _ReadRecorder(as_tensors(init_params), reads), surface_corpus, toy_cfg, 0)
@@ -126,11 +126,43 @@ def test_parameters_no_stage_reads(toy_cfg, mdl, init_params, surface_corpus, co
     ctx = inversion.prepare_receptor(mdl, params, receptor_cloud[0])
     for mode in ("continuous-pgd", "discrete-accept"):
         inversion.run_inversion(ctx, mdl, params, toy_cfg, seed=0, mode=mode, steps=2)
-    unread = sorted(set(mdl.param_shapes()) - reads)
-    assert unread == sorted(
-        ["attn.wv1", "attn.wv2"]
-        + [f"{enc}.enc1.w{path}" for enc in ("encp", "encm")
-           for path in ("022", "112", "122", "202", "212", "222")])
+    assert sorted(set(mdl.param_shapes()) - reads) == []
+
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+# the config's own checks, hash and copies read every field; they do not count
+_CONFIG_BOOKKEEPING = {"validate", "digest", "replace", "_replace", "__repr__"}
+
+
+class _ConfigReadRecorder(RunConfig):
+    """A RunConfig that records every field the pipeline reads from it."""
+
+    reads: set = set()
+
+    def __getattribute__(self, name):
+        if name in _CONFIG_FIELDS and sys._getframe(1).f_code.co_name not in _CONFIG_BOOKKEEPING:
+            _ConfigReadRecorder.reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_config_fields_all_read(toy_cfg):
+    # a field no stage reads is a setting that changes nothing; an 11-step
+    # budget (t_invert) lets the run reach its plateau test (eps_dg)
+    _ConfigReadRecorder.reads = set()
+    values = {name: getattr(toy_cfg, name) for name in _CONFIG_FIELDS}
+    cfg = _ConfigReadRecorder(**{**values, "t_invert": 11})
+    mdl = PipelineModel(cfg)
+    surfaces = toydata.toy_surface_corpus(2, cfg, mdl, seed=1)
+    complexes, _ = toydata.toy_complex_corpus(2, cfg, mdl, seed=2)
+    params, _ = pretrain_run(surfaces, cfg, steps=1, mdl=mdl, batch_size=2)
+    params, _ = finetune_run(complexes, cfg, steps=1, mdl=mdl, params=params, batch_size=2)
+    cloud, _ = build_surface(toydata.fixture_receptor(), cfg, seed=11)
+    ctx = inversion.prepare_receptor(mdl, params, cloud)
+    assert len(inversion.run_inversion(ctx, mdl, params, cfg, seed=0).trace) == 11
+    for molecule_type in ("small-molecule", "protein"):
+        inversion.run_inversion(ctx, mdl, params, cfg, seed=0, molecule_type=molecule_type,
+                                mode="discrete-accept", steps=2)
+    assert sorted(_CONFIG_FIELDS - _ConfigReadRecorder.reads) == []
 
 
 def geom_block_per_op_reference(x, x_np, k_geom):
@@ -412,8 +444,13 @@ def test_protein_run_decodes_residues(mode, toy_cfg, mdl, init_params, ctx):
     assert result.stop_reason == "budget"
     prot = result.best
     assert isinstance(prot, inversion.DecodedProtein)
-    # at seed 0 the best candidate is the terminal state in both modes
-    assert len(prot.sequence) == len(result.state.x)
+    # a continuous step keeps the residue count; a discrete step adds or
+    # deletes at most one residue, and the best candidate is any state visited
+    n_init = toy_cfg.n_init_residues
+    if mode == "continuous-pgd":
+        assert len(prot.sequence) == n_init
+    else:
+        assert abs(len(prot.sequence) - n_init) <= 4
     assert len(prot.phi) == len(prot.psi) == len(prot.rotamers) == len(prot.sequence)
     assert set(prot.sequence) <= set(AMINO_ACIDS)
     for torsion in (prot.phi, prot.psi):

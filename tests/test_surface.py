@@ -383,30 +383,23 @@ class TestFps:
 class TestKnn:
     def test_coincident_center(self):
         pts = np.array([[0.0, 0, 0], [5.0, 0, 0]])
-        members, relaxed = sf.knn(pts[[0]], pts, 1)
-        assert members[0, 0] == 0
-        assert not relaxed[0]
+        members = sf.knn(pts[[0]], pts, 1)
+        assert members.shape == (1, 1) and members[0, 0] == 0
 
     def test_tie_breaks_to_lower_index(self):
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1.0, 0]])
-        members, _ = sf.knn(np.zeros((1, 3)), pts, 2)
+        members = sf.knn(np.zeros((1, 3)), pts, 2)
         np.testing.assert_array_equal(members[0], [0, 1])
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((500, 3))
         centers = pts[rng.choice(500, 20, replace=False)]
-        members, _ = sf.knn(centers, pts, 12)
+        members = sf.knn(centers, pts, 12)
         for c in range(20):
             dists = np.linalg.norm(pts - centers[c], axis=1)
             expected = sorted(range(500), key=lambda i: (dists[i], i))[:12]
             np.testing.assert_array_equal(sorted(members[c]), sorted(expected))
-
-    def test_radius_relaxation_flag(self):
-        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [50.0, 0, 0]])
-        members, relaxed = sf.knn(pts[[0]], pts, 3, r_patch=5.0)
-        assert relaxed[0]
-        assert members.shape == (1, 3)
 
     def test_too_few_points(self):
         with pytest.raises(sf.SurfaceError):
