@@ -59,7 +59,6 @@ __all__ = [
     "clip",
     "softmax",
     "logsumexp",
-    "norm",
     "gather",
     "concat",
     "reduce_sum",
@@ -484,24 +483,6 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
         return (soft * g,)
 
     return _make(out, "log-sum-exp", (a,), vjp)
-
-
-def norm(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Euclidean norm along ``axis``. Exactly-zero vectors are a domain error."""
-    a = as_tensor(a)
-    sq = (a.values * a.values).sum(axis=axis, keepdims=True)
-    if np.any(sq == 0.0):
-        raise DomainError("euclidean-norm of zero vector (gradient undefined)")
-    out_kd = np.sqrt(sq)
-    out = out_kd if keepdims else np.squeeze(out_kd, axis=axis)
-    av = a.values
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (av / out_kd * g,)
-
-    return _make(out, "euclidean-norm", (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

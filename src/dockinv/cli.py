@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio, theory, toydata
 from .config import ConfigError, RunConfig, load_config, parse_overrides
-from .finetune import AffinityScaler, finetune_run, load_complex_dir
+from .finetune import finetune_run, load_complex_dir
 from .inversion import prepare_receptor, run_inversion
 from .model import PipelineModel
 from .pretrain import prepare_sample, pretrain_run
@@ -280,44 +280,52 @@ def _float_rows(path, cols, sep=None, n_fields=None, skip=0) -> np.ndarray:
     return np.array(rows).reshape(-1, len(cols))
 
 
+#: Number of input files a metric kind reads; the others read one or more.
+_METRIC_INPUTS = {"aar": 2, "nov": 2, "div": 1, "scaling": 1}
+
+
 def cmd_metrics(args) -> int:
     cfg = _effective_config(args)
     _banner("metrics", cfg, args.seed)
-    kind = args.kind
+    kind, inputs = args.kind, args.inputs
+    want = _METRIC_INPUTS.get(kind)
+    if want is not None and len(inputs) != want:
+        raise InputError(f"metrics --kind {kind} reads {want} input file(s), got {len(inputs)}")
+
+    def score(metric, *operands):
+        # a metric raises ValueError on data it cannot score (too few items,
+        # sets of different sizes, a timing <= 0): an input error
+        try:
+            return metric(*operands)
+        except ValueError as exc:
+            raise InputError(f"{', '.join(inputs)}: {exc}") from None
+
     if kind == "aar":
-        gen, ref = _read_lines(args.inputs[0]), _read_lines(args.inputs[1])
-        print(f"AAR = {theory.metric_aar(gen, ref):.4f}")
+        print(f"AAR = {score(theory.metric_aar, *map(_read_lines, inputs)):.4f}")
     elif kind == "div":
-        items = _read_lines(args.inputs[0])
-        value = theory.metric_div(items, lambda a, b: 1.0 - theory.seq_identity(a, b))
+        value = score(theory.metric_div, _read_lines(inputs[0]),
+                      lambda a, b: 1.0 - theory.seq_identity(a, b))
         print(f"DIV = {value:.4f}")
     elif kind == "nov":
-        gen, ref = _read_lines(args.inputs[0]), _read_lines(args.inputs[1])
-        print(f"NOV = {theory.metric_nov(gen, ref, alpha=args.alpha):.4f}")
+        print(f"NOV = {score(theory.metric_nov, *map(_read_lines, inputs)):.4f}")
     elif kind == "sta-molecule":
         mols = []
-        for path in args.inputs:
+        for path in inputs:
             structure = parse_molecule(Path(path).read_text())
             bonded = {(b.i, b.j) for b in structure.bonds}
             cse = float(theory.clash_count(structure.coords, cfg.clash_floor, bonded))
             mols.append({"cse": cse, "sai": theory.accessibility_proxy(structure)})
-        print(f"STA = {theory.metric_sta_molecule(mols):.4f}")
+        print(f"STA = {score(theory.metric_sta_molecule, mols):.4f}")
     elif kind == "sta-protein":
         prots = []
-        for path in args.inputs:
+        for path in inputs:
             rows = _float_rows(path, (1, 2), skip=1)
             prots.append({"scs": 0.0, "ssc": theory.torsion_coherence(rows[:, 0], rows[:, 1])})
-        print(f"STA = {theory.metric_sta_protein(prots):.4f}")
-    elif kind == "scaling":
-        samples = _float_rows(args.inputs[0], (0, 1), sep=",", n_fields=2)
-        try:
-            gamma, err = theory.fit_scaling_exponent(samples)
-        except ValueError as exc:      # too few sizes or timings, or a value <= 0
-            raise InputError(f"{args.inputs[0]}: {exc}") from None
-        print(f"gamma = {gamma:.4f} +- {err:.4f}")
+        print(f"STA = {score(theory.metric_sta_protein, prots):.4f}")
     else:
-        print(f"error: unknown metric kind {kind!r}", file=sys.stderr)
-        return 1
+        samples = _float_rows(inputs[0], (0, 1), sep=",", n_fields=2)
+        gamma, err = score(theory.fit_scaling_exponent, samples)
+        print(f"gamma = {gamma:.4f} +- {err:.4f}")
     return 0
 
 
@@ -390,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", required=True,
                    choices=("aar", "div", "nov", "sta-molecule", "sta-protein", "scaling"))
-    p.add_argument("--alpha", type=float, default=0.5, help="sequence/structure blend for NOV")
     p.add_argument("inputs", nargs="+")
     p.set_defaults(fn=cmd_metrics)
 

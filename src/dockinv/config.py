@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_overrides"]
 

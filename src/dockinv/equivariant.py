@@ -38,7 +38,6 @@ __all__ = [
     "IrrepsField",
     "RadialBasis",
     "EquivariantError",
-    "real_spherical_harmonics",
     "rotation_operator",
     "coupling_tensor",
     "allowed_paths",
@@ -61,50 +60,24 @@ class EquivariantError(ValueError):
     pass
 
 
-def _sph_columns(l: int, x, y, z):
-    """Harmonic components as expressions in coordinate columns.
-
-    All polynomials are homogeneous, so the same code serves unit directions
-    exactly.
-    """
+def _sph_matrix(l: int, unit: np.ndarray) -> np.ndarray:
+    """(E, 2l+1) real orthonormal harmonics of order ``l`` at the (E, 3) unit directions."""
+    x, y, z = unit[:, 0], unit[:, 1], unit[:, 2]
     if l == 0:
-        return [x * 0.0 + _C0]
-    if l == 1:
-        return [_C1 * y, _C1 * z, _C1 * x]
-    if l == 2:
-        return [
+        cols = [x * 0.0 + _C0]
+    elif l == 1:
+        cols = [_C1 * y, _C1 * z, _C1 * x]
+    elif l == 2:
+        cols = [
             _C2A * x * y,
             _C2A * y * z,
             _C2B * (2.0 * z * z - x * x - y * y),
             _C2A * z * x,
             _C2C * (x * x - y * y),
         ]
-    raise EquivariantError(f"unsupported harmonic order {l}")
-
-
-def real_spherical_harmonics(l: int, direction: np.ndarray) -> np.ndarray:
-    """Real orthonormal harmonics of order ``l`` at unit direction(s).
-
-    Inputs within 1e-6 of unit length are normalized internally; anything
-    farther off is a domain error.
-    """
-    if l not in (0, 1, 2):
+    else:
         raise EquivariantError(f"unsupported harmonic order {l}")
-    d = np.asarray(direction, dtype=float)
-    single = d.ndim == 1
-    d = np.atleast_2d(d)
-    norms = np.linalg.norm(d, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        worst = float(np.abs(norms - 1.0).max())
-        raise EquivariantError(f"direction deviates from unit length by {worst:.2e}")
-    d = d / norms[:, None]
-    cols = _sph_columns(l, d[:, 0], d[:, 1], d[:, 2])
-    out = np.stack(cols, axis=-1)
-    return out[0] if single else out
-
-
-def _sph_matrix(l: int, unit: np.ndarray) -> np.ndarray:
-    return np.stack(_sph_columns(l, unit[:, 0], unit[:, 1], unit[:, 2]), axis=-1)
+    return np.stack(cols, axis=-1)
 
 
 def _sph_matrix_vjp(l: int, unit: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -245,10 +218,6 @@ class IrrepsField:
                 raise EquivariantError(
                     f"order-{l} channel has width {ch.shape[-1]}, expected {2 * l + 1}"
                 )
-
-    @property
-    def n_points(self) -> int:
-        return next(iter(self.channels.values())).shape[0]
 
     def values(self) -> dict[int, np.ndarray]:
         return {
@@ -642,40 +611,26 @@ class Encoder:
 # attention
 # ---------------------------------------------------------------------------
 
-def equivariant_attention(
-    receptor: IrrepsField,
-    ligand: IrrepsField,
-    params: dict,
-):
-    """Scalar-scored cross-attention over order-0 channels.
+def equivariant_attention(receptor: Tensor, ligand: Tensor, params: dict):
+    """Scalar-scored cross-attention between order-0 feature matrices.
 
-    Scores come from order-0 channels only (hence rigid-motion invariant),
-    and only the order-0 values are projected and attended: no stage reads
-    an attended higher order, so the fields need carry no more than order 0.
-    Returns (attended receptor field, holding order 0 only, fused vector,
-    score matrix). The fused vector, of length 2d, is mean- and max-pooling
-    over receptor points of the sum of original and attended order-0 features.
+    ``receptor`` (n_r, d) and ``ligand`` (n_l, d) are the order-0 channels of
+    two fields, their width-1 component axis dropped; order 0 is invariant,
+    so the scores are rigid-motion invariant. No stage reads an attended
+    higher order, so only order 0 is attended. Returns (attended (n_r, d)
+    matrix, fused vector, score matrix). The fused vector, of length 2d, is
+    mean- and max-pooling over receptor points of the sum of original and
+    attended features.
     """
-    if ligand.n_points == 0:
+    if ligand.shape[0] == 0:
         raise ad.DomainError("equivariant attention needs a non-empty ligand field")
-    zr0 = receptor.channels[0]
-    zl0 = ligand.channels[0]
-    d = zr0.shape[1]
-    q = ad.matmul(ad.reshape(zr0, (-1, d)), params["attn.wq"])
-    k = ad.matmul(ad.reshape(zl0, (-1, d)), params["attn.wk"])
+    d = receptor.shape[1]
+    q = ad.matmul(receptor, params["attn.wq"])
+    k = ad.matmul(ligand, params["attn.wk"])
     scores = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d)), axis=1)
-
-    n_l, c, m = zl0.shape
-    flat = ad.reshape(ad.transpose(zl0, (0, 2, 1)), (n_l * m, c))
-    proj = ad.matmul(flat, params["attn.wv0"])
-    proj = ad.transpose(ad.reshape(proj, (n_l, m, c)), (0, 2, 1))
-    att = ad.matmul(scores, ad.reshape(proj, (n_l, c * m)))
-    attended0 = ad.reshape(att, (-1, c, m))
-
-    orig = ad.reshape(zr0, (-1, d))
-    att0 = ad.reshape(attended0, (-1, d))
-    summary = ad.add(orig, att0)
+    attended = ad.matmul(scores, ad.matmul(ligand, params["attn.wv0"]))
+    summary = ad.add(receptor, attended)
     fused = ad.concat(
         [ad.reduce_mean(summary, axis=0), ad.reduce_max(summary, axis=0)], axis=0
     )
-    return IrrepsField({0: attended0}), fused, scores
+    return attended, fused, scores

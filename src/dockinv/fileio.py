@@ -33,7 +33,8 @@ _TYPE_NAMES = {v: k for k, v in _TYPE_CODES.items()}
 
 
 class FormatError(ValueError):
-    """Bad magic, version, or truncated payload."""
+    """A file does not follow its format: bad magic, version, truncated
+    payload, or a malformed label."""
 
 
 class ChecksumError(FormatError):

@@ -17,6 +17,7 @@ from . import autodiff as ad
 from . import neighbors
 from .autodiff import Tensor
 from .config import RunConfig
+from .fileio import FormatError
 from .model import (
     HEAD_ORDERS,
     PipelineModel,
@@ -121,7 +122,7 @@ def affinity_loss(gate: Tensor, pred_dg: Tensor, target_dg: float, tau_conf: flo
 # forward pass and training
 # ---------------------------------------------------------------------------
 
-def complex_forward(mdl: PipelineModel, params_t: dict, sample: ComplexSample, cfg: RunConfig):
+def complex_forward(mdl: PipelineModel, params_t: dict, sample: ComplexSample):
     """Encode both clouds, then fuse and run the heads.
 
     The heads are ``PipelineModel.complex_heads``, and the loss terms below
@@ -144,7 +145,7 @@ def finetune_loss(mdl: PipelineModel, params_t: dict, batch: list[ComplexSample]
     terms_p, terms_i, terms_g = [], [], []
     labeled = 0
     for sample in batch:
-        pocket, y_int_hat, dg_hat, gate = complex_forward(mdl, params_t, sample, cfg)
+        pocket, y_int_hat, dg_hat, gate = complex_forward(mdl, params_t, sample)
         y_geom = geometric_pseudolabels(sample.receptor.points, sample.ligand.points,
                                         cfg.interface_cutoff_ligand)
         terms_p.append(pocket_loss(pocket, sample.pocket_labels, y_geom, cfg.lambda_p))
@@ -204,6 +205,13 @@ def _parse_sidecar(text: str) -> dict:
     return out
 
 
+def _label_number(path, key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise FormatError(f"{path}: {key} = {text!r} is not a number") from None
+
+
 def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0):
     """Load a directory of complexes.
 
@@ -211,7 +219,8 @@ def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0):
     (``ligand.mol`` text format or ``ligand.pdb``), and ``labels.txt`` with
     ``y_int = 0|1``, optional ``delta_g = <kcal/mol>``, and an optional
     ``pocket = 0101...`` bitmask over receptor surface points (derived from
-    ligand geometry when omitted). Returns (samples, fitted scaler).
+    ligand geometry when omitted). Returns (samples, fitted scaler). A label
+    that breaks these rules is a :class:`FormatError` naming its file.
     """
     root = Path(root)
     dirs = sorted(p for p in root.iterdir() if p.is_dir())
@@ -225,14 +234,19 @@ def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0):
             ligand = parse_molecule(mol_path.read_text())
         else:
             ligand = parse_pdb((d / "ligand.pdb").read_text())
-        labels = _parse_sidecar((d / "labels.txt").read_text())
-        y_int = float(labels.get("y_int", "1"))
+        path = d / "labels.txt"
+        labels = _parse_sidecar(path.read_text())
+        y_int = _label_number(path, "y_int", labels.get("y_int", "1"))
+        if y_int not in (0.0, 1.0):
+            raise FormatError(f"{path}: y_int = {labels['y_int']!r} is neither 0 nor 1")
         dg_raw = labels.get("delta_g", "")
-        delta_g = None if dg_raw in ("", "none", "nan") else float(dg_raw)
-        raw.append((receptor, ligand, labels, y_int, delta_g, i))
+        delta_g = None if dg_raw in ("", "none", "nan") else _label_number(path, "delta_g", dg_raw)
+        if set(labels.get("pocket", "")) - {"0", "1"}:
+            raise FormatError(f"{path}: pocket bitmask holds characters other than 0 and 1")
+        raw.append((receptor, ligand, labels, y_int, delta_g, i, path))
     scaler = AffinityScaler.fit([r[4] for r in raw])
     samples = []
-    for receptor, ligand, labels, y_int, delta_g, i in raw:
+    for receptor, ligand, labels, y_int, delta_g, i, path in raw:
         r_cloud, r_patches = build_surface(receptor, cfg, seed=seed * 9973 + 2 * i,
                                            partner_points=ligand.coords)
         l_cloud, l_patches = build_surface(ligand, cfg, seed=seed * 9973 + 2 * i + 1,
@@ -240,9 +254,8 @@ def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0):
         mask = labels.get("pocket", "")
         if mask:
             if len(mask) != len(r_cloud.points):
-                raise ValueError(
-                    f"pocket bitmask length {len(mask)} != {len(r_cloud.points)} points"
-                )
+                raise FormatError(f"{path}: pocket bitmask length {len(mask)} != "
+                                  f"{len(r_cloud.points)} points")
             pocket = np.array([c == "1" for c in mask], dtype=float)
         else:
             pocket = geometric_pseudolabels(r_cloud.points, ligand.coords,

@@ -91,17 +91,6 @@ _SIX_RING = ("benzene", "pyridine")
 _FIVE_RING = ("furan", "pyrrole", "thiophene", "imidazole")
 _FUNCTIONAL = ("carboxyl", "amide")
 
-#: Three canonical side-chain torsion combinations per residue (chi angles in
-#: degrees); GLY/ALA have no rotatable side chain.
-ROTAMER_TABLE = {
-    aa: ((-60.0,), (180.0,), (60.0,)) for aa in AMINO_ACIDS
-}
-ROTAMER_TABLE["GLY"] = ((), (), ())
-ROTAMER_TABLE["ALA"] = ((), (), ())
-for _aa in ("ARG", "LYS", "MET", "GLU", "GLN"):
-    ROTAMER_TABLE[_aa] = ((-60.0, 180.0), (180.0, 180.0), (60.0, 180.0))
-
-
 class RepairError(RuntimeError):
     """Validity repair failed to reach a fixed point."""
 
@@ -128,7 +117,7 @@ class DecodedProtein:
     sequence: list[str]
     phi: np.ndarray
     psi: np.ndarray
-    rotamers: np.ndarray               # index into ROTAMER_TABLE entries
+    rotamers: np.ndarray               # rotamer class per residue: 0, 1 or 2
 
     def to_text(self) -> str:
         lines = ["residue phi psi rotamer"]
@@ -253,9 +242,7 @@ def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> 
     coordinates and feature channels. The neighbourhood averages share
     one ``omega`` node and its row sums.
     """
-    x_np = x.values if isinstance(x, Tensor) else np.asarray(x)
-    x = ad.as_tensor(x)
-    f = ad.as_tensor(f)
+    x_np = x.values
     n = x_np.shape[0]
     omega = _pairwise_omega(x, x_np, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
     denom = ad.matmul(omega, np.ones((n, 1)))

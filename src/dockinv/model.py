@@ -127,20 +127,12 @@ class PipelineModel:
         return ad.add(ad.matmul(both, params[f"{prefix}.w"]), ad.reshape(params[f"{prefix}.b"], (1, -1)))
 
     # -- decoder and heads -------------------------------------------------
-    def decode_tokens(self, params: dict, tokens: Tensor, context: Tensor,
-                      centers: np.ndarray | None = None):
-        """Map patch tokens (+ a visible-context vector and the patch-center
-        offset from the cloud centroid) to coordinates and curvature
-        probabilities."""
+    def decode_tokens(self, params: dict, tokens: Tensor, context: Tensor, centers: np.ndarray):
+        """Map (t, d_code) patch tokens, each with its row of visible context
+        and its patch-center offset from the cloud centroid, to coordinates
+        and curvature probabilities."""
         t = tokens.shape[0]
-        ctx = ad.as_tensor(context)
-        if ctx.ndim == 1:
-            ctx = ad.reshape(ctx, (1, -1))
-            if t > 1:
-                ctx = ad.concat([ctx] * t, axis=0)
-        if centers is None:
-            centers = np.zeros((t, 3))
-        x = ad.concat([tokens, ctx, ad.as_tensor(centers)], axis=1)
+        x = ad.concat([tokens, context, centers], axis=1)
         h = ad.tanh(ad.add(ad.matmul(x, params["dec.w1"]), ad.reshape(params["dec.b1"], (1, -1))))
         coords = ad.add(ad.matmul(h, params["dec.wc"]), ad.reshape(params["dec.bc"], (1, -1)))
         coords = ad.reshape(coords, (t, self.patch_k, 3))
@@ -164,25 +156,25 @@ class PipelineModel:
         x = ad.reshape(fused, (1, -1))
         return ad.reshape(self._mlp_head(params, "aff", x, None), ())
 
-    def fuse(self, params: dict, receptor: IrrepsField, ligand: IrrepsField):
+    def fuse(self, params: dict, receptor: Tensor, ligand: Tensor):
         return equivariant_attention(receptor, ligand, params)
 
     def complex_heads(self, params: dict, receptor: IrrepsField, ligand: IrrepsField):
         """Fuse the two fields and run the pocket, interaction and affinity heads.
 
-        Each receptor point's pocket-head input is its own order-0 features
-        next to the attended ones. The interaction and affinity heads score the
+        Each field's order 0 is reshaped once to an (n, d0) matrix. Each
+        receptor point's pocket-head input is its own order-0 features next
+        to the attended ones. The interaction and affinity heads score the
         fused vector, and the gate is the largest pocket probability times the
         interaction probability.
 
         Returns (pocket probabilities, interaction probability, predicted
         affinity, gate tensor used by the affinity loss).
         """
-        attended, fused, _ = self.fuse(params, receptor, ligand)
-        orig0 = ad.reshape(receptor.channels[0], (-1, self.d0))
-        att0 = ad.reshape(attended.channels[0], (-1, self.d0))
-        per_point = ad.concat([orig0, att0], axis=1)
-        pocket = self.pocket_head(params, per_point)
+        zr = ad.reshape(receptor.channels[0], (-1, self.d0))
+        zl = ad.reshape(ligand.channels[0], (-1, self.d0))
+        attended, fused, _ = self.fuse(params, zr, zl)
+        pocket = self.pocket_head(params, ad.concat([zr, attended], axis=1))
         y_int = self.interaction_head(params, fused)
         gate = ad.mul(ad.reduce_max(pocket), y_int)
         return pocket, y_int, self.affinity_head(params, fused), gate
@@ -221,21 +213,14 @@ def train_loop(samples: list, steps: int, batch_size: int, order_seed: list[int]
     return history
 
 
-def as_tensors(params: dict[str, np.ndarray], trainable=None) -> dict[str, Tensor]:
-    """Wrap parameter arrays as graph leaves (all trainable by default)."""
-    out = {}
-    for name, arr in params.items():
-        rg = True if trainable is None else name in trainable
-        out[name] = Tensor(arr, requires_grad=rg, op="param")
-    return out
+def as_tensors(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """Wrap parameter arrays as trainable graph leaves."""
+    return {name: Tensor(arr, requires_grad=True, op="param") for name, arr in params.items()}
 
 
 def collect_grads(params_t: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {
-        name: (t.grad if t.grad is not None else np.zeros(t.shape))
-        for name, t in params_t.items()
-        if t.requires_grad
-    }
+    return {name: (t.grad if t.grad is not None else np.zeros(t.shape))
+            for name, t in params_t.items()}
 
 
 def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:

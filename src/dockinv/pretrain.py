@@ -91,10 +91,6 @@ def chamfer_loss(pred, target) -> Tensor:
     """
     p = ad.as_tensor(pred)
     q = ad.as_tensor(target)
-    if p.ndim == 2:
-        p = ad.reshape(p, (1,) + p.shape)
-    if q.ndim == 2:
-        q = ad.reshape(q, (1,) + q.shape)
     t, kp, _ = p.shape
     _, kt, _ = q.shape
     if t == 0 or kp == 0 or kt == 0:
@@ -122,10 +118,8 @@ def curvature_targets(patch_points: np.ndarray, center: np.ndarray):
 
 
 def kl_regularizer(q) -> Tensor:
-    """Mean KL(q || uniform) over posterior rows; rows must sum to one."""
+    """Mean KL(q || uniform) over the rows of a (T, n) posterior; rows must sum to one."""
     qt = ad.as_tensor(q)
-    if qt.ndim == 1:
-        qt = ad.reshape(qt, (1, -1))
     sums = qt.values.sum(axis=1)
     if not np.allclose(sums, 1.0, atol=1e-8):
         raise ad.ContractError("kl_regularizer rows must be normalized")

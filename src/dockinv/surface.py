@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import neighbors
 from .config import RunConfig
 from .structures import MOLECULE_TYPES, PROTEIN_ELEMENTS, MolecularStructure
@@ -28,7 +27,6 @@ __all__ = [
     "InsufficientSurfaceError",
     "SurfacePointCloud",
     "PatchSet",
-    "smoothed_sdf",
     "sdf_value_grad",
     "intrinsic_frame",
     "sample_candidates",
@@ -100,28 +98,6 @@ class PatchSet:
 # smoothed signed distance field
 # ---------------------------------------------------------------------------
 
-def smoothed_sdf(x, coords: np.ndarray, radii: np.ndarray) -> ad.Tensor:
-    """Differentiable smoothed SDF at ``x`` ((3,) or (P,3)); graph-recorded.
-
-    Value is ``-fbar(x) * log sum_j exp(-|x - c_j| / sigma_j)`` with ``fbar``
-    the exp(-distance)-weighted mean radius, stabilized via log-sum-exp.
-    """
-    coords = np.asarray(coords, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    if coords.size == 0:
-        raise ad.DomainError("smoothed_sdf needs at least one atom")
-    xt = ad.as_tensor(x)
-    single = xt.ndim == 1
-    pts = ad.reshape(xt, (1, 3)) if single else xt
-    diff = ad.sub(ad.reshape(pts, (pts.shape[0], 1, 3)), coords[None, :, :])
-    d = ad.norm(diff, axis=2)                      # (P, A)
-    s = ad.logsumexp(ad.mul(d, -1.0 / radii), axis=1)
-    p = ad.softmax(ad.neg(d), axis=1)
-    fbar = ad.reduce_sum(ad.mul(p, radii), axis=1)
-    out = ad.neg(ad.mul(fbar, s))
-    return out[0] if single else out
-
-
 # Points are evaluated in row blocks of about this many bytes of point-atom
 # differences: 109 rows at A = 200, 21 rows at A = 1000. Blocks from 256 KiB
 # to 2 MiB ran equally fast at both sizes; larger ones spill out of cache.
@@ -129,7 +105,11 @@ _SDF_BLOCK_BYTES = 1 << 19
 
 
 def sdf_value_grad(points: np.ndarray, coords: np.ndarray, radii: np.ndarray):
-    """Fast numpy evaluation of the smoothed SDF and its spatial gradient.
+    """The smoothed SDF at ``points`` ((3,) or (P, 3)) and its spatial gradient.
+
+    The value is ``-fbar(x) * log sum_j exp(-|x - c_j| / r_j)``, with ``fbar``
+    the exp(-distance)-weighted mean radius; both sums are stabilized by
+    subtracting their largest exponent.
 
     Points are taken in row blocks, so memory stays O(rows x A) for any
     number of points, and every row comes out bitwise the same whatever block
@@ -296,10 +276,10 @@ def chemical_features(
     r_probe: float = 1.4,
     eps: float = 1e-6,
 ):
-    """(H_bond, charge, hydrophobicity, aromaticity) per point plus empty flags.
+    """(H_bond, charge, hydrophobicity, aromaticity) per point.
 
     All four are probe-weighted neighborhood statistics over atoms within
-    ``r_chem``; an empty neighborhood yields the all-zero tuple and a flag.
+    ``r_chem``; an empty neighborhood yields the all-zero row.
     """
     elems = np.array([a.element for a in structure.atoms])
     w = _probe_weights(points, structure, r_chem, r_probe, eps)
@@ -318,7 +298,7 @@ def chemical_features(
     a_aro = np.clip(h_phob / 4.5, 0.0, 1.0)
     out = np.stack([h_bond, charge, h_phob, a_aro], axis=1)
     out[empty] = 0.0
-    return out, empty
+    return out
 
 
 def atomic_features(
@@ -328,7 +308,8 @@ def atomic_features(
     r_probe: float = 1.4,
     eps: float = 1e-6,
 ):
-    """Probe-weighted one-hot element statistics (6-D protein / 8-D molecule)."""
+    """Probe-weighted one-hot element statistics (6-D protein / 8-D molecule);
+    an empty neighborhood yields the all-zero row."""
     if structure.molecule_type == "protein":
         vocab = PROTEIN_ELEMENTS
         labels = np.array([a.element for a in structure.atoms])
@@ -341,7 +322,7 @@ def atomic_features(
     empty = denom == 0.0
     out = raw / np.where(empty, 1.0, denom)[:, None]
     out[empty] = 0.0
-    return out, empty
+    return out
 
 
 def geometric_features(cloud_points: np.ndarray, normals: np.ndarray, k_geom: int = 10):
@@ -487,8 +468,8 @@ def build_surface(
         cands, coords, radii, cfg.r_probe, cfg.t_sdf, tol=cfg.projection_tol, m=m, rng=rng,
     )
     normals = estimate_normals(points, coords, radii)
-    chem, _ = chemical_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
-    atom, _ = atomic_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
+    chem = chemical_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
+    atom = atomic_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
     geom = geometric_features(points, normals, cfg.k_geom)
     features = assemble_features(chem, atom, geom, structure.molecule_type, points)
     cloud = SurfacePointCloud(points, normals, features, structure.molecule_type)

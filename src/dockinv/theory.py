@@ -372,26 +372,13 @@ def seq_identity(a, b) -> float:
     return sum(1 for i in range(n) if a[i] == b[i]) / n
 
 
-def metric_nov(generated: list, references: list, alpha: float = 0.5,
-               seq_sim=seq_identity, str_sim=None) -> float:
-    """1 - mean over generated items of their maximum blended similarity to
-    the reference set (S = alpha * seq + (1 - alpha) * structure)."""
+def metric_nov(generated: list, references: list) -> float:
+    """1 - mean over generated sequences of their highest identity to a reference."""
     if not references:
         raise ValueError("novelty needs a non-empty reference set")
     if not generated:
         raise ValueError("novelty needs generated items")
-    total = 0.0
-    for g in generated:
-        best = 0.0
-        for r in references:
-            s_seq = seq_sim(g[0] if isinstance(g, tuple) else g,
-                            r[0] if isinstance(r, tuple) else r)
-            if str_sim is not None and isinstance(g, tuple) and isinstance(r, tuple):
-                s_str = str_sim(g[1], r[1])
-            else:
-                s_str = s_seq
-            best = max(best, alpha * s_seq + (1 - alpha) * s_str)
-        total += best
+    total = sum(max(seq_identity(g, r) for r in references) for g in generated)
     return 1.0 - total / len(generated)
 
 

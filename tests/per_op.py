@@ -3,9 +3,11 @@
 ``conv_geometry``, ``pairwise_omega`` and ``pair_sweep`` are the package's
 earlier implementations, kept as references: the hand-VJP forms must give
 bitwise the same values and the same gradients up to rounding. ``power``,
-``cos``, ``exp`` and ``einsum`` are the autodiff ops those references were
-written in; no stage uses them any more, so they live here, each built with
-``ad.primitive`` and the numpy call and vjp the op had.
+``cos``, ``exp``, ``einsum`` and ``norm`` are the autodiff ops those
+references were written in; no stage uses them any more, so they live here,
+each built with ``ad.primitive`` and the numpy call and vjp the op had.
+``smoothed_sdf`` is the distance field as a graph of those ops, the reference
+for ``surface.sdf_value_grad``.
 """
 
 import numpy as np
@@ -46,6 +48,36 @@ def einsum(spec: str, a, b) -> ad.Tensor:
                                    np.einsum(f"{so},{sa}->{sb}", g, av)))
 
 
+def norm(a, axis: int = -1) -> ad.Tensor:
+    """Euclidean norm along ``axis``. Exactly-zero vectors are a domain error."""
+    a = ad.as_tensor(a)
+    av = a.values
+    sq = (av * av).sum(axis=axis, keepdims=True)
+    if np.any(sq == 0.0):
+        raise ad.DomainError("euclidean-norm of zero vector (gradient undefined)")
+    out_kd = np.sqrt(sq)
+    return ad.primitive(np.squeeze(out_kd, axis=axis), "euclidean-norm", (a,),
+                        lambda g: (av / out_kd * np.expand_dims(g, axis),))
+
+
+def smoothed_sdf(x, coords: np.ndarray, radii: np.ndarray) -> ad.Tensor:
+    """The smoothed SDF at ``x`` ((3,) or (P, 3)) as autodiff ops.
+
+    Value is ``-fbar(x) * log sum_j exp(-|x - c_j| / sigma_j)`` with ``fbar``
+    the exp(-distance)-weighted mean radius, stabilized via log-sum-exp.
+    """
+    if np.size(coords) == 0:
+        raise ad.DomainError("smoothed_sdf needs at least one atom")
+    xt = ad.as_tensor(x)
+    single = xt.ndim == 1
+    pts = ad.reshape(xt, (-1, 1, 3))
+    d = norm(ad.sub(pts, np.asarray(coords, dtype=float)[None, :, :]), axis=2)     # (P, A)
+    s = ad.logsumexp(ad.mul(d, -1.0 / radii), axis=1)
+    fbar = ad.reduce_sum(ad.mul(ad.softmax(ad.neg(d), axis=1), radii), axis=1)
+    out = ad.neg(ad.mul(fbar, s))
+    return out[0] if single else out
+
+
 def radial_basis(basis: eq.RadialBasis, r: ad.Tensor) -> ad.Tensor:
     """``RadialBasis.evaluate`` as autodiff ops on a Tensor of edge lengths."""
     mask = (r.values < basis.cutoff).astype(float)
@@ -57,7 +89,7 @@ def radial_basis(basis: eq.RadialBasis, r: ad.Tensor) -> ad.Tensor:
 
 
 def _sph_matrix(l: int, unit: ad.Tensor) -> ad.Tensor:
-    """``equivariant._sph_columns`` for l = 1, 2 as autodiff ops, product by product."""
+    """``equivariant._sph_matrix`` for l = 1, 2 as autodiff ops, product by product."""
     x, y, z = unit[:, 0], unit[:, 1], unit[:, 2]
     if l == 1:
         cols = [ad.mul(y, eq._C1), ad.mul(z, eq._C1), ad.mul(x, eq._C1)]

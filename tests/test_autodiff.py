@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+import per_op
 from dockinv import autodiff as ad
 
 
@@ -27,7 +28,8 @@ PRIMITIVE_CASES = {
     "min": lambda x: ad.reduce_sum(square(ad.reduce_min(ad.reshape(x, (3, 4)), axis=1))),
     "softmax": lambda x: ad.reduce_sum(square(ad.softmax(ad.reshape(x, (3, 4)), axis=1))),
     "log-sum-exp": lambda x: ad.reduce_sum(square(ad.logsumexp(ad.reshape(x, (3, 4)), axis=1))),
-    "euclidean-norm": lambda x: ad.reduce_sum(ad.norm(ad.reshape(ad.add(x, 3.0), (4, 3)), axis=1)),
+    "euclidean-norm": lambda x: ad.reduce_sum(
+        per_op.norm(ad.reshape(ad.add(x, 3.0), (4, 3)), axis=1)),
     "gather": lambda x: ad.reduce_sum(
         square(ad.gather(ad.reshape(x, (6, 2)), np.array([0, 3, 3, 5])))),
     "concat": lambda x: ad.reduce_sum(square(ad.concat([x, ad.mul(x, 2.0)], axis=0))),
@@ -185,7 +187,7 @@ def test_log_domain_error():
 
 def test_norm_zero_vector_error():
     with pytest.raises(ad.DomainError):
-        ad.norm(ad.constant(np.zeros((2, 3))), axis=1)
+        per_op.norm(ad.constant(np.zeros((2, 3))), axis=1)
 
 
 def test_gather_out_of_range_is_hard_error():

@@ -202,3 +202,42 @@ def test_scaling_rows_the_fit_rejects_exit_1(text, reason, tmp_path, capsys):
     path.write_text(text)
     assert main(["metrics", "--kind", "scaling", str(path)]) == 1
     assert f"error: {path}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("texts, kind, message", [
+    (["AC\n"], "aar", "metrics --kind aar reads 2 input file(s), got 1"),
+    (["AC\n"] * 3, "nov", "metrics --kind nov reads 2 input file(s), got 3"),
+    (["AC\nGG\n"] * 2, "div", "metrics --kind div reads 1 input file(s), got 2"),
+    (["100,0.5\n"] * 2, "scaling", "metrics --kind scaling reads 1 input file(s), got 2"),
+    (["AC\n"], "div", "{0}: diversity needs at least 2 items"),
+    (["AC\nGG\n", "AC\n"], "aar", "{0}, {1}: generated and reference sets differ in size"),
+    (["AC\n", ""], "nov", "{0}, {1}: novelty needs a non-empty reference set"),
+])
+def test_metrics_input_errors_exit_1(texts, kind, message, tmp_path, capsys):
+    paths = [tmp_path / f"in{i}.txt" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    assert main(["metrics", "--kind", kind, *map(str, paths)]) == 1
+    assert f"error: {message.format(*paths)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels, message", [
+    ("y_int = abc\n", "y_int = 'abc' is not a number"),
+    ("delta_g = oops\n", "delta_g = 'oops' is not a number"),
+    ("y_int = 2\n", "y_int = '2' is neither 0 nor 1"),
+    ("pocket = 01x1\n", "pocket bitmask holds characters other than 0 and 1"),
+    ("pocket = 0101\n", "pocket bitmask length 4 != "),
+])
+def test_malformed_corpus_labels_exit_1_naming_the_file(labels, message, tmp_path, config_file,
+                                                        receptor_structure, capsys):
+    complex_dir = tmp_path / "corpus" / "a"
+    complex_dir.mkdir(parents=True)
+    write_pdb(receptor_structure, complex_dir / "receptor.pdb")
+    (complex_dir / "ligand.mol").write_text(write_molecule(toydata.random_molecule(seed=3)))
+    (complex_dir / "labels.txt").write_text(labels)
+    out = tmp_path / "model.ckpt"
+    argv = ["finetune", "--corpus", str(tmp_path / "corpus"), "--config", str(config_file),
+            "--steps", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert f"error: {complex_dir / 'labels.txt'}: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -29,13 +29,15 @@ def rotate_field(l, rotation, channel):
 
 
 class TestHarmonics:
+    """``_sph_matrix``, the (E, 2l+1) harmonics the conv evaluates at unit edge directions."""
+
     def test_order_zero_constant(self):
-        out = eq.real_spherical_harmonics(0, np.array([0.0, 0.0, 1.0]))
+        out = eq._sph_matrix(0, np.array([[0.0, 0.0, 1.0]]))[0]
         np.testing.assert_allclose(out, [1.0 / (2 * np.sqrt(np.pi))], atol=1e-15)
         assert abs(out[0] - 0.28209479) < 1e-7
 
     def test_order_one_z_direction(self):
-        out = eq.real_spherical_harmonics(1, np.array([0.0, 0.0, 1.0]))
+        out = eq._sph_matrix(1, np.array([[0.0, 0.0, 1.0]]))[0]
         c = np.sqrt(3.0 / (4 * np.pi))
         np.testing.assert_allclose(out, [0.0, c, 0.0], atol=1e-15)
         assert abs(c - 0.48860251) < 1e-7
@@ -43,20 +45,12 @@ class TestHarmonics:
     def test_order_two_addition_theorem(self):
         rng = np.random.default_rng(0)
         d = random_units(rng, 10_000)
-        y2 = eq.real_spherical_harmonics(2, d)
+        y2 = eq._sph_matrix(2, d)
         np.testing.assert_allclose((y2**2).sum(axis=1), 5.0 / (4 * np.pi), atol=1e-12)
-
-    def test_near_unit_normalized(self):
-        out = eq.real_spherical_harmonics(1, np.array([0.0, 0.0, 1.0 + 5e-7]))
-        np.testing.assert_allclose(out, [0.0, np.sqrt(3 / (4 * np.pi)), 0.0], atol=1e-9)
-
-    def test_far_from_unit_rejected(self):
-        with pytest.raises(eq.EquivariantError):
-            eq.real_spherical_harmonics(1, np.array([0.0, 0.0, 2.0]))
 
     def test_unsupported_order(self):
         with pytest.raises(eq.EquivariantError):
-            eq.real_spherical_harmonics(3, np.array([0.0, 0.0, 1.0]))
+            eq._sph_matrix(3, np.array([[0.0, 0.0, 1.0]]))
 
 
 class TestRotationOperators:
@@ -72,8 +66,8 @@ class TestRotationOperators:
             rot = eq.random_rotation(rng)
             for l in (0, 1, 2):
                 op = eq.rotation_operator(l, rot)
-                lhs = eq.real_spherical_harmonics(l, d @ rot.T)
-                rhs = eq.real_spherical_harmonics(l, d) @ op.T
+                lhs = eq._sph_matrix(l, d @ rot.T)
+                rhs = eq._sph_matrix(l, d) @ op.T
                 np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_norm_preservation_thousand_draws(self):
@@ -308,7 +302,7 @@ def per_edge_reference(layer, params, field, pts, nbr):
         mixed = rw.transpose(0, 2, 1) @ field[l_in][flat]           # (E, c_out, ni)
         cg = eq.coupling_tensor(l_out, l_f, l_in)
         if l_f == 0:
-            msg = mixed @ (cg[:, 0, :] * eq.real_spherical_harmonics(0, [0.0, 0.0, 1.0])[0]).T
+            msg = mixed @ (cg[:, 0, :] * eq._C0).T
         else:
             sph = eq._sph_matrix(l_f, unit) * (flat != src)[:, None]
             msg = mixed @ np.einsum("ef,ofi->eio", sph, cg)         # (E, c_out, no)
@@ -685,6 +679,11 @@ class TestEncoderEquivariance:
                 assert np.abs(out[1] - expected).max() / scale < 1e-8
 
 
+def order0(field):
+    """A field's order 0 as the (n, d) matrix attention takes."""
+    return field.values()[0][:, :, 0]
+
+
 class TestAttention:
     def _setup(self, small_cfg, n_r=10, n_l=6, seed=9):
         rng = np.random.default_rng(seed)
@@ -692,8 +691,8 @@ class TestAttention:
         enc_l, params_l = build_encoder(small_cfg, seed=seed + 1, n_scalars=16)
         pts_r, feats_r = random_cloud(rng, n_r)
         pts_l, feats_l = random_cloud(rng, n_l, n_scalars=16, offset=4.0)
-        zr = enc_r.apply(params_r, feats_r, pts_r)
-        zl = enc_l.apply(params_l, feats_l, pts_l)
+        zr = order0(enc_r.apply(params_r, feats_r, pts_r))
+        zl = order0(enc_l.apply(params_l, feats_l, pts_l))
         attn = init_attention_params(small_cfg, 2)
         return zr, zl, attn, (enc_r, params_r, feats_r, pts_r), (enc_l, params_l, feats_l, pts_l), rng
 
@@ -704,25 +703,21 @@ class TestAttention:
 
     def test_identical_keys_uniform_rows(self, small_cfg):
         zr, zl, attn, *_ = self._setup(small_cfg)
-        ch = {l: np.repeat(v[:1], 6, axis=0) for l, v in zl.values().items()}
-        zl_const = eq.IrrepsField(ch)
-        _, _, scores = eq.equivariant_attention(zr, zl_const, attn)
+        _, _, scores = eq.equivariant_attention(zr, np.repeat(zl[:1], 6, axis=0), attn)
         np.testing.assert_allclose(scores.values, 1.0 / 6.0, atol=1e-12)
 
     def test_single_ligand_point_passthrough(self, small_cfg):
-        # only order 0 is attended: no stage reads a higher attended order
+        # one ligand point takes every score, so each receptor row attends its value
         zr, zl, attn, *_ = self._setup(small_cfg, n_l=1)
         attended, _, _ = eq.equivariant_attention(zr, zl, attn)
-        assert set(attended.channels) == {0}
-        proj = np.einsum("ncm,cd->ndm", zl.values()[0], attn["attn.wv0"])
-        expected = np.repeat(proj, attended.channels[0].shape[0], axis=0)
-        np.testing.assert_allclose(attended.values()[0], expected, atol=1e-12)
+        assert attended.shape == zr.shape
+        expected = np.repeat(zl @ attn["attn.wv0"], len(zr), axis=0)
+        np.testing.assert_allclose(attended.values, expected, atol=1e-12)
 
     def test_empty_ligand_rejected(self, small_cfg):
         zr, zl, attn, *_ = self._setup(small_cfg)
-        empty = eq.IrrepsField({l: v[:0] for l, v in zl.values().items()})
         with pytest.raises(ad.DomainError):
-            eq.equivariant_attention(zr, empty, attn)
+            eq.equivariant_attention(zr, zl[:0], attn)
 
     def test_scores_invariant_under_rigid_motion(self, small_cfg):
         zr, zl, attn, rinfo, linfo, rng = self._setup(small_cfg)
@@ -735,17 +730,15 @@ class TestAttention:
         zl2 = enc_l.apply(params_l, np.concatenate([feats_l[:, :16], pts_l @ rot.T + shift], 1),
                           pts_l @ rot.T + shift)
         _, fused1, s1 = eq.equivariant_attention(zr, zl, attn)
-        _, fused2, s2 = eq.equivariant_attention(zr2, zl2, attn)
+        _, fused2, s2 = eq.equivariant_attention(order0(zr2), order0(zl2), attn)
         np.testing.assert_allclose(s1.values, s2.values, atol=1e-9)
         np.testing.assert_allclose(fused1.values, fused2.values, atol=1e-9)
 
     def test_ligand_permutation(self, small_cfg):
         zr, zl, attn, *_ = self._setup(small_cfg)
         perm = np.array([3, 0, 5, 1, 4, 2])
-        zl_perm = eq.IrrepsField({l: v[perm] for l, v in zl.values().items()})
         att1, fused1, s1 = eq.equivariant_attention(zr, zl, attn)
-        att2, fused2, s2 = eq.equivariant_attention(zr, zl_perm, attn)
+        att2, fused2, s2 = eq.equivariant_attention(zr, zl[perm], attn)
         np.testing.assert_allclose(s2.values, s1.values[:, perm], atol=1e-14)
         np.testing.assert_allclose(fused2.values, fused1.values, atol=1e-13)
-        for l in att1.channels:
-            np.testing.assert_allclose(att2.values()[l], att1.values()[l], atol=1e-13)
+        np.testing.assert_allclose(att2.values, att1.values, atol=1e-13)

@@ -1,10 +1,13 @@
-"""Package hygiene: exported names exist, neighbour search lives in one module,
-and the benchmark's span wrappers still fit the functions they wrap."""
+"""Package hygiene: exported names exist and have callers, neighbour search
+lives in one module, and the benchmark's span wrappers still fit the functions
+they wrap."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,62 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"dockinv.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"dockinv.{name}.__all__ lists undefined names {missing}"
+
+
+# The autodiff API that gradient tests use; no stage needs to call it.
+CALLER_ALLOW_LIST = {"autodiff.grad_check", "autodiff.param"}
+
+
+def _references(module: str, tree: ast.Module) -> list:
+    """(statement, the (module, name) pairs it reads) per top-level statement.
+
+    A bare name is the module's own or one it imported with ``from .x import
+    name``; an attribute counts on a module imported with ``from . import x``.
+    """
+    aliases, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module is None:
+                    aliases[a.asname or a.name] = a.name
+                else:
+                    imported[a.asname or a.name] = (node.module, a.name)
+
+    def reads(stmt) -> set:
+        out = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.add(imported.get(node.id, (module, node.id)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                out.add((aliases[node.value.id], node.attr))
+        return out
+
+    return [(stmt, reads(stmt)) for stmt in tree.body]
+
+
+def _defines(stmt, name: str) -> bool:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id in (name, "__all__") for t in targets)
+
+
+def test_public_names_have_callers():
+    """Each name in a module's ``__all__`` is read in src/dockinv/ outside its own
+    definition and ``__all__``, or named in perfbench/."""
+    src = Path(dockinv.__file__).parent
+    bench = "\n".join(p.read_text() for p in sorted((src.parents[1] / "perfbench").glob("*.py")))
+    refs = {p.stem: _references(p.stem, ast.parse(p.read_text())) for p in sorted(src.glob("*.py"))}
+    uncalled = []
+    for module in refs:
+        for name in getattr(importlib.import_module(f"dockinv.{module}"), "__all__", ()):
+            called = any((module, name) in names for other, stmts in refs.items()
+                         for stmt, names in stmts if other != module or not _defines(stmt, name))
+            if not (called or re.search(rf"\b{name}\b", bench)
+                    or f"{module}.{name}" in CALLER_ALLOW_LIST):
+                uncalled.append(f"{module}.{name}")
+    assert not uncalled, f"public names without a caller: {uncalled}"
 
 
 def test_neighbour_search_has_one_implementation():

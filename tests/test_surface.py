@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_op
 from dockinv import autodiff as ad
+from dockinv import neighbors
 from dockinv import surface as sf
 from dockinv.config import RunConfig
 from dockinv.equivariant import random_rotation
@@ -22,13 +24,13 @@ def single_atom(radius=1.5):
 class TestSdf:
     def test_single_atom_collapses_to_distance(self):
         coords, radii = single_atom(1.5)
-        val = sf.smoothed_sdf(np.array([3.0, 0.0, 0.0]), coords, radii)
+        val = per_op.smoothed_sdf(np.array([3.0, 0.0, 0.0]), coords, radii)
         assert abs(val.item() - 3.0) < 1e-12
 
     def test_two_atom_closed_form(self):
         coords = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
         radii = np.array([1.0, 1.0])
-        val = sf.smoothed_sdf(np.zeros(3), coords, radii)
+        val = per_op.smoothed_sdf(np.zeros(3), coords, radii)
         assert abs(val.item() - (1.0 - np.log(2.0))) < 1e-12
 
     def test_gradient_matches_central_differences(self):
@@ -39,7 +41,7 @@ class TestSdf:
             x0 = rng.standard_normal(3) * 3
 
             def f(x):
-                return sf.smoothed_sdf(x, coords, radii)
+                return per_op.smoothed_sdf(x, coords, radii)
 
             report = ad.grad_check(f, x0, step=1e-5, tolerance=1e-6)
             assert report.passed, report
@@ -52,14 +54,14 @@ class TestSdf:
         sdf, grad = sf.sdf_value_grad(pts, coords, radii)
         for i in range(10):
             xt = ad.param(pts[i])
-            out = sf.smoothed_sdf(xt, coords, radii)
+            out = per_op.smoothed_sdf(xt, coords, radii)
             ad.backward(out)
             assert abs(out.item() - sdf[i]) < 1e-12
             np.testing.assert_allclose(xt.grad, grad[i], atol=1e-12)
 
     def test_empty_atoms_error(self):
-        with pytest.raises((ad.DomainError, sf.SurfaceError)):
-            sf.smoothed_sdf(np.zeros(3), np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ad.DomainError):
+            per_op.smoothed_sdf(np.zeros(3), np.zeros((0, 3)), np.zeros(0))
 
 
 def sdf_case(n_points, n_atoms, seed):
@@ -90,7 +92,7 @@ class TestSdfKernel:
         monkeypatch.setattr(sf, "_SDF_BLOCK_BYTES", 7 * 40 * 3 * 8)   # 7-row blocks
         sdf, grad = sf.sdf_value_grad(pts, coords, radii)
         x = ad.param(pts)
-        out = sf.smoothed_sdf(x, coords, radii)
+        out = per_op.smoothed_sdf(x, coords, radii)
         ad.backward(ad.reduce_sum(out))
         np.testing.assert_allclose(sdf, out.values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, x.grad, rtol=0, atol=1e-12)
@@ -100,7 +102,7 @@ class TestSdfKernel:
         far = coords[0] + np.array([1000.0, 0.0, 0.0])
         sdf, grad = sf.sdf_value_grad(np.stack([coords[5], far]), coords, radii)
         assert np.all(np.isfinite(sdf)) and np.all(np.isfinite(grad))
-        assert abs(sdf[1] - sf.smoothed_sdf(far, coords, radii).item()) < 1e-9
+        assert abs(sdf[1] - per_op.smoothed_sdf(far, coords, radii).item()) < 1e-9
 
     def test_peak_memory_is_bounded_by_the_block(self):
         pts, coords, radii = sdf_case(4000, 200, seed=5)
@@ -228,25 +230,23 @@ def structure_of(elements, positions, hyb=None):
 class TestChemicalFeatures:
     def test_all_carbon_neighborhood(self):
         s = structure_of(["C", "C", "C"], [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-        out, empty = sf.chemical_features(np.zeros((1, 3)), s)
+        out = sf.chemical_features(np.zeros((1, 3)), s)
         h_bond, charge, phob, aro = out[0]
         assert h_bond == 0.0
         assert abs(charge + 1.0) < 1e-12
         assert abs(phob - 1.0) < 1e-12
         assert abs(aro - 1.0 / 4.5) < 1e-12
-        assert not empty[0]
 
     def test_all_oxygen_saturates(self):
         s = structure_of(["O", "O"], [[1.0, 0, 0], [0, 1.0, 0]])
-        out, _ = sf.chemical_features(np.zeros((1, 3)), s)
+        out = sf.chemical_features(np.zeros((1, 3)), s)
         h_bond, charge, phob, aro = out[0]
         assert h_bond == 1.0 and charge == 1.0 and phob == 0.0 and aro == 0.0
 
-    def test_empty_neighborhood_flagged(self):
+    def test_empty_neighborhood_gives_zero_row(self):
         s = structure_of(["C"], [[50.0, 0, 0]])
-        out, empty = sf.chemical_features(np.zeros((1, 3)), s, r_chem=5.0)
+        out = sf.chemical_features(np.zeros((1, 3)), s, r_chem=5.0)
         np.testing.assert_array_equal(out[0], np.zeros(4))
-        assert empty[0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -256,8 +256,9 @@ class TestChemicalFeatures:
         elems = [["C", "O", "N", "S", "H"][i] for i in rng.integers(0, 5, n)]
         s = structure_of(elems, rng.standard_normal((n, 3)) * 3)
         pts = rng.standard_normal((4, 3)) * 3
-        chem, _ = sf.chemical_features(pts, s)
-        atom, empty = sf.atomic_features(pts, s)
+        chem = sf.chemical_features(pts, s)
+        atom = sf.atomic_features(pts, s)
+        empty = neighbors.distances(pts, s.coords).min(axis=1) > 5.0
         assert np.all(chem[:, 0] >= 0) and np.all(chem[:, 0] <= 1)
         assert np.all(chem[:, 1] >= -1) and np.all(chem[:, 1] <= 1)
         assert np.all(chem[:, 2] >= 0) and np.all(chem[:, 2] <= 1)
@@ -265,23 +266,29 @@ class TestChemicalFeatures:
         sums = atom.sum(axis=1)
         assert np.all(np.abs(sums[~empty] - 1.0) < 1e-9)
         assert np.all(sums[empty] == 0.0)
+        assert np.all(chem[empty] == 0.0)
 
 
 class TestAtomicFeatures:
     def test_single_carbon_one_hot(self):
         s = structure_of(["C"], [[1.0, 0, 0]])
-        out, _ = sf.atomic_features(np.zeros((1, 3)), s)
+        out = sf.atomic_features(np.zeros((1, 3)), s)
         np.testing.assert_allclose(out[0], [1, 0, 0, 0, 0, 0])
+
+    def test_empty_neighborhood_gives_zero_row(self):
+        s = structure_of(["C"], [[50.0, 0, 0]])
+        out = sf.atomic_features(np.zeros((1, 3)), s, r_chem=5.0)
+        np.testing.assert_array_equal(out[0], np.zeros(6))
 
     def test_equidistant_pair_splits_evenly(self):
         s = structure_of(["C", "O"], [[1.0, 0, 0], [-1.0, 0, 0]])
-        out, _ = sf.atomic_features(np.zeros((1, 3)), s)
+        out = sf.atomic_features(np.zeros((1, 3)), s)
         assert abs(out[0][0] - 0.5) < 1e-12  # C
         assert abs(out[0][2] - 0.5) < 1e-12  # O
 
     def test_probe_scaled_weighting(self):
         s = structure_of(["C", "O"], [[1.4, 0, 0], [-2.8, 0, 0]])
-        out, _ = sf.atomic_features(np.zeros((1, 3)), s, r_probe=1.4, eps=1e-6)
+        out = sf.atomic_features(np.zeros((1, 3)), s, r_probe=1.4, eps=1e-6)
         w1, w2 = 1.0 / (1.0 + 1e-6), 1.0 / (2.0 + 1e-6)
         np.testing.assert_allclose(out[0][0], w1 / (w1 + w2), atol=1e-12)
         np.testing.assert_allclose(out[0][2], w2 / (w1 + w2), atol=1e-12)

@@ -32,10 +32,8 @@ def test_metric_div_is_mean_pairwise_distance():
 def test_metric_nov_uses_best_reference_match():
     # "AB" matches a reference exactly, "CD" matches none
     assert theory.metric_nov(["AB", "CD"], ["AB", "AX"]) == pytest.approx(0.5)
-    # blended: 0.5 * seq 0.5 + 0.5 * structure 1/3 against the only reference
-    nov = theory.metric_nov([("AB", 1.0)], [("AX", 3.0)],
-                            str_sim=lambda a, b: 1.0 / (1.0 + abs(a - b)))
-    assert nov == pytest.approx(7.0 / 12.0)
+    # the best of two partial matches counts: "ABC" shares 2/3 with "ABX", 1/3 with "AXX"
+    assert theory.metric_nov(["ABC"], ["AXX", "ABX"]) == pytest.approx(1.0 / 3.0)
 
 
 @pytest.mark.parametrize("gen, ref, message", [
