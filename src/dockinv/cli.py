@@ -333,8 +333,16 @@ def cmd_metrics(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, not argparse's 2 (subparsers too)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dockinv",
         description="Surface point-cloud docking pipeline with inversion-based ligand generation",
     )

@@ -34,8 +34,7 @@ class RunConfig:
     r_chem: float = 5.0            # chemical neighborhood radius, Angstrom
     k_geom: int = 10               # neighbors for geometric descriptors
     eps_omega: float = 1e-6        # epsilon in the probe-scaled weights
-    interface_cutoff_ligand: float = 4.0
-    interface_cutoff_protein: float = 2.0
+    interface_cutoff_ligand: float = 4.0   # pocket pseudo-label contact cutoff, Angstrom
 
     # -- encoder -------------------------------------------------------------
     multiplicity: int = 16         # channels per order in hidden layers

@@ -27,11 +27,12 @@ from .model import (
     mean_terms,
     train_loop,
 )
-from .structures import parse_molecule, parse_pdb
-from .surface import PatchSet, SurfacePointCloud, build_surface
+from .structures import MolecularStructure, parse_molecule, parse_pdb
+from .surface import SurfacePointCloud, build_surface
 
 __all__ = [
     "ComplexSample",
+    "build_complex_sample",
     "AffinityScaler",
     "geometric_pseudolabels",
     "bce",
@@ -49,14 +50,12 @@ __all__ = [
 @dataclass
 class ComplexSample:
     receptor: SurfacePointCloud
-    receptor_patches: PatchSet
     ligand: SurfacePointCloud
-    ligand_patches: PatchSet
     pocket_labels: np.ndarray          # (N_r,) in {0, 1}
     y_int: float                       # complex-level interaction label
     delta_g: float | None              # standardized when fed to the loss
-    receptor_geom: dict | None = None
-    ligand_geom: dict | None = None
+    receptor_geom: dict                # cached conv geometry of each cloud
+    ligand_geom: dict
 
 
 @dataclass
@@ -79,13 +78,27 @@ class AffinityScaler:
 
 
 def geometric_pseudolabels(receptor_points: np.ndarray, ligand_points: np.ndarray,
-                           cutoff: float = 4.0) -> np.ndarray:
+                           cutoff: float) -> np.ndarray:
     """1 where the nearest ligand point lies within ``cutoff`` of the receptor point."""
-    r = np.asarray(receptor_points, dtype=float)
-    l = np.asarray(ligand_points, dtype=float)
-    if len(r) == 0 or len(l) == 0:
+    if len(receptor_points) == 0 or len(ligand_points) == 0:
         raise ad.DomainError("geometric pseudo-labels need non-empty clouds")
-    return (neighbors.distances(r, l).min(axis=1) <= cutoff).astype(float)
+    nearest = neighbors.distances(receptor_points, ligand_points).min(axis=1)
+    return (nearest <= cutoff).astype(float)
+
+
+def build_complex_sample(receptor: MolecularStructure, ligand: MolecularStructure, cfg: RunConfig,
+                         mdl: PipelineModel, seed: int, y_int: float, delta_g: float | None,
+                         pocket: np.ndarray | None = None) -> ComplexSample:
+    """Both surfaces (at seeds ``seed`` and ``seed + 1``) and their conv geometry; pocket
+    labels are ``pocket``, else 1 where a ligand atom is within ``interface_cutoff_ligand``."""
+    r_cloud, _ = build_surface(receptor, cfg, seed=seed)
+    l_cloud, _ = build_surface(ligand, cfg, seed=seed + 1)
+    if pocket is None:
+        pocket = geometric_pseudolabels(r_cloud.points, ligand.coords,
+                                        cfg.interface_cutoff_ligand)
+    return ComplexSample(r_cloud, l_cloud, pocket, y_int, delta_g,
+                         mdl.precompute_geometry(r_cloud.points, "protein"),
+                         mdl.precompute_geometry(l_cloud.points, l_cloud.molecule_type))
 
 
 def bce(pred: Tensor, target) -> Tensor:
@@ -227,7 +240,7 @@ def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0):
     if not dirs:
         raise FileNotFoundError(f"no complex subdirectories under {root}")
     raw = []
-    for i, d in enumerate(dirs):
+    for d in dirs:
         receptor = parse_pdb((d / "receptor.pdb").read_text())
         mol_path = d / "ligand.mol"
         if mol_path.exists():
@@ -241,29 +254,17 @@ def load_complex_dir(root, cfg: RunConfig, mdl: PipelineModel, seed: int = 0):
             raise FormatError(f"{path}: y_int = {labels['y_int']!r} is neither 0 nor 1")
         dg_raw = labels.get("delta_g", "")
         delta_g = None if dg_raw in ("", "none", "nan") else _label_number(path, "delta_g", dg_raw)
-        if set(labels.get("pocket", "")) - {"0", "1"}:
-            raise FormatError(f"{path}: pocket bitmask holds characters other than 0 and 1")
-        raw.append((receptor, ligand, labels, y_int, delta_g, i, path))
-    scaler = AffinityScaler.fit([r[4] for r in raw])
-    samples = []
-    for receptor, ligand, labels, y_int, delta_g, i, path in raw:
-        r_cloud, r_patches = build_surface(receptor, cfg, seed=seed * 9973 + 2 * i,
-                                           partner_points=ligand.coords)
-        l_cloud, l_patches = build_surface(ligand, cfg, seed=seed * 9973 + 2 * i + 1,
-                                           partner_points=receptor.coords)
         mask = labels.get("pocket", "")
-        if mask:
-            if len(mask) != len(r_cloud.points):
-                raise FormatError(f"{path}: pocket bitmask length {len(mask)} != "
-                                  f"{len(r_cloud.points)} points")
-            pocket = np.array([c == "1" for c in mask], dtype=float)
-        else:
-            pocket = geometric_pseudolabels(r_cloud.points, ligand.coords,
-                                            cfg.interface_cutoff_ligand)
-        samples.append(ComplexSample(
-            r_cloud, r_patches, l_cloud, l_patches, pocket, y_int,
-            None if delta_g is None else scaler.standardize(delta_g),
-            receptor_geom=mdl.precompute_geometry(r_cloud.points, "protein"),
-            ligand_geom=mdl.precompute_geometry(l_cloud.points, l_cloud.molecule_type),
-        ))
+        if set(mask) - {"0", "1"}:
+            raise FormatError(f"{path}: pocket bitmask holds characters other than 0 and 1")
+        m = cfg.m_for(receptor.molecule_type, len(receptor.atoms))
+        if mask and len(mask) != m:
+            raise FormatError(f"{path}: pocket bitmask length {len(mask)} != {m} points")
+        pocket = np.array([c == "1" for c in mask], dtype=float) if mask else None
+        raw.append((receptor, ligand, y_int, delta_g, pocket))
+    scaler = AffinityScaler.fit([r[3] for r in raw])
+    samples = [build_complex_sample(receptor, ligand, cfg, mdl, seed * 9973 + 2 * i, y_int,
+                                    None if delta_g is None else scaler.standardize(delta_g),
+                                    pocket)
+               for i, (receptor, ligand, y_int, delta_g, pocket) in enumerate(raw)]
     return samples, scaler

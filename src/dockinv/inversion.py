@@ -76,6 +76,17 @@ _HYB_MAP = np.array(
     [[1, 0], [0, 1], [0, 0], [1, 0], [0, 1], [1, 0], [0, 1], [0, 1]], dtype=float
 )
 
+
+def _type_logits(f: np.ndarray) -> np.ndarray:
+    """(N, 8) atom-type logits of a small-molecule state's feature channels."""
+    return f[:, 0:8] + f[:, 9:11] @ _HYB_MAP.T
+
+
+def _valence_budgets(types: list[str]) -> np.ndarray:
+    """Per-atom V_MAX of each type label's element (4 for an unknown one)."""
+    return np.array([V_MAX.get(t.split(".")[0], 4.0) for t in types])
+
+
 #: Ring/functional-group templates with atom-type logit bias profiles.
 MOTIF_TEMPLATES = {
     "benzene": np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=float),
@@ -126,7 +137,7 @@ class DecodedProtein:
         return "\n".join(lines) + "\n"
 
 
-def anneal_step_size(t: int, total: int, eta_max: float = 1e-3, eta_min: float = 1e-5) -> float:
+def anneal_step_size(t: int, total: int, eta_max: float, eta_min: float) -> float:
     """Cosine schedule from eta_max at t=0 to eta_min at t=total."""
     if not 0 <= t < max(total, 1):
         raise ValueError(f"step index {t} outside [0, {total})")
@@ -455,7 +466,7 @@ def repair_state(x: np.ndarray, types: list[str], cfg: RunConfig,
     n = len(pts)
     if n < 2:
         return pts
-    budgets = np.array([V_MAX.get(t.split(".")[0], 4.0) for t in types])
+    budgets = _valence_budgets(types)
     bonded = np.zeros((n, n), dtype=bool)
     for i, j in _greedy_bonds(neighbors.distances(pts, pts), budgets, cfg.bond_max):
         bonded[i, j] = bonded[j, i] = True
@@ -474,8 +485,7 @@ def _tiebreak_axis(i: int, j: int) -> np.ndarray:
 
 def _argmax_types(f: np.ndarray, molecule_type: str) -> list[str]:
     if molecule_type == "small-molecule":
-        logits = f[:, 0:8] + f[:, 9:11] @ _HYB_MAP.T
-        return [MOLECULE_TYPES[i] for i in logits.argmax(axis=1)]
+        return [MOLECULE_TYPES[i] for i in _type_logits(f).argmax(axis=1)]
     return ["C"] * len(f)  # residue-level points behave like carbon centers
 
 
@@ -527,9 +537,8 @@ def infer_bonds(types: list[str], pairs: list[tuple], pair_logits: list,
     softmax of its row over {single, double, triple, aromatic, none} and
     accepted subject to the running valence budget of both endpoints.
     """
-    budgets = np.array([V_MAX.get(t.split(".")[0], 4.0) for t in types])
     orders = np.array([1.0, 2.0, 3.0, 1.5])
-    remaining = budgets.copy()
+    remaining = _valence_budgets(types)
     bonds: list[Bond] = []
     for (_, i, j), logits in zip(pairs, pair_logits):
         z = np.asarray(logits, dtype=float)
@@ -621,7 +630,7 @@ def validity_repair(molecule: MolecularStructure, cfg: RunConfig) -> MolecularSt
     range, then push clashes apart. Raises RepairError on oscillation."""
     coords = molecule.coords.copy()
     bonds = list(molecule.bonds)
-    types = [a.type_label for a in molecule.atoms]
+    budgets = _valence_budgets([a.type_label for a in molecule.atoms])
     n = len(coords)
 
     for _ in range(cfg.max_repair_rounds):
@@ -647,10 +656,7 @@ def validity_repair(molecule: MolecularStructure, cfg: RunConfig) -> MolecularSt
             for b in bonds:
                 load[b.i] += b.order
                 load[b.j] += b.order
-            over = [
-                i for i in range(n)
-                if load[i] > V_MAX.get(types[i].split(".")[0], 4.0)
-            ]
+            over = [i for i in range(n) if load[i] > budgets[i]]
             if not over:
                 break
             i = over[0]
@@ -678,7 +684,7 @@ def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: di
     """Decode the continuous state into a repaired molecule."""
     rng = np.random.default_rng(seed)
     f = state.f
-    logits = f[:, 0:8] + f[:, 9:11] @ _HYB_MAP.T
+    logits = _type_logits(f)
     g = grad_f[:, 0:8] if grad_f is not None else np.zeros_like(logits)
 
     if len(state.x) >= 2:

@@ -84,14 +84,10 @@ class SurfacePointCloud:
 
 @dataclass
 class PatchSet:
-    """FPS centers with fixed-size KNN member groups and pooled statistics."""
+    """FPS center indices, each with the indices of its fixed-size KNN members."""
 
     center_indices: np.ndarray          # (P,)
     member_indices: np.ndarray          # (P, K)
-    mean: np.ndarray                    # (P, d)
-    var: np.ndarray                     # (P, d)
-    interface: np.ndarray               # (P,) 0/1 labels
-    labeled: bool = True                # False when no partner was supplied
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +401,7 @@ def knn(centers: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     return neighbors.knn(centers, pts, k)[0]
 
 
+# No stage calls the next two functions; they stay while perfbench/spans.py names them.
 def pool_patch_stats(features: np.ndarray, member_indices: np.ndarray):
     """Per-patch mean and population variance over member features."""
     grouped = features[member_indices]             # (P, K, d)
@@ -416,14 +413,14 @@ def pool_patch_stats(features: np.ndarray, member_indices: np.ndarray):
 def interface_labels(
     points: np.ndarray,
     member_indices: np.ndarray,
-    partner_points: np.ndarray | None,
+    partner: np.ndarray | None,
     cutoff: float,
 ):
     """Patch label 1 iff any member point lies within ``cutoff`` of the partner."""
     n_patches = member_indices.shape[0]
-    if partner_points is None or len(partner_points) == 0:
+    if partner is None or len(partner) == 0:
         return np.zeros(n_patches), False
-    near = neighbors.distances(points, partner_points).min(axis=1) <= cutoff
+    near = neighbors.distances(points, partner).min(axis=1) <= cutoff
     labels = near[member_indices].any(axis=1).astype(float)
     return labels, True
 
@@ -432,31 +429,16 @@ def interface_labels(
 # orchestration
 # ---------------------------------------------------------------------------
 
-def build_patches(cloud: SurfacePointCloud, cfg: RunConfig,
-                  partner_points: np.ndarray | None = None) -> PatchSet:
+def build_patches(cloud: SurfacePointCloud, cfg: RunConfig) -> PatchSet:
     """Partition a cloud into patches: farthest-point centers at the ratio
-    ``rho`` (see :func:`fps`), each with its ``patch_k`` nearest members.
-
-    Patches are labeled by contact with ``partner_points`` at the interface
-    cutoff for the cloud's molecule type; without a partner every label is
-    0 and the set is marked unlabeled.
-    """
+    ``rho`` (see :func:`fps`), each with its ``patch_k`` nearest members."""
     points = cloud.points
     centers = fps(points, float(cfg.rho))   # a float is a ratio, an int a count
-    members = knn(points[centers], points, cfg.patch_k)
-    mean, var = pool_patch_stats(cloud.features, members)
-    is_protein = cloud.molecule_type == "protein"
-    cutoff = cfg.interface_cutoff_ligand if is_protein else cfg.interface_cutoff_protein
-    labels, labeled = interface_labels(points, members, partner_points, cutoff)
-    return PatchSet(centers, members, mean, var, labels, labeled)
+    return PatchSet(centers, knn(points[centers], points, cfg.patch_k))
 
 
-def build_surface(
-    structure: MolecularStructure,
-    cfg: RunConfig,
-    seed: int = 0,
-    partner_points: np.ndarray | None = None,
-) -> tuple[SurfacePointCloud, PatchSet]:
+def build_surface(structure: MolecularStructure, cfg: RunConfig,
+                  seed: int = 0) -> tuple[SurfacePointCloud, PatchSet]:
     """Run the full stage-1 construction for one structure."""
     rng = np.random.default_rng(seed)
     coords, radii = structure.coords, structure.radii
@@ -473,5 +455,4 @@ def build_surface(
     geom = geometric_features(points, normals, cfg.k_geom)
     features = assemble_features(chem, atom, geom, structure.molecule_type, points)
     cloud = SurfacePointCloud(points, normals, features, structure.molecule_type)
-
-    return cloud, build_patches(cloud, cfg, partner_points)
+    return cloud, build_patches(cloud, cfg)

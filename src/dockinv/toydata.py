@@ -11,7 +11,7 @@ import numpy as np
 
 from . import neighbors
 from .config import RunConfig
-from .finetune import AffinityScaler, ComplexSample, geometric_pseudolabels
+from .finetune import AffinityScaler, ComplexSample, build_complex_sample
 from .model import PipelineModel
 from .pretrain import PretrainSample, prepare_sample
 from .structures import AMINO_ACIDS, Atom, Bond, MolecularStructure, Residue, VDW_RADII
@@ -143,20 +143,9 @@ def toy_complex_corpus(n_complexes: int, cfg: RunConfig, mdl: PipelineModel,
         raw.append((receptor, ligand, 1.0 if positive else 0.0, delta_g))
 
     scaler = AffinityScaler.fit([r[3] for r in raw])
-    samples = []
-    for i, (receptor, ligand, y_int, delta_g) in enumerate(raw):
-        r_cloud, r_patches = build_surface(receptor, cfg, seed=seed * 47 + 2 * i,
-                                           partner_points=ligand.coords)
-        l_cloud, l_patches = build_surface(ligand, cfg, seed=seed * 47 + 2 * i + 1,
-                                           partner_points=receptor.coords)
-        pocket = geometric_pseudolabels(r_cloud.points, ligand.coords,
-                                        cfg.interface_cutoff_ligand)
-        samples.append(ComplexSample(
-            r_cloud, r_patches, l_cloud, l_patches, pocket, y_int,
-            scaler.standardize(delta_g),
-            receptor_geom=mdl.precompute_geometry(r_cloud.points, "protein"),
-            ligand_geom=mdl.precompute_geometry(l_cloud.points, "small-molecule"),
-        ))
+    samples = [build_complex_sample(receptor, ligand, cfg, mdl, seed * 47 + 2 * i, y_int,
+                                    scaler.standardize(delta_g))
+               for i, (receptor, ligand, y_int, delta_g) in enumerate(raw)]
     return samples, scaler
 
 

@@ -62,6 +62,29 @@ def test_count_below_one_exits_1_before_any_write(command, option, tmp_path, pdb
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["metrics", "--kind", "nov", "--alpha", "0.3", "gen.txt", "ref.txt"],
+     "dockinv: error: unrecognized arguments: --alpha\n"),
+    (["invert", "--out", "out"],
+     "dockinv invert: error: the following arguments are required: --receptor"),
+    (["metrics", "--kind", "rmsd", "gen.txt"],
+     "dockinv metrics: error: argument --kind: invalid choice: 'rmsd'"),
+], ids=["unknown-option", "missing-required-option", "kind-outside-choices"])
+def test_usage_errors_exit_1(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dockinv") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dockinv invert")
+
+
 def test_insufficient_surface_exits_2(tmp_path, pdb, capsys):
     argv = ["surface", str(pdb), "--out", str(tmp_path / "out"),
             "--set", "t_sdf=1", "--set", "m_protein=500"]

@@ -13,11 +13,11 @@ import per_op
 from dockinv import autodiff as ad
 from dockinv import fileio, inversion, neighbors, theory, toydata
 from dockinv.config import RunConfig
-from dockinv.finetune import finetune_loss, finetune_run, load_complex_dir
+from dockinv.finetune import ComplexSample, finetune_loss, finetune_run, load_complex_dir
 from dockinv.model import PipelineModel, as_tensors
 from dockinv.pretrain import pretrain_loss, pretrain_run
 from dockinv.structures import AMINO_ACIDS, write_molecule
-from dockinv.surface import build_surface
+from dockinv.surface import PatchSet, build_surface
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,34 @@ def test_config_fields_all_read(toy_cfg):
     assert sorted(_CONFIG_FIELDS - _ConfigReadRecorder.reads) == []
 
 
+def _recording(sample, reads: set):
+    """A copy of the dataclass ``sample`` that records each field read from it
+    into ``reads`` as ``Class.field``."""
+    cls = type(sample)
+    names = {f.name for f in dataclasses.fields(cls)}
+
+    class Recorder(cls):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(f"{cls.__name__}.{name}")
+            return object.__getattribute__(self, name)
+
+    return Recorder(**{name: getattr(sample, name) for name in names})
+
+
+def test_sample_fields_all_read(toy_cfg, mdl, surface_corpus, complex_corpus):
+    # a stored field no training step reads is work the corpus builders waste
+    reads: set = set()
+    surfaces = [dataclasses.replace(s, patches=_recording(s.patches, reads))
+                for s in surface_corpus[:2]]
+    complexes = [_recording(s, reads) for s in complex_corpus[0][:2]]
+    params, _ = pretrain_run(surfaces, toy_cfg, steps=1, mdl=mdl, batch_size=2)
+    finetune_run(complexes, toy_cfg, steps=1, mdl=mdl, params=params, batch_size=2)
+    fields = {f"{cls.__name__}.{f.name}" for cls in (PatchSet, ComplexSample)
+              for f in dataclasses.fields(cls)}
+    assert sorted(fields - reads) == []
+
+
 def geom_block_per_op_reference(x, x_np, k_geom):
     """inversion._geom_block as about 59 autodiff ops, as it ran before its
     hand-written vjp: the same numpy calls in the same order."""
@@ -290,6 +318,22 @@ def _assert_bonds_in_range(coords, pairs, cfg):
         assert cfg.bond_min <= d <= cfg.bond_max, (i, j, d)
 
 
+def test_anneal_step_size_falls_from_eta_max_and_stays_above_eta_min(toy_cfg):
+    eta_max, eta_min, total = toy_cfg.eta_max, toy_cfg.eta_min, toy_cfg.t_invert
+    assert inversion.anneal_step_size(0, total, eta_max, eta_min) == eta_max
+    assert eta_min < inversion.anneal_step_size(total - 1, total, eta_max, eta_min) < eta_max
+    for t in (-1, total):
+        with pytest.raises(ValueError, match="outside"):
+            inversion.anneal_step_size(t, total, eta_max, eta_min)
+
+
+@pytest.mark.parametrize("degrees, wrapped", [
+    (-180.0, 180.0), (180.0, 180.0), (540.0, 180.0), (190.0, -170.0),
+])
+def test_wrap_torsion_into_half_open_interval(degrees, wrapped):
+    assert inversion.wrap_torsion(degrees) == wrapped
+
+
 def test_repair_state_invariants(toy_cfg):
     cfg = toy_cfg
     n = cfg.n_init_points
@@ -304,7 +348,7 @@ def test_repair_state_invariants(toy_cfg):
         except inversion.RepairError:
             continue
         returned += 1
-        budgets = np.array([inversion.V_MAX.get(t.split(".")[0], 4.0) for t in types])
+        budgets = inversion._valence_budgets(types)
         dist_in = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
         bonded = set(inversion._greedy_bonds(dist_in, budgets, cfg.bond_max))
         _assert_bonds_in_range(out, bonded, cfg)
@@ -479,6 +523,13 @@ def test_load_complex_dir_fits_scaler_on_labelled_values(tmp_path, toy_cfg, mdl,
     assert samples[1].delta_g is None
     for s in samples:
         assert len(s.pocket_labels) == len(s.receptor.points)
+
+
+def test_load_complex_dir_reads_a_valid_pocket_mask(tmp_path, toy_cfg, mdl, receptor_structure):
+    mask = ("0110" * toy_cfg.m_protein)[:toy_cfg.m_protein]
+    _write_complex(tmp_path / "a", receptor_structure, 3, f"y_int = 1\npocket = {mask}\n")
+    [sample], _ = load_complex_dir(tmp_path, toy_cfg, mdl, seed=0)
+    assert sample.pocket_labels.tolist() == [float(c) for c in mask]
 
 
 def test_load_complex_dir_rejects_pocket_mask_of_wrong_length(tmp_path, toy_cfg, mdl,
