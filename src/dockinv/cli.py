@@ -26,7 +26,7 @@ from .inversion import prepare_receptor, run_inversion
 from .model import PipelineModel
 from .pretrain import prepare_sample, pretrain_run
 from .structures import StructureError, parse_molecule, parse_pdb, write_molecule
-from .surface import SurfaceError, build_patches, build_surface, sdf_value_grad
+from .surface import SurfaceError, build_cloud, build_patches, build_surface, sdf_value_grad
 
 
 def _effective_config(args) -> RunConfig:
@@ -172,7 +172,7 @@ def cmd_invert(args) -> int:
     params = (_load_params(args.checkpoint, cfg, mdl) if args.checkpoint
               else mdl.init_params(args.seed))
     structure = parse_pdb(receptor_path.read_text())
-    cloud, _ = build_surface(structure, cfg, seed=args.seed)
+    cloud = build_cloud(structure, cfg, seed=args.seed)
     ctx = prepare_receptor(mdl, params, cloud)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,7 @@ from .model import (
     train_loop,
 )
 from .structures import MolecularStructure, parse_molecule, parse_pdb
-from .surface import SurfacePointCloud, build_surface
+from .surface import SurfacePointCloud, build_cloud
 
 __all__ = [
     "ComplexSample",
@@ -91,8 +91,8 @@ def build_complex_sample(receptor: MolecularStructure, ligand: MolecularStructur
                          pocket: np.ndarray | None = None) -> ComplexSample:
     """Both surfaces (at seeds ``seed`` and ``seed + 1``) and their conv geometry; pocket
     labels are ``pocket``, else 1 where a ligand atom is within ``interface_cutoff_ligand``."""
-    r_cloud, _ = build_surface(receptor, cfg, seed=seed)
-    l_cloud, _ = build_surface(ligand, cfg, seed=seed + 1)
+    r_cloud = build_cloud(receptor, cfg, seed=seed)
+    l_cloud = build_cloud(ligand, cfg, seed=seed + 1)
     if pocket is None:
         pocket = geometric_pseudolabels(r_cloud.points, ligand.coords,
                                         cfg.interface_cutoff_ligand)

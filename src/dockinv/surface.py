@@ -41,6 +41,7 @@ __all__ = [
     "pool_patch_stats",
     "interface_labels",
     "build_patches",
+    "build_cloud",
     "build_surface",
 ]
 
@@ -95,24 +96,28 @@ class PatchSet:
 # ---------------------------------------------------------------------------
 
 # Points are evaluated in row blocks of about this many bytes of point-atom
-# differences: 109 rows at A = 200, 21 rows at A = 1000. Blocks from 256 KiB
-# to 2 MiB ran equally fast at both sizes; larger ones spill out of cache.
+# differences (three (rows, A) axes): 109 rows at A = 200, 21 rows at A = 1000.
+# Swept over 128 KiB-4 MiB on 4,000 x 200 and 2,000 x 1,000 (2-core VM, 1 BLAS
+# thread): 512 KiB and 1 MiB ran fastest; 128 KiB was about 30% slower and
+# 4 MiB about 25% slower, once the seven buffers spill out of cache.
 _SDF_BLOCK_BYTES = 1 << 19
 
 
 def sdf_value_grad(points: np.ndarray, coords: np.ndarray, radii: np.ndarray):
     """The smoothed SDF at ``points`` ((3,) or (P, 3)) and its spatial gradient.
 
-    The value is ``-fbar(x) * log sum_j exp(-|x - c_j| / r_j)``, with ``fbar``
-    the exp(-distance)-weighted mean radius; both sums are stabilized by
-    subtracting their largest exponent.
+    The value is ``-fbar(x) * s(x)``: ``s = log sum_j exp(-d_j / r_j)`` over the
+    atom distances ``d_j``, and ``fbar`` the exp(-d)-weighted mean radius.
 
     Points are taken in row blocks, so memory stays O(rows x A) for any
     number of points, and every row comes out bitwise the same whatever block
-    it falls in. The atom sum is never truncated. With ``q`` and ``p`` the
-    softmaxes of ``-d/r`` and ``-d`` over atoms and ``s`` the log-sum-exp of
-    ``-d/r``, the gradient of ``-fbar * s`` is ``sum_j w_j (x - c_j)`` with
-    ``w_j = [s p_j (r_j - fbar) + fbar q_j / r_j] / max(d_j, 1e-12)``.
+    it falls in: each row's sums are numpy row reductions, never BLAS. The
+    atom sum is never truncated. A block is one pass over seven reused
+    (rows, A) buffers: the per-axis differences, ``d``, and the shifted
+    exponentials ``e = exp(min(d/r) - d/r)`` and ``eb = exp(min d - d)`` with
+    row sums ``z`` and ``zb``. Then ``s = log z - min(d/r)``,
+    ``fbar = sum eb r / zb``, and the gradient is ``sum_j w_j (x - c_j)`` with
+    ``w = [eb (r - fbar) s / zb + e (1/r) fbar / z] / max(d, 1e-12)``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     coords = np.asarray(coords, dtype=float)
@@ -120,30 +125,42 @@ def sdf_value_grad(points: np.ndarray, coords: np.ndarray, radii: np.ndarray):
     if coords.size == 0:
         raise SurfaceError("sdf_value_grad needs at least one atom")
     coords_t = np.ascontiguousarray(coords.T)                   # (3, A)
+    inv_r = 1.0 / radii
+    n = points.shape[0]
     rows = max(1, _SDF_BLOCK_BYTES // (coords_t.size * 8))
-    sdf = np.empty(points.shape[0])
-    grad = np.empty((points.shape[0], 3))
-    for lo in range(0, points.shape[0], rows):
-        block = slice(lo, lo + rows)
-        diff = points[block, :, None] - coords_t                # (rows, 3, A)
-        sq = diff * diff
-        d = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])             # (rows, A)
+    buf = np.empty((7, min(rows, n), coords_t.shape[1]))
+    sdf = np.empty(n)
+    grad = np.empty((n, 3))
+    for lo in range(0, n, rows):
+        block = points[lo:lo + rows]
+        dx, dy, dz, d, e, eb, w = buf[:, :len(block)]
+        for axis, diff in enumerate((dx, dy, dz)):
+            np.subtract(block[:, axis, None], coords_t[axis], out=diff)
+        np.multiply(dx, dx, out=d)
+        d += np.multiply(dy, dy, out=w)
+        d += np.multiply(dz, dz, out=w)
+        np.sqrt(d, out=d)
 
-        a = -d / radii
-        m = a.max(axis=1, keepdims=True)
-        e = np.exp(a - m)
-        z = e.sum(axis=1, keepdims=True)
-        s = np.log(z) + m
-        q = e / z
+        np.multiply(d, inv_r, out=e)
+        u_min = e.min(axis=1)
+        np.exp(np.subtract(u_min[:, None], e, out=e), out=e)
+        z = e.sum(axis=1)
+        s = np.log(z) - u_min
+        np.exp(np.subtract(d.min(axis=1)[:, None], d, out=eb), out=eb)
+        zb = eb.sum(axis=1)
+        fbar = np.multiply(eb, radii, out=w).sum(axis=1) / zb
+        sdf[lo:lo + rows] = -fbar * s
 
-        b = -d
-        eb = np.exp(b - b.max(axis=1, keepdims=True))
-        p = eb / eb.sum(axis=1, keepdims=True)
-        fbar = (p * radii).sum(axis=1, keepdims=True)
-
-        sdf[block] = (-fbar * s)[:, 0]
-        w = (s * p * (radii - fbar) + fbar * q / radii) / np.maximum(d, 1e-12)
-        grad[block] = np.einsum("pka,pa->pk", diff, w)
+        np.subtract(radii, fbar[:, None], out=w)
+        w *= eb
+        w *= (s / zb)[:, None]
+        e *= inv_r
+        e *= (fbar / z)[:, None]
+        w += e
+        w /= np.maximum(d, 1e-12, out=d)
+        for axis, diff in enumerate((dx, dy, dz)):
+            diff *= w
+            grad[lo:lo + rows, axis] = diff.sum(axis=1)
     return sdf, grad
 
 
@@ -377,18 +394,17 @@ def fps(points: np.ndarray, count, start: int | None = None) -> np.ndarray:
         if not (0.0 < count <= 1.0):
             raise SurfaceError(f"fps ratio must lie in (0, 1], got {count}")
         count = max(1, int(round(count * n)))
-    if count > n:
+    if not 1 <= count <= n:
         raise SurfaceError(f"fps requested {count} of {n} points")
     if start is None:
-        centroid = pts.mean(axis=0)
-        start = int(np.argmax(np.linalg.norm(pts - centroid, axis=1)))
+        start = int(np.argmax(neighbors.distances(pts, pts.mean(axis=0)[None])[:, 0]))
     chosen = np.empty(count, dtype=int)
     chosen[0] = start
-    min_d = np.linalg.norm(pts - pts[start], axis=1)
+    min_d = neighbors.distances(pts, pts[start:start + 1])[:, 0]
     for i in range(1, count):
         nxt = int(np.argmax(min_d))
         chosen[i] = nxt
-        np.minimum(min_d, np.linalg.norm(pts - pts[nxt], axis=1), out=min_d)
+        np.minimum(min_d, neighbors.distances(pts, pts[nxt:nxt + 1])[:, 0], out=min_d)
     return chosen
 
 
@@ -437,9 +453,8 @@ def build_patches(cloud: SurfacePointCloud, cfg: RunConfig) -> PatchSet:
     return PatchSet(centers, knn(points[centers], points, cfg.patch_k))
 
 
-def build_surface(structure: MolecularStructure, cfg: RunConfig,
-                  seed: int = 0) -> tuple[SurfacePointCloud, PatchSet]:
-    """Run the full stage-1 construction for one structure."""
+def build_cloud(structure: MolecularStructure, cfg: RunConfig, seed: int = 0) -> SurfacePointCloud:
+    """Stage 1 up to the featurized cloud: sample, project, normals, features."""
     rng = np.random.default_rng(seed)
     coords, radii = structure.coords, structure.radii
     is_protein = structure.molecule_type == "protein"
@@ -454,5 +469,11 @@ def build_surface(structure: MolecularStructure, cfg: RunConfig,
     atom = atomic_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
     geom = geometric_features(points, normals, cfg.k_geom)
     features = assemble_features(chem, atom, geom, structure.molecule_type, points)
-    cloud = SurfacePointCloud(points, normals, features, structure.molecule_type)
+    return SurfacePointCloud(points, normals, features, structure.molecule_type)
+
+
+def build_surface(structure: MolecularStructure, cfg: RunConfig,
+                  seed: int = 0) -> tuple[SurfacePointCloud, PatchSet]:
+    """Run the full stage-1 construction for one structure: the cloud and its patches."""
+    cloud = build_cloud(structure, cfg, seed)
     return cloud, build_patches(cloud, cfg)

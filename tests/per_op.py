@@ -7,7 +7,8 @@ bitwise the same values and the same gradients up to rounding. ``power``,
 references were written in; no stage uses them any more, so they live here,
 each built with ``ad.primitive`` and the numpy call and vjp the op had.
 ``smoothed_sdf`` is the distance field as a graph of those ops, the reference
-for ``surface.sdf_value_grad``.
+for ``surface.sdf_value_grad``; ``sdf_value_grad`` is that kernel's earlier
+numpy body, softmaxes and an einsum over (rows, 3, A) differences.
 """
 
 import numpy as np
@@ -153,3 +154,28 @@ def pair_sweep(pts: np.ndarray, bonded: np.ndarray, cfg) -> float:
             pts[j] += shift * axis
             moved = max(moved, abs(shift))
     return moved
+
+
+def sdf_value_grad(points, coords: np.ndarray, radii: np.ndarray):
+    """The smoothed SDF and its gradient as the package computed them before its
+    in-place kernel: explicit softmaxes ``q`` and ``p`` and an einsum, in one block."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    radii = np.asarray(radii, dtype=float)
+    diff = points[:, :, None] - np.asarray(coords, dtype=float).T   # (P, 3, A)
+    sq = diff * diff
+    d = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])                     # (P, A)
+
+    a = -d / radii
+    m = a.max(axis=1, keepdims=True)
+    e = np.exp(a - m)
+    z = e.sum(axis=1, keepdims=True)
+    s = np.log(z) + m
+    q = e / z
+
+    b = -d
+    eb = np.exp(b - b.max(axis=1, keepdims=True))
+    p = eb / eb.sum(axis=1, keepdims=True)
+    fbar = (p * radii).sum(axis=1, keepdims=True)
+
+    w = (s * p * (radii - fbar) + fbar * q / radii) / np.maximum(d, 1e-12)
+    return (-fbar * s)[:, 0], np.einsum("pka,pa->pk", diff, w)

@@ -11,9 +11,10 @@ from conftest import write_pdb
 import per_op
 
 from dockinv import autodiff as ad
-from dockinv import fileio, inversion, neighbors, theory, toydata
+from dockinv import fileio, inversion, neighbors, surface, theory, toydata
 from dockinv.config import RunConfig
-from dockinv.finetune import ComplexSample, finetune_loss, finetune_run, load_complex_dir
+from dockinv.finetune import (ComplexSample, build_complex_sample, finetune_loss, finetune_run,
+                              load_complex_dir)
 from dockinv.model import PipelineModel, as_tensors
 from dockinv.pretrain import pretrain_loss, pretrain_run
 from dockinv.structures import AMINO_ACIDS, write_molecule
@@ -523,6 +524,17 @@ def test_load_complex_dir_fits_scaler_on_labelled_values(tmp_path, toy_cfg, mdl,
     assert samples[1].delta_g is None
     for s in samples:
         assert len(s.pocket_labels) == len(s.receptor.points)
+
+
+def test_complex_sample_builds_no_patch_partition(toy_cfg, mdl, receptor_structure,
+                                                  monkeypatch):
+    calls = []
+    fps = surface.fps
+    monkeypatch.setattr(surface, "fps", lambda *args, **kw: calls.append(args) or fps(*args, **kw))
+    sample = build_complex_sample(receptor_structure, toydata.random_molecule(3, n_atoms=6),
+                                  toy_cfg, mdl, seed=0, y_int=1.0, delta_g=None)
+    assert len(sample.receptor) == toy_cfg.m_protein
+    assert calls == []
 
 
 def test_load_complex_dir_reads_a_valid_pocket_mask(tmp_path, toy_cfg, mdl, receptor_structure):

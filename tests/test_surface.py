@@ -104,6 +104,16 @@ class TestSdfKernel:
         assert np.all(np.isfinite(sdf)) and np.all(np.isfinite(grad))
         assert abs(sdf[1] - per_op.smoothed_sdf(far, coords, radii).item()) < 1e-9
 
+    @pytest.mark.parametrize("n_atoms", [200, 1000])
+    def test_agrees_with_the_softmax_einsum_reference(self, n_atoms):
+        pts, coords, radii = sdf_case(300, n_atoms, seed=n_atoms)
+        far = coords[0] + np.array([1000.0, 0.0, 0.0])
+        pts = np.concatenate([pts, [coords[7], far]])   # on an atom centre; 1000 A away
+        sdf, grad = sf.sdf_value_grad(pts, coords, radii)
+        ref_sdf, ref_grad = per_op.sdf_value_grad(pts, coords, radii)
+        np.testing.assert_allclose(sdf, ref_sdf, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+
     def test_peak_memory_is_bounded_by_the_block(self):
         pts, coords, radii = sdf_case(4000, 200, seed=5)
         tracemalloc.start()
@@ -380,6 +390,11 @@ class TestFps:
         with pytest.raises(sf.SurfaceError):
             sf.fps(np.zeros((3, 3)), 4)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one(self, count):
+        with pytest.raises(sf.SurfaceError):
+            sf.fps(np.zeros((3, 3)), count)
+
     def test_ratio_argument(self):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((40, 3))
@@ -463,6 +478,14 @@ class TestConstructionEquivariance:
                                    atol=1e-6)
         np.testing.assert_array_equal(p1.center_indices, p2.center_indices)
         np.testing.assert_array_equal(p1.member_indices, p2.member_indices)
+
+    def test_build_surface_cloud_is_the_cloud_only_build(self, receptor_structure,
+                                                         receptor_cloud, toy_cfg):
+        cloud = sf.build_cloud(receptor_structure, toy_cfg, seed=11)
+        expected, _ = receptor_cloud
+        for name in ("points", "normals", "features"):
+            assert np.array_equal(getattr(cloud, name), getattr(expected, name))
+        assert cloud.molecule_type == expected.molecule_type
 
     def test_build_residuals_within_tolerance(self, receptor_structure, receptor_cloud, toy_cfg):
         cloud, _ = receptor_cloud
