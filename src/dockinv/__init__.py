@@ -11,7 +11,7 @@ Subpackages cover the four pipeline stages plus support code:
   vector quantization
 - :mod:`dockinv.finetune` -- stage 3: cascaded pocket/interaction/affinity heads
 - :mod:`dockinv.inversion` -- stage 4: projected-gradient ligand generation
-- :mod:`dockinv.theory` -- descent/containment verification and metrics
+- :mod:`dockinv.theory` -- checks on the stage-4 objective, and metrics
 - :mod:`dockinv.cli` -- command-line entry point
 """
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import fileio, theory, toydata
 from .config import ConfigError, RunConfig, load_config, parse_overrides
 from .finetune import finetune_run, load_complex_dir
-from .inversion import prepare_receptor, run_inversion
+from .inversion import initial_state, prepare_receptor, run_inversion
 from .model import PipelineModel
 from .pretrain import prepare_sample, pretrain_run
 from .structures import StructureError, parse_molecule, parse_pdb, write_molecule
@@ -203,32 +203,18 @@ def cmd_invert(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _effective_config(args)
     _banner("verify", cfg, args.seed)
-    rng = np.random.default_rng(args.seed)
-    reports = []
-
-    for landscape in (theory.quadratic_1d(), theory.box_quadratic()):
-        landscape.check_gradient(n_points=200)
-        starts = rng.uniform(landscape.lower, landscape.upper, size=(8, len(landscape.lower)))
-        reports.append(theory.verify_descent(landscape, 1.0 / landscape.smoothness, 200, starts))
-
-    for i in range(args.instances):
-        landscape = theory.random_psd_quadratic(dim=int(rng.integers(2, 6)), rng=rng)
-        starts = rng.uniform(landscape.lower / 2, landscape.upper / 2,
-                             size=(3, len(landscape.lower)))
-        # linear convergence rate is (1 - mu/L) per step; budget for the
-        # condition number so the stationarity check is meaningful
-        steps = int(min(max(25.0 * landscape.smoothness / landscape.mu, 200), 50000))
-        reports.append(theory.verify_descent(landscape, 1.0 / landscape.smoothness,
-                                             steps, starts))
-
-    reports.append(theory.containment_demo(seed=args.seed))
-
+    mdl = PipelineModel(cfg)
+    params = mdl.init_params(args.seed)
+    cloud = build_cloud(toydata.fixture_receptor(), cfg, seed=args.seed)
+    ctx = prepare_receptor(mdl, params, cloud)
+    start = initial_state(ctx, mdl, params, cfg, "small-molecule", args.seed)
+    reports = [
+        theory.verify_invariance(mdl, params, cloud, ctx, start, cfg, args.seed),
+        theory.verify_gradient(start, ctx, mdl, params, cfg),
+        theory.verify_repair(start, cfg),
+    ]
     if args.negative_control:
-        landscape = theory.quadratic_1d()
-        rep = theory.verify_descent(landscape, 2.0 / landscape.smoothness, 50,
-                                    np.array([[1.0]]))
-        rep.name = "negative-control eta=2/L"
-        reports.append(rep)
+        reports.append(theory.verify_gradient(start, ctx, mdl, params, cfg, grad_scale=1.1))
 
     lines = []
     records = []
@@ -236,8 +222,7 @@ def cmd_verify(args) -> int:
         lines.extend(rep.lines())
         records.append(json.dumps({
             "name": rep.name, "passed": rep.passed,
-            "violations": rep.violations,
-            "details": {k: _jsonable(v) for k, v in rep.details.items()},
+            "violations": rep.violations, "details": rep.details,
         }))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -245,14 +230,6 @@ def cmd_verify(args) -> int:
         fileio.atomic_write_text(str(args.out) + ".jsonl", "\n".join(records) + "\n")
     print(text, end="")
     return 0 if all(r.passed for r in reports) else 3
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
 
 
 class InputError(ValueError):
@@ -393,13 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ligand-type", choices=("molecule", "protein"), default="molecule")
     p.set_defaults(fn=cmd_invert)
 
-    p = sub.add_parser("verify", help="run the theory verification harness")
+    p = sub.add_parser(
+        "verify",
+        help="check the stage-4 objective on the fixture receptor: rigid-motion invariance, "
+             "gradients against central differences, repair as a projection")
     common(p)
     p.add_argument("--out", default=None, help="report path (text + .jsonl)")
-    p.add_argument("--instances", type=int, default=100,
-                   help="random convex instances for the descent checks")
     p.add_argument("--negative-control", action="store_true",
-                   help="also run the eta=2/L control (expected to fail -> exit 3)")
+                   help="also check a gradient scaled x1.1 (expected to fail -> exit 3)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("metrics", help="sequence/structure metrics")

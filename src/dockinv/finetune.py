@@ -35,10 +35,8 @@ __all__ = [
     "build_complex_sample",
     "AffinityScaler",
     "geometric_pseudolabels",
-    "bce",
-    "pocket_loss",
-    "interaction_loss",
-    "affinity_loss",
+    "complex_terms",
+    "weighted_total",
     "complex_forward",
     "finetune_loss",
     "finetune_step",
@@ -135,44 +133,59 @@ def affinity_loss(gate: Tensor, pred_dg: Tensor, target_dg: float, tau_conf: flo
 # forward pass and training
 # ---------------------------------------------------------------------------
 
-def complex_forward(mdl: PipelineModel, params_t: dict, sample: ComplexSample):
-    """Encode both clouds, then fuse and run the heads.
+def complex_terms(mdl: PipelineModel, params_t: dict, zr, zl, pocket_labels, y_geom, y_int,
+                  delta_g: float | None, cfg: RunConfig):
+    """The loss terms of one complex from the heads on encodings ``zr``, ``zl``.
 
-    The heads are ``PipelineModel.complex_heads``, and the loss terms below
-    score them; stage 4's ``composite_objective`` calls the same method and
-    the same terms, so generation optimises against the trained objective.
-
-    Returns (pocket probabilities, interaction probability, predicted
-    affinity, gate tensor used by the affinity loss).
+    Stage 3 (:func:`complex_forward`) passes a sample's pocket labels,
+    ligand-surface pseudo-labels, ``y_int`` and standardized ``delta_g``
+    (None when unlabelled); stage 4 (``inversion.composite_objective``) the
+    ligand-atom pseudo-labels as both label sets, ``y_int = 1`` and
+    ``cfg.dg_target``. Returns (pocket, interaction, affinity or None,
+    predicted affinity).
     """
+    pocket, y_int_hat, dg_hat, gate = mdl.complex_heads(params_t, zr, zl)
+    l_pocket = pocket_loss(pocket, pocket_labels, y_geom, cfg.lambda_p)
+    l_int = interaction_loss(pocket, y_int_hat, y_int)
+    l_dg = None if delta_g is None else affinity_loss(gate, dg_hat, delta_g, cfg.tau_conf)
+    return l_pocket, l_int, l_dg, dg_hat
+
+
+def weighted_total(lp: Tensor, li: Tensor, lg: Tensor, cfg: RunConfig) -> Tensor:
+    """alpha * pocket + beta * interaction + affinity."""
+    return ad.add(ad.add(ad.mul(lp, cfg.alpha), ad.mul(li, cfg.beta)), lg)
+
+
+def complex_forward(mdl: PipelineModel, params_t: dict, sample: ComplexSample, cfg: RunConfig):
+    """Encode both clouds of a sample and return its :func:`complex_terms`."""
     zr = mdl.encode(params_t, sample.receptor.features, sample.receptor.points,
                     "protein", geom=sample.receptor_geom, orders=HEAD_ORDERS)
     zl = mdl.encode(params_t, sample.ligand.features, sample.ligand.points,
                     sample.ligand.molecule_type, geom=sample.ligand_geom, orders=HEAD_ORDERS)
-    return mdl.complex_heads(params_t, zr, zl)
+    y_geom = geometric_pseudolabels(sample.receptor.points, sample.ligand.points,
+                                    cfg.interface_cutoff_ligand)
+    return complex_terms(mdl, params_t, zr, zl, sample.pocket_labels, y_geom, sample.y_int,
+                         sample.delta_g, cfg)
 
 
 def finetune_loss(mdl: PipelineModel, params_t: dict, batch: list[ComplexSample],
                   cfg: RunConfig) -> tuple[Tensor, dict]:
-    """alpha * pocket + beta * interaction + affinity, averaged over the batch."""
+    """The :func:`weighted_total` of the per-term batch means; the affinity
+    mean runs over the labelled samples only."""
     terms_p, terms_i, terms_g = [], [], []
-    labeled = 0
     for sample in batch:
-        pocket, y_int_hat, dg_hat, gate = complex_forward(mdl, params_t, sample)
-        y_geom = geometric_pseudolabels(sample.receptor.points, sample.ligand.points,
-                                        cfg.interface_cutoff_ligand)
-        terms_p.append(pocket_loss(pocket, sample.pocket_labels, y_geom, cfg.lambda_p))
-        terms_i.append(interaction_loss(pocket, y_int_hat, sample.y_int))
-        if sample.delta_g is not None:
-            terms_g.append(affinity_loss(gate, dg_hat, sample.delta_g, cfg.tau_conf))
-            labeled += 1
+        l_pocket, l_int, l_dg, _ = complex_forward(mdl, params_t, sample, cfg)
+        terms_p.append(l_pocket)
+        terms_i.append(l_int)
+        if l_dg is not None:
+            terms_g.append(l_dg)
     lp = mean_terms(terms_p)
     li = mean_terms(terms_i)
     lg = mean_terms(terms_g) if terms_g else ad.constant(0.0)
-    total = ad.add(ad.add(ad.mul(lp, cfg.alpha), ad.mul(li, cfg.beta)), lg)
+    total = weighted_total(lp, li, lg, cfg)
     parts = {
         "pocket": lp.item(), "interaction": li.item(),
-        "affinity": lg.item(), "labeled": labeled,
+        "affinity": lg.item(), "labeled": len(terms_g),
     }
     for name in ("pocket", "interaction", "affinity"):
         if not np.isfinite(parts[name]):

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import neighbors
 from .autodiff import Tensor
 from .config import RunConfig
-from .finetune import affinity_loss, geometric_pseudolabels, interaction_loss, pocket_loss
+from .finetune import complex_terms, geometric_pseudolabels, weighted_total
 from .model import HEAD_ORDERS, PipelineModel
 from .structures import (
     AA_ELEMENT_PROFILE,
@@ -344,9 +344,9 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
     frozen), with the gradients None when ``need_grad`` is false.
 
     F is stage 3's objective for one complex with the receptor field fixed:
-    ``PipelineModel.complex_heads`` with fine-tuning's ``pocket_loss``
-    (against the geometric pseudo-labels), ``interaction_loss`` (target 1)
-    and ``affinity_loss`` (target ``dg_target``).
+    ``finetune.complex_terms`` weighted by ``finetune.weighted_total``, with
+    the geometric pseudo-labels as pocket labels, interaction target 1 and
+    affinity target ``dg_target``.
 
     Neighborhood structure (conv KNN, pseudo-labels) is frozen per call in
     ``frozen`` so finite-difference checks see a smooth function; pass the
@@ -368,12 +368,10 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
     feats = state_features(x_t, f_t, state.molecule_type, cfg)
     geom = conv_geometry(x_t, frozen["nbr"], enc.basis)
     z_l = mdl.encode(params, feats, x_t, state.molecule_type, geom=geom, orders=HEAD_ORDERS)
-    pocket, y_int, dg_hat, gate = mdl.complex_heads(params, ctx.field(), z_l)
     y_geom = frozen["y_geom"]
-    l_pocket = pocket_loss(pocket, y_geom, y_geom, cfg.lambda_p)
-    l_int = interaction_loss(pocket, y_int, 1.0)
-    l_dg = affinity_loss(gate, dg_hat, cfg.dg_target, cfg.tau_conf)
-    total = ad.add(ad.add(ad.mul(l_pocket, cfg.alpha), ad.mul(l_int, cfg.beta)), l_dg)
+    l_pocket, l_int, l_dg, dg_hat = complex_terms(mdl, params, ctx.field(), z_l, y_geom, y_geom,
+                                                  1.0, cfg.dg_target, cfg)
+    total = weighted_total(l_pocket, l_int, l_dg, cfg)
 
     parts = {
         "F": total.item(),

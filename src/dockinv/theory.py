@@ -1,10 +1,11 @@
-"""Executable verification on synthetic landscapes, plus evaluation metrics.
+"""Executable checks on the shipped stage-4 objective, plus evaluation metrics.
 
-Covers the projected-gradient descent inequality and its telescoped bound,
-stationarity at the iteration limit for convex instances, the
-containment/strict-improvement comparison against generate-then-optimize,
-a runtime scaling-exponent fit, and the sequence/structure metrics
-(recovery, diversity, novelty, stability).
+``dockinv verify`` runs the checks on real pipeline objects: the composite
+objective's invariance under a joint rigid motion of receptor and ligand,
+its gradients against central differences, and state repair as a
+projection onto the validity region. The rest of the module is a runtime
+scaling-exponent fit and the sequence/structure metrics (recovery,
+diversity, novelty, stability).
 """
 
 from __future__ import annotations
@@ -13,19 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neighbors
+from . import autodiff as ad
+from . import inversion, neighbors
+from .equivariant import random_rotation
+from .surface import SurfacePointCloud
 
 __all__ = [
-    "SyntheticLandscape",
-    "GeneratorStub",
     "VerifyReport",
-    "pgd",
-    "verify_descent",
-    "double_well",
-    "containment_demo",
-    "random_psd_quadratic",
-    "quadratic_1d",
-    "box_quadratic",
+    "verify_invariance",
+    "objective_of",
+    "verify_gradient",
+    "verify_repair",
     "fit_scaling_exponent",
     "metric_aar",
     "metric_div",
@@ -39,59 +38,16 @@ __all__ = [
 
 
 @dataclass
-class SyntheticLandscape:
-    """Closed-form objective with exact gradient and known smoothness."""
-
-    name: str
-    f: callable
-    grad: callable
-    smoothness: float
-    lower: np.ndarray
-    upper: np.ndarray
-    minimum: float | None = None        # inf of f over the constraint set
-    mu: float | None = None             # strong convexity constant when known
-    f_each: callable | None = None      # 1-D landscapes: f at each entry of an array
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
-
-    def check_gradient(self, n_points: int = 1000, tol: float = 1e-8, seed: int = 0) -> float:
-        """Max relative discrepancy of grad vs central differences."""
-        rng = np.random.default_rng(seed)
-        dim = len(np.atleast_1d(self.lower))
-        worst = 0.0
-        h = 1e-6
-        for _ in range(n_points):
-            x = rng.uniform(self.lower, self.upper, size=dim)
-            g = np.atleast_1d(self.grad(x))
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = h
-                fd = (self.f(x + e) - self.f(x - e)) / (2 * h)
-                scale = max(abs(g[i]), abs(fd), 1.0)
-                worst = max(worst, abs(g[i] - fd) / scale)
-        if worst > tol:
-            raise AssertionError(f"{self.name}: analytic gradient off by {worst:.2e}")
-        return worst
-
-
-@dataclass
-class GeneratorStub:
-    """Sampler with declared support, standing in for a trained generator."""
-
-    low: float
-    high: float
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n)
-
-
-@dataclass
 class VerifyReport:
+    """One check's outcome; ``details`` holds plain Python values."""
+
     name: str
-    passed: bool
-    violations: list = field(default_factory=list)
+    violations: list
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
@@ -103,203 +59,108 @@ class VerifyReport:
         return out
 
 
-def pgd(f, grad, project, x0, eta: float, steps: int):
-    """Projected gradient descent; returns (trajectory, objectives, gradient maps)."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    xs = [x.copy()]
-    fs = [float(f(x))]
-    gmaps = []
-    for _ in range(steps):
-        x_new = project(x - eta * np.atleast_1d(grad(x)))
-        gmaps.append((x - x_new) / eta)
-        x = x_new
-        xs.append(x.copy())
-        fs.append(float(f(x)))
-    return np.array(xs), np.array(fs), np.array(gmaps)
-
-
-def verify_descent(landscape: SyntheticLandscape, eta: float, steps: int,
-                   starts: np.ndarray, stationarity_tol: float = 1e-6,
-                   slack: float = 1e-10) -> VerifyReport:
-    """Assert, per start: the per-step descent inequality, the telescoped
-    cumulative bound, and (for convex instances with a known minimum)
-    stationarity of the gradient mapping at the horizon."""
-    violations = []
-    min_gmap_overall = np.inf
-    for s_idx, x0 in enumerate(np.atleast_2d(np.asarray(starts, dtype=float))):
-        xs, fs, gmaps = pgd(landscape.f, landscape.grad, landscape.project, x0, eta, steps)
-        for t in range(steps):
-            bound = fs[t] - 0.5 * eta * float(gmaps[t] @ gmaps[t]) + slack
-            if fs[t + 1] > bound:
-                violations.append(
-                    f"descent at start {s_idx} step {t}: F={fs[t + 1]:.8g} > {bound:.8g}"
-                )
-        total = float((gmaps * gmaps).sum())
-        f_star = landscape.minimum if landscape.minimum is not None else fs.min()
-        cap = (2.0 / eta) * (fs[0] - f_star) + slack
-        if total > cap:
-            violations.append(
-                f"cumulative bound at start {s_idx}: {total:.8g} > {cap:.8g}"
-            )
-        min_gmap = float(np.sqrt((gmaps * gmaps).sum(axis=1)).min())
-        min_gmap_overall = min(min_gmap_overall, min_gmap)
-        if landscape.mu is not None and min_gmap > stationarity_tol:
-            violations.append(
-                f"stationarity at start {s_idx}: min |g_eta| = {min_gmap:.3e}"
-            )
-    return VerifyReport(
-        name=f"descent[{landscape.name}] eta={eta:g}",
-        passed=not violations,
-        violations=violations,
-        details={"min_gradient_mapping": min_gmap_overall, "starts": len(np.atleast_2d(starts))},
-    )
-
-
-# ---------------------------------------------------------------------------
-# shipped landscapes
-# ---------------------------------------------------------------------------
-
-def quadratic_1d(smoothness: float = 4.0) -> SyntheticLandscape:
-    l = smoothness
-    return SyntheticLandscape(
-        name="quadratic-1d",
-        f=lambda x: 0.5 * l * float(np.sum(x * x)),
-        grad=lambda x: l * np.atleast_1d(x),
-        smoothness=l,
-        lower=np.array([-10.0]),
-        upper=np.array([10.0]),
-        minimum=0.0,
-        mu=l,
-    )
-
-
-def random_psd_quadratic(dim: int, rng: np.random.Generator) -> SyntheticLandscape:
-    """0.5 x'Ax + b'x with random PSD A; box wide enough to contain the minimum."""
-    m = rng.standard_normal((dim, dim))
-    a = m @ m.T + 0.1 * np.eye(dim)
-    b = rng.standard_normal(dim)
-    eigs = np.linalg.eigvalsh(a)
-    x_star = -np.linalg.solve(a, b)
-    f_star = 0.5 * x_star @ a @ x_star + b @ x_star
-    span = max(10.0, 2.0 * float(np.abs(x_star).max()))
-    return SyntheticLandscape(
-        name=f"psd-quadratic-{dim}d",
-        f=lambda x: float(0.5 * x @ a @ x + b @ x),
-        grad=lambda x: a @ x + b,
-        smoothness=float(eigs.max()),
-        lower=np.full(dim, -span),
-        upper=np.full(dim, span),
-        minimum=float(f_star),
-        mu=float(eigs.min()),
-    )
-
-
-def box_quadratic() -> SyntheticLandscape:
-    """1-D quadratic whose unconstrained minimizer lies outside the box, so the
-    constrained minimizer sits on the box face (KKT: gradient mapping -> 0)."""
-    l = 2.0
-    target = 5.0
-    lo, hi = -1.0, 1.0
-    f_star = 0.5 * l * (hi - target) ** 2
-    return SyntheticLandscape(
-        name="box-quadratic",
-        f=lambda x: float(0.5 * l * np.sum((x - target) ** 2)),
-        grad=lambda x: l * (np.atleast_1d(x) - target),
-        smoothness=l,
-        lower=np.array([lo]),
-        upper=np.array([hi]),
-        minimum=f_star,
-        mu=l,
-    )
-
-
-def double_well(tilt: float = 0.3) -> SyntheticLandscape:
-    """(x^2 - 1)^2 + tilt * x on [-2, 2]: two basins, the left one deeper."""
-
-    def f_each(x):
-        # np.float_power is libm's pow, as Python's float ** is, so an array
-        # gets bitwise the values that Python floats get
-        return np.float_power(x * x - 1.0, 2.0) + tilt * x
-
-    def f(x):
-        return float(f_each(float(np.atleast_1d(x)[0])))
-
-    def grad(x):
-        x = np.atleast_1d(x)
-        return 4.0 * x * (x * x - 1.0) + tilt
-
-    # max |f''| = |12 x^2 - 4| at x = +-2
-    return SyntheticLandscape(
-        name="double-well",
-        f=f,
-        f_each=f_each,
-        grad=grad,
-        smoothness=44.0,
-        lower=np.array([-2.0]),
-        upper=np.array([2.0]),
-    )
-
-
-def minimize_on_grid(landscape: SyntheticLandscape, step: float = 1e-5):
-    """Dense 1-D grid oracle for minimizers (used to pin basin values)."""
-    xs = np.arange(float(landscape.lower[0]), float(landscape.upper[0]) + step, step)
-    vals = landscape.f_each(xs)
-    i = int(np.argmin(vals))
-    return float(xs[i]), float(vals[i])
-
-
-def containment_demo(landscape: SyntheticLandscape | None = None,
-                     stub: GeneratorStub | None = None,
-                     n_samples: int = 32, n_starts: int = 32,
-                     eta: float | None = None, steps: int = 3000,
-                     seed: int = 0) -> VerifyReport:
-    """Compare generate-then-optimize against multi-start inversion.
-
-    Inversion refines PGD from uniform starts over the full box; G+O refines
-    from generator samples only. Weak dominance must always hold; strict
-    dominance is asserted when the generator's support misses the better basin.
-    The landscape is one-dimensional, and its ``grad``, ``project`` and
-    ``f_each`` act elementwise, so each set of starts is refined as one batch
-    and the grid oracle is one array expression.
-    """
-    landscape = landscape or double_well()
-    stub = stub or GeneratorStub(0.5, 1.5)
-    eta = eta if eta is not None else 1.0 / landscape.smoothness
+def verify_invariance(mdl, params: dict, cloud: SurfacePointCloud, ctx,
+                      state: inversion.InversionState, cfg, seed: int) -> VerifyReport:
+    """F and the predicted affinity are invariant, and the coordinate
+    gradient rotates, when the receptor cloud (``ctx`` is its prepared
+    receptor) and the ligand state move by one seeded rigid motion."""
     rng = np.random.default_rng(seed)
-
-    def refine(starts):  # final points and objectives after `steps` PGD steps
-        x = np.asarray(starts, dtype=float)
-        for _ in range(steps):
-            x = landscape.project(x - eta * landscape.grad(x))
-        return x, landscape.f_each(x)
-
-    go_best = min(refine(stub.sample(n_samples, rng))[1])
-    inv_starts = np.linspace(float(landscape.lower[0]), float(landscape.upper[0]), n_starts)
-    inv_best = min(refine(inv_starts)[1])
-
-    violations = []
-    if inv_best > go_best + 1e-9:
-        violations.append(f"weak dominance violated: {inv_best:.8g} > {go_best:.8g}")
-
-    # basin oracle: where PGD from starts across the generator's support ends
-    ends, _ = refine(np.linspace(stub.low, stub.high, 16))
-    basins = {round(float(x), 2) for x in ends}
-    x_star, f_star = minimize_on_grid(landscape)
-    misspecified = all(abs(b - x_star) > 0.05 for b in basins)
-    details = {
-        "go_best": go_best,
-        "inv_best": inv_best,
-        "global_min_x": x_star,
-        "global_min_f": f_star,
-        "misspecified": misspecified,
+    rot, shift = random_rotation(rng), rng.uniform(-10.0, 10.0, 3)
+    features = cloud.features.copy()
+    features[:, -3:] = features[:, -3:] @ rot.T + shift
+    moved = SurfacePointCloud(cloud.points @ rot.T + shift, cloud.normals @ rot.T, features,
+                              cloud.molecule_type)
+    moved_state = inversion.InversionState(state.x @ rot.T + shift, state.f.copy(),
+                                           state.molecule_type)
+    parts, gx, _, _ = inversion.composite_objective(state, ctx, mdl, params, cfg)
+    ctx_m = inversion.prepare_receptor(mdl, params, moved)
+    parts_m, gx_m, _, _ = inversion.composite_objective(moved_state, ctx_m, mdl, params, cfg)
+    errors = {
+        "F": (abs(parts_m["F"] - parts["F"]), abs(parts["F"])),
+        "dg_hat": (abs(parts_m["dg_hat"] - parts["dg_hat"]), abs(parts["dg_hat"])),
+        "gx": (float(np.abs(gx_m - gx @ rot.T).max()), float(np.abs(gx).max())),
     }
-    if misspecified:
-        gap = go_best - f_star
-        if not inv_best < go_best - (gap - 1e-4):
-            violations.append(
-                f"strict dominance shortfall: inv={inv_best:.8g}, go={go_best:.8g}, gap={gap:.8g}"
-            )
-    return VerifyReport("containment", not violations, violations, details)
+    violations = [f"{name} moved by {err:.3e} under the rigid motion"
+                  for name, (err, size) in errors.items() if err > 1e-9 * max(1.0, size)]
+    details = {f"{name}_change": err for name, (err, _) in errors.items()}
+    return VerifyReport("invariance: rigid motion of receptor and ligand", violations, details)
+
+
+def objective_of(kind: str, state: inversion.InversionState, ctx, mdl, params: dict, cfg,
+                 frozen: dict, grad_scale: float = 1.0):
+    """F as a function of the state's ``x`` or ``f`` block, for ad.grad_check.
+
+    The returned node's VJP is ``grad_scale`` times composite_objective's own
+    gradient at the point, so grad_check compares that gradient with central
+    differences of F (neighbourhoods and pseudo-labels held in ``frozen``).
+    """
+
+    def fn(t):
+        probe = state.copy()
+        setattr(probe, kind, t.values.copy())
+        parts, gx, gf, _ = inversion.composite_objective(
+            probe, ctx, mdl, params, cfg, frozen=frozen, need_grad=t.requires_grad)
+        grad = gx if kind == "x" else gf
+        return ad.primitive(np.array(parts["F"]), "objective", (t,),
+                            lambda g: (g * grad_scale * grad,))
+
+    return fn
+
+
+def verify_gradient(state: inversion.InversionState, ctx, mdl, params: dict, cfg,
+                    grad_scale: float = 1.0) -> VerifyReport:
+    """composite_objective's gradients in ``x`` and ``f`` against central
+    differences on sampled coordinates, with neighbourhoods and pseudo-labels
+    held; a near-zero gradient would match them vacuously, so it fails."""
+    frozen = inversion.composite_objective(state, ctx, mdl, params, cfg, need_grad=False)[3]
+    violations, details = [], {}
+    for seed, kind in enumerate(("x", "f")):
+        fn = objective_of(kind, state, ctx, mdl, params, cfg, frozen, grad_scale)
+        report = ad.grad_check(fn, getattr(state, kind), step=1e-5, tolerance=1e-5, sample=8,
+                               rng=np.random.default_rng(seed))
+        largest = float(np.abs(report.analytic).max())
+        details[f"max_rel_err_{kind}"] = report.max_rel_err
+        details[f"max_abs_grad_{kind}"] = largest
+        if not report.passed:
+            violations.append(f"{kind}: relative error {report.max_rel_err:.3e} at coordinate "
+                              f"{report.worst_index}")
+        if largest <= 1e-4:
+            violations.append(f"{kind}: largest gradient entry {largest:.3e} is vacuous")
+    name = "gradient: F in x and f" if grad_scale == 1.0 else \
+        f"negative-control: gradient scaled x{grad_scale:g}"
+    return VerifyReport(name, violations, details)
+
+
+def verify_repair(state: inversion.InversionState, cfg) -> VerifyReport:
+    """repair_state as a projection onto the validity region, on the state
+    contracted x0.5 toward its centroid: a valid start would leave it
+    nothing to do. Its bonds are the greedy bonds of its input."""
+    name = "repair: projection of the start contracted x0.5"
+    centroid = state.x.mean(axis=0)
+    x = centroid + 0.5 * (state.x - centroid)
+    types = inversion._argmax_types(state.f, state.molecule_type)
+    try:
+        out = inversion.repair_state(x, types, cfg)
+        again = inversion.repair_state(out, types, cfg)
+    except inversion.RepairError as err:
+        return VerifyReport(name, [str(err)])
+    bonded = inversion._greedy_bonds(neighbors.distances(x, x),
+                                     inversion._valence_budgets(types), cfg.bond_max)
+    dist = neighbors.distances(out, out)
+    details = {
+        "max_shift": float(np.linalg.norm(out - x, axis=1).max()),
+        "bonds": len(bonded),
+        "bonds_out_of_range": sum(not cfg.bond_min <= dist[i, j] <= cfg.bond_max
+                                  for i, j in bonded),
+        "clashes": clash_count(out, cfg.clash_floor, set(bonded)),
+    }
+    checks = {
+        "repair moved no atom, so it checked nothing": details["max_shift"] == 0.0,
+        "a second repair moved the repaired state": again.tobytes() != out.tobytes(),
+        f"bonds outside [{cfg.bond_min}, {cfg.bond_max}]": details["bonds_out_of_range"] > 0,
+        f"non-bonded pairs closer than {cfg.clash_floor}": details["clashes"] > 0,
+    }
+    return VerifyReport(name, [msg for msg, failed in checks.items() if failed], details)
 
 
 # ---------------------------------------------------------------------------

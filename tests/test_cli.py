@@ -1,6 +1,7 @@
 """The dockinv command line: exit codes and the .mdpc corpus path."""
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,12 +32,21 @@ def config_file(tmp_path, toy_cfg):
     return path
 
 
-def test_verify_passes_with_exit_0():
-    assert main(["verify", "--instances", "2"]) == 0
+def test_verify_passes_with_exit_0(config_file):
+    assert main(["verify", "--config", str(config_file)]) == 0
 
 
-def test_negative_control_fails_verification_with_exit_3():
-    assert main(["verify", "--instances", "2", "--negative-control"]) == 3
+def test_negative_control_fails_verification_with_exit_3(config_file, tmp_path):
+    report = tmp_path / "verify.txt"
+    assert main(["verify", "--config", str(config_file), "--negative-control",
+                 "--out", str(report)]) == 3
+    records = [json.loads(line) for line in
+               (tmp_path / "verify.txt.jsonl").read_text().splitlines()]
+    # one record per check, and only the control fails
+    assert [r["name"].split(":")[0] for r in records] == [
+        "invariance", "gradient", "repair", "negative-control"]
+    assert [r["passed"] for r in records] == [True, True, True, False]
+    assert report.read_text().count("[FAIL]") == 1
 
 
 def test_missing_input_exits_1(tmp_path):

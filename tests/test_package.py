@@ -1,6 +1,6 @@
 """Package hygiene: exported names exist and have callers, neighbour search
-lives in one module, and the benchmark's span wrappers still fit the functions
-they wrap."""
+and the complex objective each have one implementation, and the benchmark's
+span wrappers still fit the functions they wrap."""
 
 import ast
 import importlib
@@ -25,7 +25,7 @@ def test_all_names_exist(name):
 
 
 # The autodiff API that gradient tests use; no stage needs to call it.
-CALLER_ALLOW_LIST = {"autodiff.grad_check", "autodiff.param"}
+CALLER_ALLOW_LIST = {"autodiff.param"}
 
 
 def _references(module: str, tree: ast.Module) -> list:
@@ -90,6 +90,24 @@ def test_neighbour_search_has_one_implementation():
         for pattern in patterns if pattern in path.read_text()
     ]
     assert not offenders, f"use dockinv.neighbors instead of {offenders}"
+
+
+def test_complex_objective_has_one_implementation():
+    """The complex heads and their three loss terms are called from
+    finetune.complex_terms only, so stages 3 and 4 share one objective."""
+    src = Path(dockinv.__file__).parent
+    guarded = {"complex_heads", "pocket_loss", "interaction_loss", "affinity_loss"}
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for scope in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = getattr(func, "attr", None) or getattr(func, "id", None)
+                        if name in guarded:
+                            callers.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert callers == {"finetune.complex_terms"}
 
 
 def test_benchmark_spans_fit_dockinv():

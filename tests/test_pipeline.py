@@ -13,9 +13,10 @@ import per_op
 from dockinv import autodiff as ad
 from dockinv import fileio, inversion, neighbors, surface, theory, toydata
 from dockinv.config import RunConfig
-from dockinv.finetune import (ComplexSample, build_complex_sample, finetune_loss, finetune_run,
-                              load_complex_dir)
-from dockinv.model import PipelineModel, as_tensors
+from dockinv.finetune import (ComplexSample, build_complex_sample, complex_terms, finetune_loss,
+                              finetune_run, geometric_pseudolabels, load_complex_dir,
+                              weighted_total)
+from dockinv.model import HEAD_ORDERS, PipelineModel, as_tensors
 from dockinv.pretrain import pretrain_loss, pretrain_run
 from dockinv.structures import AMINO_ACIDS, write_molecule
 from dockinv.surface import PatchSet, build_surface
@@ -31,30 +32,11 @@ def start(ctx, mdl, init_params, toy_cfg):
     return inversion.initial_state(ctx, mdl, init_params, toy_cfg, "small-molecule", seed=0)
 
 
-def _objective_of(kind, state, ctx, mdl, params, cfg, frozen):
-    """F as a function of the state's ``x`` or ``f`` block, for ad.grad_check.
-
-    The returned node's VJP is composite_objective's own gradient at the
-    point, so grad_check compares that gradient with central differences
-    of F (neighbourhoods and pseudo-labels held in ``frozen``).
-    """
-
-    def fn(t):
-        probe = state.copy()
-        setattr(probe, kind, t.values.copy())
-        parts, gx, gf, _ = inversion.composite_objective(
-            probe, ctx, mdl, params, cfg, frozen=frozen, need_grad=t.requires_grad)
-        grad = gx if kind == "x" else gf
-        return ad.primitive(np.array(parts["F"]), "objective", (t,), lambda g: (g * grad,))
-
-    return fn
-
-
 def test_objective_gradient_matches_central_differences(toy_cfg, mdl, init_params, ctx, start):
     frozen = inversion.composite_objective(start, ctx, mdl, init_params, toy_cfg,
                                            need_grad=False)[3]
     for seed, kind in enumerate(("x", "f")):
-        fn = _objective_of(kind, start, ctx, mdl, init_params, toy_cfg, frozen)
+        fn = theory.objective_of(kind, start, ctx, mdl, init_params, toy_cfg, frozen)
         report = ad.grad_check(fn, getattr(start, kind), step=1e-5, tolerance=1e-5, sample=8,
                                rng=np.random.default_rng(seed))
         assert report.passed, (kind, report)
@@ -99,6 +81,31 @@ def test_objective_over_head_orders_matches_full_encode(toy_cfg, mdl, init_param
     assert parts == parts_ref
     assert gx.tobytes() == gx_ref.tobytes() and gf.tobytes() == gf_ref.tobytes()
     assert count < count_ref
+
+
+def test_finetune_loss_is_the_weighted_total_of_complex_terms(toy_cfg, mdl, init_params,
+                                                             complex_corpus):
+    # stage 3 on a one-sample batch is the shared complex objective, bitwise,
+    # in its value and in every parameter gradient
+    sample = complex_corpus[0][0]
+    assert sample.delta_g is not None
+    params_batch, params_one = as_tensors(init_params), as_tensors(init_params)
+    total, _ = finetune_loss(mdl, params_batch, [sample], toy_cfg)
+    zr = mdl.encode(params_one, sample.receptor.features, sample.receptor.points, "protein",
+                    geom=sample.receptor_geom, orders=HEAD_ORDERS)
+    zl = mdl.encode(params_one, sample.ligand.features, sample.ligand.points,
+                    sample.ligand.molecule_type, geom=sample.ligand_geom, orders=HEAD_ORDERS)
+    y_geom = geometric_pseudolabels(sample.receptor.points, sample.ligand.points,
+                                    toy_cfg.interface_cutoff_ligand)
+    lp, li, lg, _ = complex_terms(mdl, params_one, zr, zl, sample.pocket_labels, y_geom,
+                                  sample.y_int, sample.delta_g, toy_cfg)
+    one = weighted_total(lp, li, lg, toy_cfg)
+    assert one.values.tobytes() == total.values.tobytes()
+    ad.backward(total)
+    ad.backward(one)
+    for name in init_params:
+        a, b = params_batch[name].grad, params_one[name].grad
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
 
 
 class _ReadRecorder(dict):

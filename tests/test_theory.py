@@ -84,14 +84,3 @@ def test_clash_count_matches_pairwise_count():
         and np.linalg.norm(pts[i] - pts[j]) < 1.7
     )
     assert theory.clash_count(pts, 1.7, bonded) == expected
-
-
-def test_double_well_grid_values_equal_scalar_f_bitwise():
-    # the grid oracle's array expression does the scalar f's arithmetic
-    landscape = theory.double_well()
-    xs = np.arange(-2.0, 2.0 + 1e-3, 1e-3)
-    scalar = np.array([landscape.f(np.array([x])) for x in xs])
-    assert landscape.f_each(xs).tobytes() == scalar.tobytes()
-    x_star, f_star = theory.minimize_on_grid(landscape, step=1e-3)
-    i = int(np.argmin(scalar))
-    assert (x_star, f_star) == (float(xs[i]), float(scalar[i]))
