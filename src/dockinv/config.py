@@ -73,16 +73,14 @@ class RunConfig:
     bond_min: float = 1.0
     bond_max: float = 2.0
     decode_every: int = 20
-    eps_dg: float = 1e-4           # affinity-plateau stopping tolerance
     dg_target: float = -2.0        # standardized target affinity
     tau_acc: float = 1.0           # acceptance temperature, discrete mode
     n_init_points: int = 24
     n_init_residues: int = 5
     sigma_init: float = 2.0
     max_repair_rounds: int = 10
-    max_step_retries: int = 5
+    max_step_retries: int = 5      # step halvings before a run stops on no descent
     motif_bias: float = 0.5        # strength of motif-template logit bias
-    assert_descent: bool = False   # enable per-step descent assertions
 
     def validate(self) -> "RunConfig":
         ratios = {"rho": self.rho, "mask_ratio": self.mask_ratio}
@@ -156,12 +154,6 @@ def _coerce(name: str, raw: str):
     if f is None:
         raise ConfigError(f"unknown config key '{name}'")
     raw = raw.strip()
-    if f.type in ("bool", bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean for {name}: {raw!r}")
     if f.type in ("int", int):
         try:
             return int(raw)

@@ -45,6 +45,7 @@ __all__ = [
     "anneal_step_size",
     "wrap_torsion",
     "state_features",
+    "frozen_structure",
     "composite_objective",
     "pgd_step",
     "repair_state",
@@ -336,6 +337,18 @@ def pocket_prior(mdl: PipelineModel, params: dict, ctx: ReceptorContext) -> np.n
     return mdl.pocket_head(params, ad.constant(per_point)).values
 
 
+def frozen_structure(state: InversionState, ctx: ReceptorContext, mdl: PipelineModel,
+                     cfg: RunConfig) -> dict:
+    """The discrete structure F holds fixed within one evaluation at ``state``:
+    the conv k-NN neighbourhoods and the pocket pseudo-labels."""
+    from .equivariant import knn_indices
+
+    return {
+        "nbr": knn_indices(state.x, mdl.encoder_for(state.molecule_type).conv_k),
+        "y_geom": geometric_pseudolabels(ctx.points, state.x, cfg.interface_cutoff_ligand),
+    }
+
+
 def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: PipelineModel,
                         params: dict, cfg: RunConfig, frozen: dict | None = None,
                         need_grad: bool = True):
@@ -349,22 +362,19 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
     affinity target ``dg_target``.
 
     Neighborhood structure (conv KNN, pseudo-labels) is frozen per call in
-    ``frozen`` so finite-difference checks see a smooth function; pass the
-    returned dict back in to reuse it.
+    ``frozen`` so finite-difference checks see a smooth function; it defaults
+    to :func:`frozen_structure` at ``state``, and the returned dict can be
+    passed back in to hold it.
     """
     if len(ctx.points) == 0:
         raise ad.DomainError("composite objective needs a non-empty receptor cloud")
-    from .equivariant import conv_geometry, knn_indices
+    from .equivariant import conv_geometry
 
     x_t = Tensor(state.x, requires_grad=need_grad, op="param")
     f_t = Tensor(state.f, requires_grad=need_grad, op="param")
     enc = mdl.encoder_for(state.molecule_type)
     if frozen is None:
-        frozen = {
-            "nbr": knn_indices(state.x, enc.conv_k),
-            "y_geom": geometric_pseudolabels(ctx.points, state.x,
-                                             cfg.interface_cutoff_ligand),
-        }
+        frozen = frozen_structure(state, ctx, mdl, cfg)
     feats = state_features(x_t, f_t, state.molecule_type, cfg)
     geom = conv_geometry(x_t, frozen["nbr"], enc.basis)
     z_l = mdl.encode(params, feats, x_t, state.molecule_type, geom=geom, orders=HEAD_ORDERS)
@@ -468,11 +478,16 @@ def repair_state(x: np.ndarray, types: list[str], cfg: RunConfig,
     bonded = np.zeros((n, n), dtype=bool)
     for i, j in _greedy_bonds(neighbors.distances(pts, pts), budgets, cfg.bond_max):
         bonded[i, j] = bonded[j, i] = True
-    rounds = cfg.max_repair_rounds if rounds is None else rounds
+    return _settle(pts, bonded, cfg, cfg.max_repair_rounds if rounds is None else rounds)
+
+
+def _settle(pts: np.ndarray, bonded: np.ndarray, cfg: RunConfig, rounds: int) -> np.ndarray:
+    """Repeat in-place pair sweeps until one moves no point by 1e-9 or more;
+    returns ``pts``, or raises RepairError after ``rounds`` sweeps."""
     for _ in range(rounds):
         if _pair_sweep(pts, bonded, cfg) < 1e-9:
             return pts
-    raise RepairError(f"state repair did not stabilize in {rounds} rounds")
+    raise RepairError(f"repair did not stabilize in {rounds} rounds")
 
 
 def _tiebreak_axis(i: int, j: int) -> np.ndarray:
@@ -488,27 +503,19 @@ def _argmax_types(f: np.ndarray, molecule_type: str) -> list[str]:
 
 
 def pgd_step(state: InversionState, gx: np.ndarray, gf: np.ndarray, eta: float,
-             cfg: RunConfig) -> tuple[InversionState, np.ndarray, float]:
-    """One projected descent update; returns (new state, gradient mapping, eta used).
+             cfg: RunConfig) -> tuple[InversionState, np.ndarray]:
+    """One projected descent update; returns (new state, gradient mapping
+    G = (state - new state) / eta over the flattened x and f blocks).
 
-    Repair failures halve the step size and retry up to the configured limit.
+    Raises RepairError when the proposal's coordinates cannot be repaired.
     """
     if eta <= 0:
         raise ValueError("step size must be positive")
-    eta_try = eta
-    for _ in range(cfg.max_step_retries + 1):
-        x_prop = state.x - eta_try * gx
-        f_prop = state.f - eta_try * gf
-        try:
-            x_rep = repair_state(x_prop, _argmax_types(f_prop, state.molecule_type), cfg)
-        except RepairError:
-            eta_try *= 0.5
-            continue
-        new = InversionState(x_rep, f_prop, state.molecule_type)
-        delta = np.concatenate([(state.x - x_rep).ravel(), (state.f - f_prop).ravel()])
-        g_eta = delta / eta_try
-        return new, g_eta, eta_try
-    raise RepairError("pgd step exhausted repair retries")
+    x_prop = state.x - eta * gx
+    f_prop = state.f - eta * gf
+    x_rep = repair_state(x_prop, _argmax_types(f_prop, state.molecule_type), cfg)
+    delta = np.concatenate([(state.x - x_rep).ravel(), (state.f - f_prop).ravel()])
+    return InversionState(x_rep, f_prop, state.molecule_type), delta / eta
 
 
 # ---------------------------------------------------------------------------
@@ -623,58 +630,27 @@ def _find_ring(bonds_adj: dict, i: int, j: int, sizes=(5, 6)) -> bool:
 
 
 def validity_repair(molecule: MolecularStructure, cfg: RunConfig) -> MolecularStructure:
-    """Fixed-order repair passes until stable: demote non-ring aromatics,
-    drop excess valence (longest bonds first), project bond lengths into
-    range, then push clashes apart. Raises RepairError on oscillation."""
-    coords = molecule.coords.copy()
-    bonds = list(molecule.bonds)
-    budgets = _valence_budgets([a.type_label for a in molecule.atoms])
-    n = len(coords)
+    """Demote aromatic bonds that lie on no 5- or 6-ring to single bonds, then
+    settle the coordinates: bonded pairs into [bond_min, bond_max], all other
+    pairs out to the clash floor. Raises RepairError when they do not settle.
 
-    for _ in range(cfg.max_repair_rounds):
-        changed = False
-        # aromatic bonds must sit on 5/6-rings
-        adj: dict[int, set] = {}
-        for b in bonds:
-            adj.setdefault(b.i, set()).add(b.j)
-            adj.setdefault(b.j, set()).add(b.i)
-        new_bonds = []
-        for b in bonds:
-            if b.aromatic and not _find_ring(adj, b.i, b.j):
-                new_bonds.append(Bond(b.i, b.j, 1.0))
-                changed = True
-            else:
-                new_bonds.append(b)
-        bonds = new_bonds
-
-        # valence pass: drop longest bonds past the budget
-        dist = neighbors.distances(coords, coords)
-        while True:
-            load = np.zeros(n)
-            for b in bonds:
-                load[b.i] += b.order
-                load[b.j] += b.order
-            over = [i for i in range(n) if load[i] > budgets[i]]
-            if not over:
-                break
-            i = over[0]
-            incident = [b for b in bonds if b.i == i or b.j == i]
-            incident.sort(key=lambda b: (-dist[b.i, b.j], b.i, b.j))
-            bonds.remove(incident[0])
-            changed = True
-
-        # geometric passes
-        bonded = np.zeros((n, n), dtype=bool)
-        for b in bonds:
-            bonded[b.i, b.j] = bonded[b.j, b.i] = True
-        moved = _pair_sweep(coords, bonded, cfg)
-        if not changed and moved < 1e-9:
-            atoms = [
-                Atom(a.element, tuple(coords[k]), a.radius, a.hybridization, a.name)
-                for k, a in enumerate(molecule.atoms)
-            ]
-            return MolecularStructure(atoms, bonds, [], "small-molecule")
-    raise RepairError(f"validity repair did not stabilize in {cfg.max_repair_rounds} rounds")
+    Bonds keep within each atom's valence budget, as ``infer_bonds`` admits
+    them: a demotion only lowers an order, and no pass changes the bond graph.
+    """
+    adj: dict[int, set] = {}
+    for b in molecule.bonds:
+        adj.setdefault(b.i, set()).add(b.j)
+        adj.setdefault(b.j, set()).add(b.i)
+    bonds = [Bond(b.i, b.j, 1.0) if b.aromatic and not _find_ring(adj, b.i, b.j) else b
+             for b in molecule.bonds]
+    n = len(molecule.atoms)
+    bonded = np.zeros((n, n), dtype=bool)
+    for b in bonds:
+        bonded[b.i, b.j] = bonded[b.j, b.i] = True
+    coords = _settle(molecule.coords.copy(), bonded, cfg, cfg.max_repair_rounds)
+    atoms = [Atom(a.element, tuple(coords[k]), a.radius, a.hybridization, a.name)
+             for k, a in enumerate(molecule.atoms)]
+    return MolecularStructure(atoms, bonds, [], "small-molecule")
 
 
 def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: dict,
@@ -757,7 +733,7 @@ class InversionResult:
     best_objective: float
     state: InversionState
     trace: list
-    stop_reason: str                     # "target" | "plateau" | "budget" | "repair_failed"
+    stop_reason: str                     # "target" | "budget" | "no_descent" | "repair_failed"
 
 
 def initial_state(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: RunConfig,
@@ -792,25 +768,28 @@ def run_inversion(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: R
                   steps: int | None = None) -> InversionResult:
     """Full stage-4 loop: descend, repair, periodically decode, track the best.
 
-    Each mode is a step ``(state, gx, gf, eta) -> (new state, gradient
-    mapping, eta used)`` that raises RepairError when repair fails; this loop
-    alone decides when to stop, what to decode and what a failed step means.
+    Each mode is a step ``(state, evaluation, eta) -> (new state, gradient
+    mapping, eta used, evaluation of the new state)``, where an evaluation is
+    what ``composite_objective`` returns; a failed step returns its stop
+    reason instead. This loop alone decides when to stop and what to decode.
     Every decoded state is decoded with its own gradient.
 
-    The run stops when the predicted affinity plateaus (|change| < eps over a
-    10-step window), when it reaches the target, at the step budget, or at the
-    first failed step; the terminal state is decoded when it improves on the
-    best, and the result keeps the best candidate decoded so far.
+    The continuous-pgd step backtracks from the annealed step size until the
+    repaired state decreases F sufficiently (see ``_descent_step``). The run
+    stops when the predicted affinity reaches the target, at the step budget,
+    when backtracking finds no descent ("no_descent") or when a discrete
+    step's repair fails ("repair_failed"). The terminal state is decoded when
+    it improves on the best, and the result keeps the best candidate decoded
+    so far.
     """
     if mode == "continuous-pgd":
-        step = functools.partial(pgd_step, cfg=cfg)
+        step = functools.partial(_descent_step, ctx=ctx, mdl=mdl, params=params, cfg=cfg)
     elif mode == "discrete-accept":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
         step = functools.partial(_discrete_step, ctx=ctx, mdl=mdl, params=params, cfg=cfg,
                                  rng=rng)
     else:
         raise ValueError(f"unknown inversion mode {mode!r}")
-    check_descent = cfg.assert_descent and mode == "continuous-pgd"
     t_total = cfg.t_invert if steps is None else steps
     state = start.copy() if start is not None else initial_state(
         ctx, mdl, params, cfg, molecule_type, seed)
@@ -818,16 +797,16 @@ def run_inversion(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: R
     best, best_f = None, np.inf
     trace: list[dict] = []
     stop_reason = None if t_total > 0 else "budget"
+    evaluation = composite_objective(state, ctx, mdl, params, cfg)
 
     for t in itertools.count():
-        parts, gx, gf, _ = composite_objective(state, ctx, mdl, params, cfg)
+        parts, _, gf, _ = evaluation
         if stop_reason is None:
             # step before decoding: a failed step makes this state the terminal one
             eta = anneal_step_size(t, t_total, cfg.eta_max, cfg.eta_min)
-            try:
-                new_state, g_eta, eta_used = step(state, gx, gf, eta)
-            except RepairError:
-                stop_reason = "repair_failed"
+            outcome = step(state, evaluation, eta)
+            if isinstance(outcome, str):
+                stop_reason = outcome
         if (stop_reason or t % cfg.decode_every == 0) and parts["F"] < best_f:
             try:
                 best, best_f = _decode(state, gf, params, cfg, decode_seed), parts["F"]
@@ -835,31 +814,51 @@ def run_inversion(ctx: ReceptorContext, mdl: PipelineModel, params: dict, cfg: R
                 pass
         if stop_reason:
             return InversionResult(best, best_f, state, trace, stop_reason)
-        if check_descent:
-            parts_after, *_ = composite_objective(new_state, ctx, mdl, params, cfg,
-                                                  need_grad=False)
-            bound = parts["F"] - 0.5 * eta_used * float(g_eta @ g_eta) + 1e-6
-            if parts_after["F"] > bound:
-                raise AssertionError(
-                    f"descent violated at t={t}: {parts_after['F']:.6g} > {bound:.6g}"
-                )
+        state, g_eta, eta_used, evaluation = outcome
         trace.append({
             "t": t, "eta": eta_used, "F": parts["F"], "pocket": parts["pocket"],
             "interaction": parts["interaction"], "dg_hat": parts["dg_hat"],
             "g_norm": float(np.linalg.norm(g_eta)),
         })
-        state = new_state
-        if len(trace) > 10 and abs(trace[-1]["dg_hat"] - trace[-10]["dg_hat"]) < cfg.eps_dg:
-            stop_reason = "plateau"
-        elif parts["dg_hat"] <= cfg.dg_target:
+        if parts["dg_hat"] <= cfg.dg_target:
             stop_reason = "target"
         elif len(trace) == t_total:
             stop_reason = "budget"
 
 
-def _discrete_step(state, gx, gf, eta, ctx, mdl, params, cfg, rng):
+def _descent_step(state, evaluation, eta, ctx, mdl, params, cfg):
+    """Projected step with backtracking: try eta, eta/2, ... over
+    ``max_step_retries`` halvings and accept the first repaired state whose
+    F, under the neighbourhoods ``frozen`` at ``state``, decreases enough:
+    F(new; frozen) <= F(state) - eta/2 * |G|^2, with G the gradient mapping.
+    A failed repair is a failed try; "no_descent" when every try fails.
+
+    The accepted trial is the new state's own evaluation when rebuilding
+    ``frozen`` there changes nothing; otherwise the new state is evaluated
+    afresh.
+    """
+    parts, gx, gf, frozen = evaluation
+    for _ in range(cfg.max_step_retries + 1):
+        try:
+            new, g_eta = pgd_step(state, gx, gf, eta, cfg)
+        except RepairError:
+            eta *= 0.5
+            continue
+        trial = composite_objective(new, ctx, mdl, params, cfg, frozen=frozen)
+        if trial[0]["F"] <= parts["F"] - 0.5 * eta * float(g_eta @ g_eta):
+            now = frozen_structure(new, ctx, mdl, cfg)
+            if any(not np.array_equal(now[k], frozen[k]) for k in frozen):
+                trial = composite_objective(new, ctx, mdl, params, cfg, frozen=now)
+            return new, g_eta, eta, trial
+        eta *= 0.5
+    return "no_descent"
+
+
+def _discrete_step(state, evaluation, eta, ctx, mdl, params, cfg, rng):
     """Gradient-guided add/modify/delete with softmax acceptance on predicted
-    affinity changes; returns (new state, raw gradient, eta)."""
+    affinity changes; returns (new state, raw gradient, eta, evaluation of the
+    new state), or "repair_failed"."""
+    _, gx, gf, _ = evaluation
     mags = np.linalg.norm(gx, axis=1)
     hot = int(np.argmax(mags))
     candidates = []
@@ -883,5 +882,9 @@ def _discrete_step(state, gx, gf, eta, ctx, mdl, params, cfg, rng):
         ddg.append(parts["dg_hat"])
     chosen = accept_modification(candidates, np.asarray(ddg) - min(ddg), cfg.tau_acc, rng)
     new = chosen.copy()
-    new.x = repair_state(new.x, _argmax_types(new.f, new.molecule_type), cfg)
-    return new, np.concatenate([gx.ravel(), gf.ravel()]), eta
+    try:
+        new.x = repair_state(new.x, _argmax_types(new.f, new.molecule_type), cfg)
+    except RepairError:
+        return "repair_failed"
+    return (new, np.concatenate([gx.ravel(), gf.ravel()]), eta,
+            composite_objective(new, ctx, mdl, params, cfg))

@@ -112,7 +112,7 @@ def verify_gradient(state: inversion.InversionState, ctx, mdl, params: dict, cfg
     """composite_objective's gradients in ``x`` and ``f`` against central
     differences on sampled coordinates, with neighbourhoods and pseudo-labels
     held; a near-zero gradient would match them vacuously, so it fails."""
-    frozen = inversion.composite_objective(state, ctx, mdl, params, cfg, need_grad=False)[3]
+    frozen = inversion.frozen_structure(state, ctx, mdl, cfg)
     violations, details = [], {}
     for seed, kind in enumerate(("x", "f")):
         fn = objective_of(kind, state, ctx, mdl, params, cfg, frozen, grad_scale)

@@ -33,8 +33,7 @@ def start(ctx, mdl, init_params, toy_cfg):
 
 
 def test_objective_gradient_matches_central_differences(toy_cfg, mdl, init_params, ctx, start):
-    frozen = inversion.composite_objective(start, ctx, mdl, init_params, toy_cfg,
-                                           need_grad=False)[3]
+    frozen = inversion.frozen_structure(start, ctx, mdl, toy_cfg)
     for seed, kind in enumerate(("x", "f")):
         fn = theory.objective_of(kind, start, ctx, mdl, init_params, toy_cfg, frozen)
         report = ad.grad_check(fn, getattr(start, kind), step=1e-5, tolerance=1e-5, sample=8,
@@ -155,8 +154,7 @@ class _ConfigReadRecorder(RunConfig):
 
 
 def test_config_fields_all_read(toy_cfg):
-    # a field no stage reads is a setting that changes nothing; an 11-step
-    # budget (t_invert) lets the run reach its plateau test (eps_dg)
+    # a field no stage reads is a setting that changes nothing
     _ConfigReadRecorder.reads = set()
     values = {name: getattr(toy_cfg, name) for name in _CONFIG_FIELDS}
     cfg = _ConfigReadRecorder(**{**values, "t_invert": 11})
@@ -368,6 +366,69 @@ def _assert_valid_molecule(mol, cfg):
     bonded = {(b.i, b.j) for b in mol.bonds}
     _assert_bonds_in_range(mol.coords, bonded, cfg)
     assert theory.clash_count(mol.coords, cfg.clash_floor, bonded) == 0
+    load = np.zeros(len(mol.atoms))
+    for b in mol.bonds:
+        load[[b.i, b.j]] += b.order
+    budgets = inversion._valence_budgets([a.type_label for a in mol.atoms])
+    assert np.all(load <= budgets), (load, budgets)
+
+
+def test_pgd_step_gradient_mapping_is_the_scaled_move(toy_cfg, mdl, init_params, ctx, start):
+    _, gx, gf, _ = inversion.composite_objective(start, ctx, mdl, init_params, toy_cfg)
+    eta = toy_cfg.eta_max
+    new, g = inversion.pgd_step(start, gx, gf, eta, toy_cfg)
+    moved = np.concatenate([(start.x - new.x).ravel(), (start.f - new.f).ravel()])
+    assert np.array_equal(g, moved / eta)
+    # repair projects coordinates only, so the feature block is the gradient
+    assert np.allclose(g[start.x.size:], gf.ravel(), rtol=0, atol=1e-9)
+
+
+def test_pgd_step_raises_when_repair_fails(toy_cfg, start):
+    # contracted x0.5 toward its centroid, the start needs more than one sweep
+    x = start.x.mean(axis=0) + 0.5 * (start.x - start.x.mean(axis=0))
+    dense = inversion.InversionState(x, start.f.copy(), start.molecule_type)
+    zeros_x, zeros_f = np.zeros_like(x), np.zeros_like(start.f)
+    with pytest.raises(inversion.RepairError):
+        inversion.pgd_step(dense, zeros_x, zeros_f, toy_cfg.eta_max,
+                           toy_cfg.replace(max_repair_rounds=1))
+
+
+def test_pgd_accepts_only_sufficient_decrease(toy_cfg, mdl, init_params, ctx, monkeypatch):
+    # every accepted step meets F(new; frozen) <= F(old) - eta/2 |G|^2 with
+    # frozen held at the old state; accepting every first try breaks it here
+    tries, calls = [], []
+    pgd_step, objective = inversion.pgd_step, inversion.composite_objective
+
+    def recording_step(state, gx, gf, eta, cfg):
+        new, g = pgd_step(state, gx, gf, eta, cfg)
+        tries.append((state, gx, gf, eta, new, g))
+        return new, g
+
+    def counting_objective(*args, **kwargs):
+        calls.append(None)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "pgd_step", recording_step)
+    monkeypatch.setattr(inversion, "composite_objective", counting_objective)
+    result = inversion.run_inversion(ctx, mdl, init_params, toy_cfg, seed=0, steps=60)
+    monkeypatch.undo()
+    assert result.stop_reason in ("target", "budget", "no_descent", "repair_failed")
+    # a try is accepted when the run steps on from (or ends at) its new state
+    accepted = [a for a, b in zip(tries, tries[1:] + [(result.state,)]) if b[0] is a[4]]
+    assert len(accepted) == len(result.trace) >= 10
+    for (state, _, _, eta, new, g), rec in zip(accepted, result.trace):
+        assert eta == rec["eta"]
+        held = inversion.frozen_structure(state, ctx, mdl, toy_cfg)
+        parts, *_ = objective(new, ctx, mdl, init_params, toy_cfg, frozen=held)
+        assert parts["F"] <= rec["F"] - 0.5 * eta * float(g @ g), rec["t"]
+    # each step evaluates its new state once, from the accepted trial or afresh
+    fresh = [objective(new, ctx, mdl, init_params, toy_cfg) for *_, new, _ in accepted]
+    nexts = [b for a, b in zip(tries, tries[1:]) if b[0] is a[4]]
+    for (parts, gx, gf, _), (_, used_gx, used_gf, *_), rec in zip(fresh, nexts,
+                                                                  result.trace[1:]):
+        assert parts["F"] == rec["F"]
+        assert np.array_equal(gx, used_gx) and np.array_equal(gf, used_gf)
+    assert len(calls) < 1 + len(tries) + len(accepted), "no trial was reused"
 
 
 def test_decode_and_validity_repair_invariants(toy_cfg, mdl, init_params, ctx):
