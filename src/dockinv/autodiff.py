@@ -9,14 +9,24 @@ one reverse sweep, visiting each node exactly once.
 Besides the elementwise, linear-algebra and structural primitives here, a
 module may build a larger computation as one graph node with
 :func:`primitive`: it runs the forward in numpy and hands over a hand-written
-vjp. Such a vjp saves only the arrays its gradients read, and only for
-parents that require grad, so a no-grad call saves nothing. Its output is
-checked for finiteness once, like any op output; its intermediates are not.
-The encoder's edge geometry (``equivariant.conv_geometry``: the radial
-pool and the edge harmonics), its convolution (``equivariant.ConvLayer.apply``,
-one node per output order) and the ligand descriptors of
-``inversion.state_features`` (``_pairwise_omega``, ``_geom_block``) are built
-this way.
+vjp. The vjp closure keeps the arrays its gradients read, and a no-grad
+call keeps nothing, since no graph records its vjp. Its output is checked
+for finiteness once, like any op output; its intermediates are not. These
+are built this way:
+
+- the encoder's edge geometry (``equivariant.conv_geometry``: the radial
+  pool and the edge harmonics) and its convolution
+  (``equivariant.ConvLayer.apply``, one node per output order);
+- the attended block of ``equivariant.equivariant_attention`` (q, k and v
+  projections, scaled scores, softmax and value mix);
+- the pocket, interaction and affinity heads
+  (``model.PipelineModel._mlp_head``) and ``finetune.bce``;
+- the ligand descriptors of ``inversion.state_features``
+  (``_pairwise_omega``, ``_geom_block``).
+
+The attention, head and bce nodes repeat the numpy expressions of the ops
+they replace and chain those ops' vjps, so their values and gradients are
+bitwise those of the op-by-op graph.
 
 Each op pays a fixed Python cost, so the core keeps it small: a binary op
 lets numpy broadcast and turns numpy's ``ValueError`` into a
@@ -55,6 +65,7 @@ __all__ = [
     "matmul",
     "log",
     "sigmoid",
+    "sigmoid_values",
     "tanh",
     "clip",
     "softmax",
@@ -66,7 +77,6 @@ __all__ = [
     "reduce_max",
     "reduce_min",
     "reshape",
-    "transpose",
 ]
 
 
@@ -198,9 +208,8 @@ def param(x) -> Tensor:
     return Tensor(x, requires_grad=True, op="param")
 
 
-# ops that only move entries: their output is finite when every input is a
+# reshape only moves entries: its output is finite when its input is a
 # checked op output; leaves (params, constants) are never checked on entry
-_STRUCTURAL_OPS = frozenset({"reshape", "transpose"})
 _LEAF_OPS = frozenset({"leaf", "const", "param"})
 
 
@@ -210,7 +219,7 @@ def _make(values, op, parents, vjp) -> Tensor:
     if (type(values) is not np.ndarray or values.dtype != np.float64
             or not values.flags.c_contiguous):
         values = np.array(values, dtype=np.float64, order="C")
-    if op not in _STRUCTURAL_OPS or any(p.op in _LEAF_OPS for p in parents):
+    if op != "reshape" or any(p.op in _LEAF_OPS for p in parents):
         _check_finite(values, op)
     values.flags.writeable = False
     t = object.__new__(Tensor)
@@ -338,13 +347,20 @@ def log(a) -> Tensor:
     return _make(out, "log", (a,), lambda g: (g / av,))
 
 
+def sigmoid_values(a: np.ndarray) -> np.ndarray:
+    """The logistic function of a numpy array, split by sign so no exp overflows:
+    the forward of :func:`sigmoid`, for hand-VJP nodes that end in one."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    e = np.exp(a[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = np.empty_like(a.values)
-    pos = a.values >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.values[pos]))
-    e = np.exp(a.values[~pos])
-    out[~pos] = e / (1.0 + e)
+    out = sigmoid_values(a.values)
     return _make(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -529,13 +545,6 @@ def reshape(a, shape) -> Tensor:
     out = a.values.reshape(shape)
     in_shape = a.shape
     return _make(out, "reshape", (a,), lambda g: (g.reshape(in_shape),))
-
-
-def transpose(a, axes=None) -> Tensor:
-    a = as_tensor(a)
-    out = np.transpose(a.values, axes)
-    inv = None if axes is None else np.argsort(axes)
-    return _make(out, "transpose", (a,), lambda g: (np.transpose(g, inv),))
 
 
 def _getitem(a: Tensor, key) -> Tensor:

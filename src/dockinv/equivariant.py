@@ -618,19 +618,67 @@ def equivariant_attention(receptor: Tensor, ligand: Tensor, params: dict):
     two fields, their width-1 component axis dropped; order 0 is invariant,
     so the scores are rigid-motion invariant. No stage reads an attended
     higher order, so only order 0 is attended. Returns (attended (n_r, d)
-    matrix, fused vector, score matrix). The fused vector, of length 2d, is
-    mean- and max-pooling over receptor points of the sum of original and
-    attended features.
+    matrix, fused vector, score matrix). The attended matrix is one autodiff
+    node (:func:`_attend`); the score matrix is its (n_r, n_l) softmax
+    weights as a numpy array, outside the graph. The fused vector, of length
+    2d, is mean- and max-pooling over receptor points of the sum of original
+    and attended features.
     """
     if ligand.shape[0] == 0:
         raise ad.DomainError("equivariant attention needs a non-empty ligand field")
-    d = receptor.shape[1]
-    q = ad.matmul(receptor, params["attn.wq"])
-    k = ad.matmul(ligand, params["attn.wk"])
-    scores = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d)), axis=1)
-    attended = ad.matmul(scores, ad.matmul(ligand, params["attn.wv0"]))
+    attended, scores = _attend(receptor, ligand, params["attn.wq"], params["attn.wk"],
+                               params["attn.wv0"])
     summary = ad.add(receptor, attended)
     fused = ad.concat(
         [ad.reduce_mean(summary, axis=0), ad.reduce_max(summary, axis=0)], axis=0
     )
     return attended, fused, scores
+
+
+def _attend(receptor: Tensor, ligand: Tensor, wq, wk, wv):
+    """The attended (n_r, d) matrix ``softmax(q k^T / sqrt(d)) v`` as one node
+    (op ``"attention"``), and its softmax weights as a numpy array.
+
+    ``q = receptor @ wq``, ``k = ligand @ wk`` and ``v = ligand @ wv``; a
+    weight is a Tensor (then a parent) or a numpy array, read in place. The
+    forward repeats the numpy expressions of ``ad.matmul``, ``ad.mul`` and
+    ``ad.softmax`` over a C-ordered copy of ``k^T``, and the vjp chains those
+    ops' vjps in the order the backward sweep ran them, so values and
+    gradients are bitwise those of the op-by-op graph.
+    """
+    operands = (receptor, ligand, wq, wk, wv)
+    parents = tuple(t for t in operands if isinstance(t, Tensor))
+    rv, lv, wq_v, wk_v, wv_v = (t.values if isinstance(t, Tensor) else t for t in operands)
+    r_on, l_on, wq_on, wk_on, wv_on = (isinstance(t, Tensor) and t.requires_grad
+                                       for t in operands)
+    scale = 1.0 / math.sqrt(rv.shape[1])
+    q = rv @ wq_v
+    kT = np.ascontiguousarray((lv @ wk_v).T)
+    scaled = (q @ kT) * scale
+    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    scores = e / e.sum(axis=1, keepdims=True)
+    v = lv @ wv_v
+    attended = scores @ v
+
+    def vjp(g):
+        g_r = g_l = g_wq = g_wk = g_wv = None
+        if l_on or wv_on:
+            g_v = scores.T @ g
+            g_l = g_v @ wv_v.T if l_on else None
+            g_wv = lv.T @ g_v if wv_on else None
+        if r_on or l_on or wq_on or wk_on:
+            g_s = g @ v.T
+            g_qk = (scores * (g_s - (g_s * scores).sum(axis=1, keepdims=True))) * scale
+            if r_on or wq_on:
+                g_q = g_qk @ kT.T
+                g_r = g_q @ wq_v.T if r_on else None
+                g_wq = rv.T @ g_q if wq_on else None
+            if l_on or wk_on:
+                g_k = np.transpose(q.T @ g_qk)
+                if l_on:
+                    g_l = g_k @ wk_v.T + g_l
+                g_wk = lv.T @ g_k if wk_on else None
+        grads = (g_r, g_l, g_wq, g_wk, g_wv)
+        return tuple(gt for gt, t in zip(grads, operands) if isinstance(t, Tensor))
+
+    return ad.primitive(attended, "attention", parents, vjp), scores

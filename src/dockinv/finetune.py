@@ -100,10 +100,30 @@ def build_complex_sample(receptor: MolecularStructure, ligand: MolecularStructur
 
 
 def bce(pred: Tensor, target) -> Tensor:
-    """Elementwise binary cross-entropy with [1e-7, 1-1e-7] clamping."""
-    p = ad.clip(pred, 1e-7, 1.0 - 1e-7)
+    """Elementwise binary cross-entropy with [1e-7, 1-1e-7] clamping, as one
+    node (op ``"bce"``); ``target`` broadcasts to ``pred``'s shape.
+
+    The forward repeats the numpy expressions of ``ad.clip``, ``ad.log``,
+    ``ad.mul``, ``ad.sub``, ``ad.add`` and ``ad.neg``, and the vjp chains
+    their vjps in reverse, so values and gradients are bitwise those of the
+    op-by-op graph.
+    """
     t = np.asarray(target, dtype=float)
-    return ad.neg(ad.add(ad.mul(t, ad.log(p)), ad.mul(1.0 - t, ad.log(ad.sub(1.0, p)))))
+    lo, hi = 1e-7, 1.0 - 1e-7
+    pv = pred.values
+    p = np.clip(pv, lo, hi)
+    q = 1.0 - p
+    not_t = 1.0 - t
+    out = -(t * np.log(p) + not_t * np.log(q))
+    if out.shape != pred.shape:
+        raise ad.ShapeError(f"bce target of shape {t.shape} does not broadcast to {pred.shape}")
+
+    def vjp(g):
+        g = -g
+        g_q = g * not_t / q
+        return ((g * t / p - g_q) * ((pv > lo) & (pv < hi)).astype(np.float64),)
+
+    return ad.primitive(out, "bce", (pred,), vjp)
 
 
 def pocket_loss(pred: Tensor, labels, geom_labels, lambda_p: float) -> Tensor:

@@ -405,13 +405,12 @@ def composite_objective(state: InversionState, ctx: ReceptorContext, mdl: Pipeli
 
 def _close_pairs(dist: np.ndarray, lo: float, hi: float) -> list[tuple]:
     """Pairs (d, i, j) with i < j and lo <= d <= hi, sorted by (d, i, j)."""
-    n = dist.shape[0]
-    return sorted(
-        (dist[i, j], i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if lo <= dist[i, j] <= hi
-    )
+    i, j = np.triu_indices(dist.shape[0], 1)
+    d = dist[i, j]
+    keep = (lo <= d) & (d <= hi)
+    i, j, d = i[keep], j[keep], d[keep]
+    order = np.lexsort((j, i, d))
+    return list(zip(d[order].tolist(), i[order].tolist(), j[order].tolist()))
 
 
 def _greedy_bonds(dist: np.ndarray, budgets: np.ndarray, bond_max: float):
@@ -441,9 +440,24 @@ def _pair_target(d: float, is_bonded: bool, cfg: RunConfig) -> float:
     return d if d >= cfg.clash_floor else cfg.clash_floor * _REPAIR_MARGIN
 
 
+_VALID_MARGIN = 1e-12  # relative; far above the last-bit gap between two distance formulas
+
+
 def _pair_sweep(pts: np.ndarray, bonded: np.ndarray, cfg: RunConfig) -> float:
     """One in-place pass of sequential pairwise projections onto each pair's
-    valid distance; returns the largest shift applied."""
+    valid distance; returns the largest shift applied.
+
+    When every pair lies inside its valid range by a relative margin of
+    ``_VALID_MARGIN`` the pass would move nothing, so one vectorised check
+    returns 0.0 without it.
+    """
+    dist = neighbors.distances(pts, pts)
+    lo = np.where(bonded, cfg.bond_min, cfg.clash_floor) * (1.0 + _VALID_MARGIN)
+    hi = np.where(bonded, cfg.bond_max * (1.0 - _VALID_MARGIN), np.inf)
+    inside = (dist >= lo) & (dist <= hi)
+    np.fill_diagonal(inside, True)
+    if inside.all():
+        return 0.0
     n = len(pts)
     moved = 0.0
     for i in range(n):

@@ -140,21 +140,50 @@ class PipelineModel:
         psi = ad.softmax(kurt, axis=1)
         return coords, psi
 
-    def _mlp_head(self, params: dict, name: str, x: Tensor, final):
-        h = ad.tanh(ad.add(ad.matmul(x, params[f"{name}.w1"]), ad.reshape(params[f"{name}.b1"], (1, -1))))
-        out = ad.add(ad.matmul(h, params[f"{name}.w2"]), ad.reshape(params[f"{name}.b2"], (1, -1)))
-        return final(out) if final is not None else out
+    def _mlp_head(self, params: dict, name: str, x: Tensor, sigmoid: bool) -> Tensor:
+        """``tanh(x @ w1 + b1) @ w2 + b2``, through a sigmoid when ``sigmoid``
+        is set, as one node (op ``"mlp-head"``).
+
+        A weight is a Tensor (then a parent) or a numpy array, read in
+        place. The forward repeats the numpy expressions of the ops it
+        replaces (``ad.matmul``, ``ad.add`` of a reshaped bias, ``ad.tanh``,
+        ``ad.sigmoid``) and the vjp chains their vjps in reverse, so values
+        and gradients are bitwise those of the op-by-op graph.
+        """
+        operands = (x,) + tuple(params[f"{name}.{w}"] for w in ("w1", "b1", "w2", "b2"))
+        parents = tuple(t for t in operands if isinstance(t, Tensor))
+        xv, w1, b1, w2, b2 = (t.values if isinstance(t, Tensor) else t for t in operands)
+        x_on, w1_on, b1_on, w2_on, b2_on = (isinstance(t, Tensor) and t.requires_grad
+                                            for t in operands)
+        h = np.tanh(xv @ w1 + b1.reshape(1, -1))
+        out = h @ w2 + b2.reshape(1, -1)
+        if sigmoid:
+            out = ad.sigmoid_values(out)
+
+        def vjp(g):
+            if sigmoid:
+                g = g * out * (1.0 - out)
+            g_x = g_w1 = g_b1 = None
+            if x_on or w1_on or b1_on:
+                g_a = g @ w2.T * (1.0 - h * h)
+                g_x = g_a @ w1.T if x_on else None
+                g_w1 = xv.T @ g_a if w1_on else None
+                g_b1 = g_a.sum(axis=0) if b1_on else None
+            grads = (g_x, g_w1, g_b1, h.T @ g if w2_on else None, g.sum(axis=0) if b2_on else None)
+            return tuple(gt for gt, t in zip(grads, operands) if isinstance(t, Tensor))
+
+        return ad.primitive(out, "mlp-head", parents, vjp)
 
     def pocket_head(self, params: dict, per_point: Tensor) -> Tensor:
-        return ad.reshape(self._mlp_head(params, "pocket", per_point, ad.sigmoid), (-1,))
+        return ad.reshape(self._mlp_head(params, "pocket", per_point, True), (-1,))
 
     def interaction_head(self, params: dict, fused: Tensor) -> Tensor:
         x = ad.reshape(fused, (1, -1))
-        return ad.reshape(self._mlp_head(params, "int", x, ad.sigmoid), ())
+        return ad.reshape(self._mlp_head(params, "int", x, True), ())
 
     def affinity_head(self, params: dict, fused: Tensor) -> Tensor:
         x = ad.reshape(fused, (1, -1))
-        return ad.reshape(self._mlp_head(params, "aff", x, None), ())
+        return ad.reshape(self._mlp_head(params, "aff", x, False), ())
 
     def fuse(self, params: dict, receptor: Tensor, ligand: Tensor):
         return equivariant_attention(receptor, ligand, params)

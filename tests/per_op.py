@@ -1,15 +1,20 @@
 """Per-op references for computations the package builds as hand-VJP nodes.
 
-``conv_geometry``, ``pairwise_omega`` and ``pair_sweep`` are the package's
-earlier implementations, kept as references: the hand-VJP forms must give
-bitwise the same values and the same gradients up to rounding. ``power``,
-``cos``, ``exp``, ``einsum`` and ``norm`` are the autodiff ops those
-references were written in; no stage uses them any more, so they live here,
-each built with ``ad.primitive`` and the numpy call and vjp the op had.
+``conv_geometry``, ``pairwise_omega``, ``pair_sweep`` and ``close_pairs`` are
+the package's earlier implementations, kept as references: the hand-VJP forms
+must give bitwise the same values and the same gradients up to rounding.
+``attention``, ``mlp_head`` and ``bce`` are the op graphs that
+``equivariant._attend``, ``PipelineModel._mlp_head`` and ``finetune.bce``
+replace; those must match them bitwise in values and gradients. ``power``,
+``cos``, ``exp``, ``einsum``, ``norm`` and ``transpose`` are the autodiff ops
+those references were written in; no stage uses them any more, so they live
+here, each built with ``ad.primitive`` and the numpy call and vjp the op had.
 ``smoothed_sdf`` is the distance field as a graph of those ops, the reference
 for ``surface.sdf_value_grad``; ``sdf_value_grad`` is that kernel's earlier
 numpy body, softmaxes and an einsum over (rows, 3, A) differences.
 """
+
+import math
 
 import numpy as np
 
@@ -59,6 +64,36 @@ def norm(a, axis: int = -1) -> ad.Tensor:
     out_kd = np.sqrt(sq)
     return ad.primitive(np.squeeze(out_kd, axis=axis), "euclidean-norm", (a,),
                         lambda g: (av / out_kd * np.expand_dims(g, axis),))
+
+
+def transpose(a, axes=None) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    inv = None if axes is None else np.argsort(axes)
+    return ad.primitive(np.transpose(a.values, axes), "transpose", (a,),
+                        lambda g: (np.transpose(g, inv),))
+
+
+def attention(receptor, ligand, wq, wk, wv) -> ad.Tensor:
+    """The attended matrix of ``equivariant.equivariant_attention`` as autodiff ops."""
+    d = ad.as_tensor(receptor).shape[1]
+    q = ad.matmul(receptor, wq)
+    k = ad.matmul(ligand, wk)
+    scores = ad.softmax(ad.mul(ad.matmul(q, transpose(k)), 1.0 / math.sqrt(d)), axis=1)
+    return ad.matmul(scores, ad.matmul(ligand, wv))
+
+
+def mlp_head(x, w1, b1, w2, b2, sigmoid: bool) -> ad.Tensor:
+    """``model.PipelineModel._mlp_head`` as autodiff ops."""
+    h = ad.tanh(ad.add(ad.matmul(x, w1), ad.reshape(b1, (1, -1))))
+    out = ad.add(ad.matmul(h, w2), ad.reshape(b2, (1, -1)))
+    return ad.sigmoid(out) if sigmoid else out
+
+
+def bce(pred, target) -> ad.Tensor:
+    """``finetune.bce`` as autodiff ops."""
+    p = ad.clip(pred, 1e-7, 1.0 - 1e-7)
+    t = np.asarray(target, dtype=float)
+    return ad.neg(ad.add(ad.mul(t, ad.log(p)), ad.mul(1.0 - t, ad.log(ad.sub(1.0, p)))))
 
 
 def smoothed_sdf(x, coords: np.ndarray, radii: np.ndarray) -> ad.Tensor:
@@ -118,7 +153,7 @@ def conv_geometry(coords, nbr_idx: np.ndarray, basis: eq.RadialBasis) -> dict:
     r = power(ad.add(rsq, 1e-24), 0.5)
     unit = ad.div(dvec, ad.reshape(r, (-1, 1)))
     sph = {l_f: _sph_matrix(l_f, unit) for l_f in (1, 2)}
-    pool = ad.transpose(ad.reshape(radial_basis(basis, r), (n, k, basis.n_basis)), (0, 2, 1))
+    pool = transpose(ad.reshape(radial_basis(basis, r), (n, k, basis.n_basis)), (0, 2, 1))
     return {"n": n, "k": k, "flat": flat, "edge_scale": edge_scale, "pool": pool,
             "sph": sph, "kc": {}}
 
@@ -154,6 +189,17 @@ def pair_sweep(pts: np.ndarray, bonded: np.ndarray, cfg) -> float:
             pts[j] += shift * axis
             moved = max(moved, abs(shift))
     return moved
+
+
+def close_pairs(dist: np.ndarray, lo: float, hi: float) -> list[tuple]:
+    """``inversion._close_pairs`` as a sorted generator over every pair i < j."""
+    n = dist.shape[0]
+    return sorted(
+        (dist[i, j], i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if lo <= dist[i, j] <= hi
+    )
 
 
 def sdf_value_grad(points, coords: np.ndarray, radii: np.ndarray):

@@ -347,11 +347,11 @@ def per_op_reference(layer, params, field, geom, orders=None):
                 geom["kc"][(l_out, l_f, l_in)] = kc
             y = _bmm(gathered[l_in], kc)
         pooled = _bmm(pool, ad.reshape(y, (n, k, c_in * no)))
-        rows = ad.transpose(ad.reshape(pooled, (n, n_basis, c_in, no)), (0, 3, 1, 2))
+        rows = per_op.transpose(ad.reshape(pooled, (n, n_basis, c_in, no)), (0, 3, 1, 2))
         w = ad.reshape(params[f"{layer.name}.w{l_in}{l_f}{l_out}"], (n_basis * c_in, c_out))
         msg = ad.matmul(ad.reshape(rows, (n * no, n_basis * c_in)), w)
         sums[l_out] = msg if l_out not in sums else ad.add(sums[l_out], msg)
-    out = {l: ad.transpose(ad.reshape(s, (n, 2 * l + 1, -1)), (0, 2, 1)) for l, s in sums.items()}
+    out = {l: per_op.transpose(ad.reshape(s, (n, 2 * l + 1, -1)), (0, 2, 1)) for l, s in sums.items()}
     bias_key = f"{layer.name}.bias0"
     if 0 in out and bias_key in params:
         out[0] = ad.add(out[0], ad.reshape(params[bias_key], (1, -1, 1)))
@@ -699,12 +699,12 @@ class TestAttention:
     def test_rows_sum_to_one(self, small_cfg):
         zr, zl, attn, *_ = self._setup(small_cfg)
         _, _, scores = eq.equivariant_attention(zr, zl, attn)
-        np.testing.assert_allclose(scores.values.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
     def test_identical_keys_uniform_rows(self, small_cfg):
         zr, zl, attn, *_ = self._setup(small_cfg)
         _, _, scores = eq.equivariant_attention(zr, np.repeat(zl[:1], 6, axis=0), attn)
-        np.testing.assert_allclose(scores.values, 1.0 / 6.0, atol=1e-12)
+        np.testing.assert_allclose(scores, 1.0 / 6.0, atol=1e-12)
 
     def test_single_ligand_point_passthrough(self, small_cfg):
         # one ligand point takes every score, so each receptor row attends its value
@@ -731,7 +731,7 @@ class TestAttention:
                           pts_l @ rot.T + shift)
         _, fused1, s1 = eq.equivariant_attention(zr, zl, attn)
         _, fused2, s2 = eq.equivariant_attention(order0(zr2), order0(zl2), attn)
-        np.testing.assert_allclose(s1.values, s2.values, atol=1e-9)
+        np.testing.assert_allclose(s1, s2, atol=1e-9)
         np.testing.assert_allclose(fused1.values, fused2.values, atol=1e-9)
 
     def test_ligand_permutation(self, small_cfg):
@@ -739,6 +739,6 @@ class TestAttention:
         perm = np.array([3, 0, 5, 1, 4, 2])
         att1, fused1, s1 = eq.equivariant_attention(zr, zl, attn)
         att2, fused2, s2 = eq.equivariant_attention(zr, zl[perm], attn)
-        np.testing.assert_allclose(s2.values, s1.values[:, perm], atol=1e-14)
+        np.testing.assert_allclose(s2, s1[:, perm], atol=1e-14)
         np.testing.assert_allclose(fused2.values, fused1.values, atol=1e-13)
         np.testing.assert_allclose(att2.values, att1.values, atol=1e-13)

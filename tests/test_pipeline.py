@@ -11,7 +11,7 @@ from conftest import write_pdb
 import per_op
 
 from dockinv import autodiff as ad
-from dockinv import fileio, inversion, neighbors, surface, theory, toydata
+from dockinv import equivariant, fileio, finetune, inversion, neighbors, surface, theory, toydata
 from dockinv.config import RunConfig
 from dockinv.finetune import (ComplexSample, build_complex_sample, complex_terms, finetune_loss,
                               finetune_run, geometric_pseudolabels, load_complex_dir,
@@ -55,10 +55,13 @@ def test_objective_tensor_count_stays_bounded(toy_cfg, mdl, init_params, ctx, st
     # alone brought the count to 678, encoding orders 1 and 2 that no head
     # reads to 383, and conv_geometry, the coupled harmonics and the omega
     # weights to 335; attention over order-0 matrices, each reshaped once,
-    # brought it from 190 to 178. Every tensor is Python overhead on every step
+    # brought it from 190 to 178; the attended block, the three MLP heads and
+    # the two bce terms as one node each (weights read in place, not lifted
+    # to constants) brought it to 115. Every tensor is Python overhead on
+    # every step
     for need_grad in (True, False):
         count = _objective_tensors(start, ctx, mdl, init_params, toy_cfg, need_grad)[3]
-        assert count <= 178, need_grad
+        assert count <= 115, need_grad
 
 
 def test_objective_over_head_orders_matches_full_encode(toy_cfg, mdl, init_params,
@@ -302,20 +305,179 @@ def test_pairwise_omega_coordinate_grad_check_on_twelve_points(toy_cfg):
     assert np.abs(report.analytic).max() > 1e-2
 
 
+def _node_inputs(data, weights, weights_as_tensors):
+    """``data`` as grad-requiring Tensors, then ``weights`` as such or as numpy arrays."""
+    return ([ad.param(a) for a in data]
+            + [ad.param(w) if weights_as_tensors else w for w in weights])
+
+
+def _assert_node_matches_reference(node, reference, data, weights):
+    """Value and every parent's gradient of ``node(*inputs)`` are bitwise those
+    of ``reference(*inputs)``, with the weights as grad-requiring Tensors and
+    as numpy arrays; one grad_check over all inputs passes."""
+    for weights_as_tensors in (True, False):
+        runs = []
+        for fn in (node, reference):
+            inputs = _node_inputs(data, weights, weights_as_tensors)
+            out = fn(*inputs)
+            ad.backward(out, seed=np.random.default_rng(3).standard_normal(out.shape))
+            grads = [t.grad.tobytes() for t in inputs if isinstance(t, ad.Tensor)]
+            assert len(grads) == len(data) + (len(weights) if weights_as_tensors else 0)
+            runs.append((out.values.tobytes(), grads))
+        assert runs[0] == runs[1], weights_as_tensors
+
+    arrays = data + weights
+    proj = np.random.default_rng(4).standard_normal(node(*_node_inputs(data, weights, False)).shape)
+
+    def fn(flat):
+        parts, start = [], 0
+        for a in arrays:
+            parts.append(ad.reshape(flat[start:start + a.size], a.shape))
+            start += a.size
+        return ad.reduce_sum(ad.mul(node(*parts), proj))
+
+    report = ad.grad_check(fn, np.concatenate([a.ravel() for a in arrays]), step=1e-6,
+                           tolerance=1e-6)
+    assert report.passed, report
+    assert np.abs(report.analytic).max() > 1e-2
+
+
+def test_attention_node_matches_per_op_reference():
+    rng = np.random.default_rng(30)
+    d = 6
+    data = [rng.standard_normal((40, d)), rng.standard_normal((24, d))]
+    weights = [rng.standard_normal((d, d)) / 2.0 for _ in range(3)]
+
+    def node(receptor, ligand, wq, wk, wv):
+        params = {"attn.wq": wq, "attn.wk": wk, "attn.wv0": wv}
+        return equivariant.equivariant_attention(receptor, ligand, params)[0]
+
+    _assert_node_matches_reference(node, per_op.attention, data, weights)
+    # stage 4's case: a constant receptor field, gradients for the ligand only
+    receptor = data[0]
+    _assert_node_matches_reference(lambda *args: node(receptor, *args),
+                                   lambda *args: per_op.attention(receptor, *args),
+                                   data[1:], weights)
+
+
+@pytest.mark.parametrize("rows", [1, 30])
+@pytest.mark.parametrize("sigmoid", [True, False])
+def test_mlp_head_node_matches_per_op_reference(mdl, rows, sigmoid):
+    rng = np.random.default_rng(31)
+    data = [rng.standard_normal((rows, 12))]
+    weights = [rng.standard_normal((12, 16)) / 3.0, rng.standard_normal(16),
+               rng.standard_normal((16, 1)) / 4.0, rng.standard_normal(1)]
+
+    def node(x, w1, b1, w2, b2):
+        return mdl._mlp_head({"h.w1": w1, "h.b1": b1, "h.w2": w2, "h.b2": b2}, "h", x, sigmoid)
+
+    def reference(x, w1, b1, w2, b2):
+        return per_op.mlp_head(x, w1, b1, w2, b2, sigmoid)
+
+    _assert_node_matches_reference(node, reference, data, weights)
+
+
+@pytest.mark.parametrize("target", [np.random.default_rng(33).integers(0, 2, 200) * 1.0,
+                                    np.random.default_rng(33).uniform(0.0, 1.0, 200), 1.0],
+                         ids=["labels", "soft-labels", "scalar"])
+def test_bce_node_matches_per_op_reference(target):
+    # predictions away from the clamp, where the gradient is smooth
+    pred = np.random.default_rng(32).uniform(0.05, 0.95, 200)
+    _assert_node_matches_reference(lambda p: finetune.bce(p, target),
+                                   lambda p: per_op.bce(p, target), [pred], [])
+
+
+def test_bce_node_clamps_like_the_reference():
+    # at and beyond the clamp the clip mask zeroes the gradient, as in the op graph
+    pred = np.array([0.0, 1e-7, 0.5, 1.0 - 1e-7, 1.0])
+    for target in (np.array([1.0, 0.0, 1.0, 1.0, 0.0]), 0.0):
+        runs = []
+        for bce in (finetune.bce, per_op.bce):
+            p = ad.param(pred)
+            out = bce(p, target)
+            ad.backward(out, seed=np.ones(5))
+            runs.append((out.values.tobytes(), p.grad.tobytes()))
+        assert runs[0] == runs[1]
+    with pytest.raises(ad.ShapeError):
+        finetune.bce(ad.param(pred), np.ones((2, 5)))
+
+
+def _valid_lattice(cfg):
+    """A 3x3x2 lattice whose nearest neighbours are bonded at mid-range and
+    every other pair lies beyond the clash floor: no pair needs a move."""
+    spacing = 0.5 * (max(cfg.bond_min, cfg.clash_floor) + cfg.bond_max)
+    pts = spacing * np.array([[a, b, c] for a in range(3) for b in range(3) for c in range(2)],
+                             dtype=float)
+    bonded = np.abs(neighbors.distances(pts, pts) - spacing) < 1e-9
+    return pts, bonded
+
+
+def _boundary_pairs(cfg):
+    """Two points on the x axis at each bond or clash boundary and one ulp to
+    either side of it, bonded for the bond limits; a third point far away."""
+    for bound, is_bonded in ((cfg.bond_min, True), (cfg.bond_max, True),
+                             (cfg.clash_floor, False)):
+        for d in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
+            pts = np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0], [0.0, 9.0, 0.0]])
+            assert np.linalg.norm(pts[1] - pts[0]) == d
+            bonded = np.zeros((3, 3), dtype=bool)
+            bonded[0, 1] = bonded[1, 0] = is_bonded
+            inside = cfg.bond_min <= d <= cfg.bond_max if is_bonded else d >= cfg.clash_floor
+            yield pts, bonded, inside
+
+
 def test_pair_sweep_matches_two_norm_reference(toy_cfg):
     rng = np.random.default_rng(23)
-    for trial in range(40):
+    cases = []
+    for _ in range(40):
         n = int(rng.integers(4, 16))
         pts = rng.standard_normal((n, 3)) * 1.2
         i, j = rng.choice(n, size=2, replace=False)
         pts[j] = pts[i]                                # a coincident pair: the tie-break axis
         bonded = np.triu(rng.random((n, n)) < 0.3, 1)
-        bonded = bonded | bonded.T
+        cases.append((pts, bonded | bonded.T, None))
+    cases.append((*_valid_lattice(toy_cfg), True))
+    cases.extend(_boundary_pairs(toy_cfg))
+    for trial, (pts, bonded, inside) in enumerate(cases):
         got, ref = pts.copy(), pts.copy()
-        for _ in range(3):
+        for sweep in range(3):
             moved = inversion._pair_sweep(got, bonded, toy_cfg)
             assert moved == per_op.pair_sweep(ref, bonded, toy_cfg), trial
             assert np.array_equal(got, ref), trial
+            if sweep == 0 and inside is not None:
+                assert (moved == 0.0) == inside, trial
+
+
+def test_pair_sweep_skips_the_pair_loop_on_a_valid_state(toy_cfg, monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("the pair loop ran")
+
+    monkeypatch.setattr(inversion, "_pair_target", no_loop)
+    pts, bonded = _valid_lattice(toy_cfg)
+    got = pts.copy()
+    assert inversion._pair_sweep(got, bonded, toy_cfg) == 0.0
+    assert np.array_equal(got, pts)
+    # a pair one ulp inside a bound is within the check's margin: the loop decides
+    pts, bonded, _ = next(_boundary_pairs(toy_cfg))
+    with pytest.raises(AssertionError, match="the pair loop ran"):
+        inversion._pair_sweep(pts.copy(), bonded, toy_cfg)
+
+
+def test_close_pairs_match_the_generator_sort():
+    rng = np.random.default_rng(24)
+    # a unit lattice gives many tied distances; a jittered cloud gives none
+    lattice = np.array([[a, b, c] for a in range(3) for b in range(3) for c in range(3)],
+                       dtype=float)
+    for pts in (lattice, lattice[rng.permutation(len(lattice))],
+                rng.standard_normal((20, 3)) * 1.5, np.zeros((1, 3))):
+        dist = neighbors.distances(pts, pts)
+        for lo, hi in ((-np.inf, 2.0), (1.0, 2.0), (1.0, 1.0), (np.sqrt(2.0), np.inf)):
+            got = inversion._close_pairs(dist, lo, hi)
+            ref = per_op.close_pairs(dist, lo, hi)
+            assert got == ref, (lo, hi)
+            assert all(type(i) is int and type(j) is int for _, i, j in got)
+        # the unit lattice's 54 edges tie at distance 1, in either point order
+        assert len(inversion._close_pairs(dist, 1.0, 1.0)) in (0, 54)
 
 
 def _assert_bonds_in_range(coords, pairs, cfg):
