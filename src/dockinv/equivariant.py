@@ -527,9 +527,9 @@ def encoder_input(features, points) -> IrrepsField:
     """Build the encoder input Tensor field from a stage-1 feature matrix
     (numpy or Tensor ``features`` and ``points``).
 
-    All feature columns except the trailing coordinates enter as scalars; the
-    coordinate block enters as one order-1 channel of centered positions (in
-    harmonic component order), which keeps the encoder translation-invariant.
+    Every feature column enters as a scalar; the points enter as one order-1
+    channel of centered positions (in harmonic component order), which keeps
+    the encoder translation-invariant.
     Centring works on differences from the first point (``rel - rel.mean(0)``
     with ``rel = points - points[0]``): the same function as ``points -
     points.mean(0)``, but a shift that keeps those differences exact (for
@@ -537,7 +537,7 @@ def encoder_input(features, points) -> IrrepsField:
     bitwise unchanged, whereas the rounding of a mean over absolute
     coordinates depends on where the cloud sits.
     """
-    scalars = ad.as_tensor(features)[:, :-3]
+    scalars = ad.as_tensor(features)
     points = ad.as_tensor(points)
     n, c = scalars.shape
     rel = ad.sub(points, points[:1])

@@ -1,7 +1,8 @@
 """Binary containers for point clouds and model checkpoints.
 
-Point clouds use a self-describing little-endian container (magic ``MDPC``,
-u32 version); checkpoints use magic ``MDCK`` with a CRC-32 trailer over the
+Point clouds use a little-endian container: magic ``MDPC``, u32 version 2,
+u32 N, u32 d, u8 molecule-type code, then exactly N x 3 points and N x d
+features as f8. Checkpoints use magic ``MDCK`` with a CRC-32 trailer over the
 payload. Round trips are lossless at 64-bit precision.
 """
 
@@ -26,7 +27,8 @@ __all__ = [
 
 POINTCLOUD_MAGIC = b"MDPC"
 CHECKPOINT_MAGIC = b"MDCK"
-_VERSION = 1
+_VERSION = 1              # checkpoints
+_POINTCLOUD_VERSION = 2   # version 1 also stored unit normals
 
 _TYPE_CODES = {"protein": 0, "small-molecule": 1}
 _TYPE_NAMES = {v: k for k, v in _TYPE_CODES.items()}
@@ -58,16 +60,15 @@ def atomic_write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def encode_pointcloud(cloud) -> bytes:
-    """Serialize a SurfacePointCloud (duck-typed: points/normals/features/molecule_type)."""
+    """Serialize a SurfacePointCloud (duck-typed: points/features/molecule_type)."""
     points = np.ascontiguousarray(cloud.points, dtype="<f8")
-    normals = np.ascontiguousarray(cloud.normals, dtype="<f8")
     features = np.ascontiguousarray(cloud.features, dtype="<f8")
     n = points.shape[0]
     d = features.shape[1] if features.ndim == 2 else 0
     header = POINTCLOUD_MAGIC + struct.pack(
-        "<IIIB", _VERSION, n, d, _TYPE_CODES[cloud.molecule_type]
+        "<IIIB", _POINTCLOUD_VERSION, n, d, _TYPE_CODES[cloud.molecule_type]
     )
-    return header + points.tobytes() + normals.tobytes() + features.tobytes()
+    return header + points.tobytes() + features.tobytes()
 
 
 def decode_pointcloud(blob: bytes):
@@ -78,20 +79,17 @@ def decode_pointcloud(blob: bytes):
     if len(blob) < 4 + 13:
         raise FormatError("truncated point-cloud header")
     version, n, d, type_code = struct.unpack("<IIIB", blob[4:17])
-    if version != _VERSION:
+    if version != _POINTCLOUD_VERSION:
         raise FormatError(f"unsupported point-cloud version {version}")
     if type_code not in _TYPE_NAMES:
         raise FormatError(f"unknown molecule-type code {type_code}")
-    need = 17 + 8 * (n * 3 + n * 3 + n * d)
-    if len(blob) < need:
-        raise FormatError(f"truncated payload: need {need} bytes, have {len(blob)}")
-    off = 17
-    points = np.frombuffer(blob, "<f8", n * 3, off).reshape(n, 3).copy()
-    off += 8 * n * 3
-    normals = np.frombuffer(blob, "<f8", n * 3, off).reshape(n, 3).copy()
-    off += 8 * n * 3
-    features = np.frombuffer(blob, "<f8", n * d, off).reshape(n, d).copy()
-    return SurfacePointCloud(points, normals, features, _TYPE_NAMES[type_code])
+    need = 17 + 8 * n * (3 + d)
+    if len(blob) != need:
+        kind = "truncated payload" if len(blob) < need else "payload longer than its header"
+        raise FormatError(f"{kind}: need {need} bytes, have {len(blob)}")
+    points = np.frombuffer(blob, "<f8", n * 3, 17).reshape(n, 3).copy()
+    features = np.frombuffer(blob, "<f8", n * d, 17 + 8 * n * 3).reshape(n, d).copy()
+    return SurfacePointCloud(points, features, _TYPE_NAMES[type_code])
 
 
 def write_pointcloud(cloud, path) -> None:

@@ -249,9 +249,10 @@ def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> 
     """Map the differentiable state onto the stage-1 feature layout.
 
     Soft atom-type probabilities stand in for the hard element indicators of
-    surface featurization, so the output matches the encoder's expected
-    [chem | atom | geom | flag | coords] layout and is differentiable in both
-    coordinates and feature channels. The neighbourhood averages share
+    surface featurization, so the output matches the stage-1
+    [chem | atom | geom | flag] layout and is differentiable in both
+    coordinates and feature channels. The coordinates reach the encoder as
+    its points, not as feature columns. The neighbourhood averages share
     one ``omega`` node and its row sums.
     """
     x_np = x.values
@@ -294,7 +295,7 @@ def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> 
     chem_block = ad.concat([h_bond, chg, phob, aro], axis=1)
     geom_block = _geom_block(x, x_np, cfg.k_geom)
     flags = np.full((n, 1), flag)
-    return ad.concat([chem_block, atom_block, geom_block, ad.constant(flags), x], axis=1)
+    return ad.concat([chem_block, atom_block, geom_block, ad.constant(flags)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +692,6 @@ def decode_molecule(state: InversionState, grad_f: np.ndarray | None, params: di
 
     # bond candidates: the pairs in the bond-length window, by ascending distance
     w, b = params["bond.w"], params["bond.b"]
-    w = w.values if isinstance(w, Tensor) else w
-    b = b.values if isinstance(b, Tensor) else b
     pairs = _close_pairs(neighbors.distances(state.x, state.x), cfg.bond_min, cfg.bond_max)
     pair_logits = []
     for d, i, j in pairs:

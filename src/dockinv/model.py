@@ -1,10 +1,10 @@
 """Shared model assembly: twin encoders, codebook, patch decoder, task heads.
 
-Proteins and small molecules carry different scalar feature widths (14 vs 16
-after splitting off coordinates), so the pipeline keeps one encoder per
-molecule type with identical hyper-shape. The codebook, patch decoder,
-attention projections, and task heads are shared. All parameters live in one
-flat ``{name: array}`` dict so checkpoints and optimizers stay trivial.
+Proteins and small molecules carry different feature widths
+(``surface.FEATURE_WIDTHS``), so the pipeline keeps one encoder per molecule
+type with identical hyper-shape. The codebook, patch decoder, attention
+projections, and task heads are shared. All parameters live in one flat
+``{name: array}`` dict so checkpoints and optimizers stay trivial.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from .equivariant import (
     equivariant_attention,
     knn_indices,
 )
+from .surface import FEATURE_WIDTHS
 
 __all__ = [
     "PipelineModel", "sgd_momentum_step", "adam_step", "as_tensors", "collect_grads",
     "mean_terms", "train_loop",
 ]
 
-N_SCALARS_PROTEIN = 14   # 4 chem + 6 atom + 3 geom + type flag
-N_SCALARS_MOLECULE = 16  # 4 chem + 8 atom + 3 geom + type flag
 N_CONTEXT = 3            # nearest visible patches fed to the patch decoder
 HEAD_ORDERS = (0,)       # encoder orders that attention and the task heads read
 TOKEN_ORDERS = (0, 1)    # encoder orders that patch tokens pool
@@ -40,8 +39,8 @@ class PipelineModel:
     """Hyper-shape and parameter bookkeeping for the full pipeline."""
 
     def __init__(self, cfg: RunConfig):
-        self.enc_protein = Encoder(N_SCALARS_PROTEIN, cfg, prefix="encp.")
-        self.enc_molecule = Encoder(N_SCALARS_MOLECULE, cfg, prefix="encm.")
+        self.enc_protein = Encoder(FEATURE_WIDTHS["protein"], cfg, prefix="encp.")
+        self.enc_molecule = Encoder(FEATURE_WIDTHS["small-molecule"], cfg, prefix="encm.")
         self.d0 = cfg.multiplicity
         self.d_code = cfg.d_code
         self.n_codes = cfg.codebook_size

@@ -2,9 +2,10 @@
 
 The molecular surface is the ``r_probe`` iso-level of a smoothed distance
 field over atom centers. Candidate points sampled around atoms are projected
-onto the iso-surface by Newton steps, downsampled, equipped with normals
-and per-point chemical/atomic/geometric features, and partitioned into
-fixed-size patches via farthest point sampling + KNN.
+onto the iso-surface by Newton steps, downsampled, given per-point
+chemical/atomic/geometric features (:data:`FEATURE_WIDTHS` columns; normals
+feed the geometric ones and are not kept), and partitioned into fixed-size
+patches via farthest point sampling + KNN.
 
 Construction is rigid-motion equivariant: candidate perturbations are drawn
 in a structure-intrinsic frame, and every later step depends only on pairwise
@@ -25,6 +26,7 @@ from .structures import MOLECULE_TYPES, PROTEIN_ELEMENTS, MolecularStructure
 __all__ = [
     "SurfaceError",
     "InsufficientSurfaceError",
+    "FEATURE_WIDTHS",
     "SurfacePointCloud",
     "PatchSet",
     "sdf_value_grad",
@@ -61,23 +63,27 @@ class InsufficientSurfaceError(SurfaceError):
         self.requested = requested
 
 
-class SurfacePointCloud:
-    """Surface sample: points (N,3), unit normals (N,3) and features (N,d)."""
+# Per-point feature widths: [4 chem | 6 (protein) or 8 (molecule) atom | 3 geom | type flag].
+FEATURE_WIDTHS = {"protein": 14, "small-molecule": 16}
 
-    def __init__(self, points, normals, features, molecule_type):
-        self.points = np.ascontiguousarray(points, dtype=float)
-        self.normals = np.ascontiguousarray(normals, dtype=float)
-        self.features = np.ascontiguousarray(features, dtype=float)
-        self.molecule_type = molecule_type
-        for name in ("points", "normals", "features"):
+
+@dataclass(eq=False)
+class SurfacePointCloud:
+    """Surface sample: points (N, 3) and features (N, FEATURE_WIDTHS[molecule_type])."""
+
+    points: np.ndarray
+    features: np.ndarray
+    molecule_type: str
+
+    def __post_init__(self):
+        self.points = np.ascontiguousarray(self.points, dtype=float)
+        self.features = np.ascontiguousarray(self.features, dtype=float)
+        for name in ("points", "features"):
             if not np.isfinite(getattr(self, name)).all():
                 raise SurfaceError(f"{name} must be finite")
-        if len(self.points):
-            lengths = np.linalg.norm(self.normals, axis=1)
-            if np.any(np.abs(lengths - 1.0) > 1e-9):
-                raise SurfaceError("normals must be unit length within 1e-9")
-            if self.features.ndim != 2 or self.features.shape[0] != self.points.shape[0]:
-                raise SurfaceError("feature matrix must be (N, d)")
+        expected = (len(self.points), FEATURE_WIDTHS[self.molecule_type])
+        if self.features.shape != expected:
+            raise SurfaceError(f"features are {self.features.shape}, expected {expected}")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -364,18 +370,11 @@ def geometric_features(cloud_points: np.ndarray, normals: np.ndarray, k_geom: in
     return np.stack([kappa1, kappa2, density], axis=1)
 
 
-def assemble_features(
-    chem: np.ndarray, atom: np.ndarray, geom: np.ndarray, molecule_type: str, points: np.ndarray
-) -> np.ndarray:
-    """Fixed layout [4 chem | 6-or-8 atom | 3 geom | type flag | 3 coords]."""
+def assemble_features(chem: np.ndarray, atom: np.ndarray, geom: np.ndarray,
+                      molecule_type: str) -> np.ndarray:
+    """Fixed layout [4 chem | 6-or-8 atom | 3 geom | type flag]."""
     flag = 0.0 if molecule_type == "protein" else 1.0
-    n = len(points)
-    flags = np.full((n, 1), flag)
-    out = np.concatenate([chem, atom, geom, flags, points], axis=1)
-    expected = 17 if molecule_type == "protein" else 19
-    if out.shape[1] != expected:
-        raise SurfaceError(f"feature layout is {out.shape[1]}-D, expected {expected}")
-    return out
+    return np.concatenate([chem, atom, geom, np.full((len(chem), 1), flag)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +467,8 @@ def build_cloud(structure: MolecularStructure, cfg: RunConfig, seed: int = 0) ->
     chem = chemical_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
     atom = atomic_features(points, structure, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
     geom = geometric_features(points, normals, cfg.k_geom)
-    features = assemble_features(chem, atom, geom, structure.molecule_type, points)
-    return SurfacePointCloud(points, normals, features, structure.molecule_type)
+    features = assemble_features(chem, atom, geom, structure.molecule_type)
+    return SurfacePointCloud(points, features, structure.molecule_type)
 
 
 def build_surface(structure: MolecularStructure, cfg: RunConfig,

@@ -66,10 +66,7 @@ def verify_invariance(mdl, params: dict, cloud: SurfacePointCloud, ctx,
     receptor) and the ligand state move by one seeded rigid motion."""
     rng = np.random.default_rng(seed)
     rot, shift = random_rotation(rng), rng.uniform(-10.0, 10.0, 3)
-    features = cloud.features.copy()
-    features[:, -3:] = features[:, -3:] @ rot.T + shift
-    moved = SurfacePointCloud(cloud.points @ rot.T + shift, cloud.normals @ rot.T, features,
-                              cloud.molecule_type)
+    moved = SurfacePointCloud(cloud.points @ rot.T + shift, cloud.features, cloud.molecule_type)
     moved_state = inversion.InversionState(state.x @ rot.T + shift, state.f.copy(),
                                            state.molecule_type)
     parts, gx, _, _ = inversion.composite_objective(state, ctx, mdl, params, cfg)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -149,13 +150,30 @@ def test_malformed_corpus_cloud_exits_1_naming_the_file(tmp_path, capsys):
     corpus.mkdir()
     points = np.zeros((4, 3))
     points[2, 1] = np.nan
-    normals = np.tile([0.0, 0.0, 1.0], (4, 1))
-    fileio.write_pointcloud(SimpleNamespace(points=points, normals=normals,
-                                            features=np.zeros((4, 17)), molecule_type="protein"),
+    fileio.write_pointcloud(SimpleNamespace(points=points, features=np.zeros((4, 14)),
+                                            molecule_type="protein"),
                             corpus / "bad.mdpc")
     argv = ["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "model.ckpt")]
     assert main(argv) == 1
     assert f"error: {corpus / 'bad.mdpc'}: points must be finite" in capsys.readouterr().err
+
+
+def test_version_1_corpus_cloud_exits_1_naming_the_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    # the version-1 layout: header, then points, unit normals and 17 feature
+    # columns whose last three repeat the points
+    n = 40
+    points = np.random.default_rng(0).standard_normal((n, 3))
+    arrays = (points, np.tile([0.0, 0.0, 1.0], (n, 1)),
+              np.concatenate([np.zeros((n, 14)), points], axis=1))
+    (corpus / "old.mdpc").write_bytes(b"MDPC" + struct.pack("<IIIB", 1, n, 17, 0)
+                                      + b"".join(a.astype("<f8").tobytes() for a in arrays))
+    argv = ["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "model.ckpt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {corpus / 'old.mdpc'}: unsupported point-cloud version 1" in err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("n_points", [0, 5])
@@ -166,8 +184,7 @@ def test_corpus_cloud_smaller_than_a_patch_exits_1_naming_the_file(n_points, tmp
     rng = np.random.default_rng(n_points)
     fileio.write_pointcloud(
         SimpleNamespace(points=rng.standard_normal((n_points, 3)),
-                        normals=np.tile([0.0, 0.0, 1.0], (n_points, 1)),
-                        features=np.zeros((n_points, 17)), molecule_type="protein"),
+                        features=np.zeros((n_points, 14)), molecule_type="protein"),
         corpus / "small.mdpc")
     argv = ["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "model.ckpt")]
     assert main(argv) == 1

@@ -9,7 +9,8 @@ import per_op
 from dockinv import autodiff as ad
 from dockinv import equivariant as eq
 from dockinv.config import RunConfig
-from dockinv.model import N_SCALARS_PROTEIN, PipelineModel
+from dockinv.model import PipelineModel
+from dockinv.surface import FEATURE_WIDTHS
 from dockinv.toydata import toy_config
 
 
@@ -165,19 +166,18 @@ class TestRadialBasis:
         assert np.any(vals[0] > 0.0)
 
 
-def build_encoder(cfg, seed=0, n_scalars=N_SCALARS_PROTEIN):
-    """The protein (14 scalars) or molecule (16) encoder of a pipeline model,
-    with the model's initial values of its parameters."""
+def build_encoder(cfg, seed=0, molecule_type="protein"):
+    """The protein or small-molecule encoder of a pipeline model, with the
+    model's initial values of its parameters."""
     mdl = PipelineModel(cfg)
-    enc = mdl.enc_protein if n_scalars == N_SCALARS_PROTEIN else mdl.enc_molecule
+    enc = mdl.enc_protein if molecule_type == "protein" else mdl.enc_molecule
     params = mdl.init_params(seed)
     return enc, {key: params[key] for key in enc.param_shapes()}
 
 
-def random_cloud(rng, n, n_scalars=14, scale=3.0, offset=0.0):
+def random_cloud(rng, n, molecule_type="protein", scale=3.0, offset=0.0):
     pts = rng.standard_normal((n, 3)) * scale + offset
-    feats = np.concatenate([rng.standard_normal((n, n_scalars)), pts], axis=1)
-    return pts, feats
+    return pts, rng.standard_normal((n, FEATURE_WIDTHS[molecule_type]))
 
 
 def init_attention_params(cfg, seed):
@@ -191,7 +191,7 @@ class TestConvolution:
         # every message dies in the cutoff envelope
         enc, params = build_encoder(small_cfg)
         pts = np.array([[0.0, 0, 0], [100.0, 0, 0]])
-        feats = np.concatenate([np.ones((2, 14)), pts], axis=1)
+        feats = np.ones((2, FEATURE_WIDTHS["protein"]))
         nbr = np.array([[1], [0]])
         layer = enc.layers[0]
         geom = eq.conv_geometry(pts, nbr, enc.basis)
@@ -212,8 +212,7 @@ class TestConvolution:
         pts, feats = random_cloud(rng, 16)
         rot = eq.random_rotation(rng)
         f1 = enc.apply(params, feats, pts)
-        feats_rot = np.concatenate([feats[:, :14], pts @ rot.T], axis=1)
-        f2 = enc.apply(params, feats_rot, pts @ rot.T)
+        f2 = enc.apply(params, feats, pts @ rot.T)
         for l in f1.channels:
             expected = f1.values()[l] @ eq.rotation_operator(l, rot).T
             np.testing.assert_allclose(f2.values()[l], expected, atol=1e-9)
@@ -225,11 +224,10 @@ class TestConvolution:
         rng = np.random.default_rng(7)
         enc, params = build_encoder(cfg)
         pts = np.round(rng.standard_normal((12, 3)) * 4) / 2
-        feats = np.concatenate([rng.standard_normal((12, 14)), pts], axis=1)
+        feats = rng.standard_normal((12, FEATURE_WIDTHS["protein"]))
         shift = np.array([4.0, -8.0, 16.0])
         f1 = enc.apply(params, feats, lift(pts))
-        feats2 = np.concatenate([feats[:, :14], pts + shift], axis=1)
-        f2 = enc.apply(params, feats2, lift(pts + shift))
+        f2 = enc.apply(params, feats, lift(pts + shift))
         for l in f1.channels:
             assert f1.values()[l].tobytes() == f2.values()[l].tobytes()
 
@@ -278,8 +276,7 @@ class TestConvolution:
         pts, feats = random_cloud(rng, 14)
         shift = rng.standard_normal(3) * 10
         f1 = enc.apply(params, feats, pts)
-        feats2 = np.concatenate([feats[:, :14], pts + shift], axis=1)
-        f2 = enc.apply(params, feats2, pts + shift)
+        f2 = enc.apply(params, feats, pts + shift)
         for l in f1.channels:
             np.testing.assert_allclose(f1.values()[l], f2.values()[l], atol=1e-12)
 
@@ -670,8 +667,7 @@ class TestEncoderEquivariance:
                 rot = eq.random_rotation(rng)
                 shift = rng.standard_normal(3) * 5
                 moved = pts @ rot.T + shift
-                feats2 = np.concatenate([feats[:, :14], moved], axis=1)
-                out = enc.apply(params, feats2, moved).values()
+                out = enc.apply(params, feats, moved).values()
                 scale = max(np.abs(base[0]).max(), 1e-12)
                 assert np.abs(out[0] - base[0]).max() / scale < 1e-8
                 expected = base[1] @ eq.rotation_operator(1, rot).T
@@ -688,9 +684,9 @@ class TestAttention:
     def _setup(self, small_cfg, n_r=10, n_l=6, seed=9):
         rng = np.random.default_rng(seed)
         enc_r, params_r = build_encoder(small_cfg, seed=seed)
-        enc_l, params_l = build_encoder(small_cfg, seed=seed + 1, n_scalars=16)
+        enc_l, params_l = build_encoder(small_cfg, seed=seed + 1, molecule_type="small-molecule")
         pts_r, feats_r = random_cloud(rng, n_r)
-        pts_l, feats_l = random_cloud(rng, n_l, n_scalars=16, offset=4.0)
+        pts_l, feats_l = random_cloud(rng, n_l, "small-molecule", offset=4.0)
         zr = order0(enc_r.apply(params_r, feats_r, pts_r))
         zl = order0(enc_l.apply(params_l, feats_l, pts_l))
         attn = init_attention_params(small_cfg, 2)
@@ -725,10 +721,8 @@ class TestAttention:
         enc_l, params_l, feats_l, pts_l = linfo
         rot = eq.random_rotation(rng)
         shift = rng.standard_normal(3) * 3
-        zr2 = enc_r.apply(params_r, np.concatenate([feats_r[:, :14], pts_r @ rot.T + shift], 1),
-                          pts_r @ rot.T + shift)
-        zl2 = enc_l.apply(params_l, np.concatenate([feats_l[:, :16], pts_l @ rot.T + shift], 1),
-                          pts_l @ rot.T + shift)
+        zr2 = enc_r.apply(params_r, feats_r, pts_r @ rot.T + shift)
+        zl2 = enc_l.apply(params_l, feats_l, pts_l @ rot.T + shift)
         _, fused1, s1 = eq.equivariant_attention(zr, zl, attn)
         _, fused2, s2 = eq.equivariant_attention(order0(zr2), order0(zl2), attn)
         np.testing.assert_allclose(s1, s2, atol=1e-9)

@@ -17,9 +17,9 @@ from dockinv.finetune import (ComplexSample, build_complex_sample, complex_terms
                               finetune_run, geometric_pseudolabels, load_complex_dir,
                               weighted_total)
 from dockinv.model import HEAD_ORDERS, PipelineModel, as_tensors
-from dockinv.pretrain import pretrain_loss, pretrain_run
+from dockinv.pretrain import PretrainSample, pretrain_loss, pretrain_run
 from dockinv.structures import AMINO_ACIDS, write_molecule
-from dockinv.surface import PatchSet, build_surface
+from dockinv.surface import PatchSet, SurfacePointCloud, build_surface
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +57,12 @@ def test_objective_tensor_count_stays_bounded(toy_cfg, mdl, init_params, ctx, st
     # weights to 335; attention over order-0 matrices, each reshaped once,
     # brought it from 190 to 178; the attended block, the three MLP heads and
     # the two bce terms as one node each (weights read in place, not lifted
-    # to constants) brought it to 115. Every tensor is Python overhead on
-    # every step
+    # to constants) brought it to 115; leaving the coordinates out of the
+    # state's feature matrix brought it to 114. Every tensor is Python
+    # overhead on every step
     for need_grad in (True, False):
         count = _objective_tensors(start, ctx, mdl, init_params, toy_cfg, need_grad)[3]
-        assert count <= 115, need_grad
+        assert count <= 114, need_grad
 
 
 def test_objective_over_head_orders_matches_full_encode(toy_cfg, mdl, init_params,
@@ -175,9 +176,11 @@ def test_config_fields_all_read(toy_cfg):
     assert sorted(_CONFIG_FIELDS - _ConfigReadRecorder.reads) == []
 
 
-def _recording(sample, reads: set):
-    """A copy of the dataclass ``sample`` that records each field read from it
-    into ``reads`` as ``Class.field``."""
+def _recording(sample, reads: set, **children):
+    """A copy of the dataclass ``sample``, with the fields in ``children``
+    replaced, that records each field read from it into ``reads`` as
+    ``Class.field``. The copy is not made through ``__init__``, whose checks
+    would read every field."""
     cls = type(sample)
     names = {f.name for f in dataclasses.fields(cls)}
 
@@ -187,18 +190,26 @@ def _recording(sample, reads: set):
                 reads.add(f"{cls.__name__}.{name}")
             return object.__getattribute__(self, name)
 
-    return Recorder(**{name: getattr(sample, name) for name in names})
+    recorder = object.__new__(Recorder)
+    recorder.__dict__.update(vars(sample), **children)
+    return recorder
 
 
-def test_sample_fields_all_read(toy_cfg, mdl, surface_corpus, complex_corpus):
-    # a stored field no training step reads is work the corpus builders waste
+def test_sample_fields_all_read(toy_cfg, mdl, surface_corpus, complex_corpus, receptor_cloud):
+    # a stored field no stage reads is work the corpus and cloud builders waste
     reads: set = set()
-    surfaces = [dataclasses.replace(s, patches=_recording(s.patches, reads))
+    surfaces = [_recording(s, reads, cloud=_recording(s.cloud, reads),
+                           patches=_recording(s.patches, reads))
                 for s in surface_corpus[:2]]
-    complexes = [_recording(s, reads) for s in complex_corpus[0][:2]]
+    complexes = [_recording(s, reads, receptor=_recording(s.receptor, reads),
+                            ligand=_recording(s.ligand, reads))
+                 for s in complex_corpus[0][:2]]
     params, _ = pretrain_run(surfaces, toy_cfg, steps=1, mdl=mdl, batch_size=2)
-    finetune_run(complexes, toy_cfg, steps=1, mdl=mdl, params=params, batch_size=2)
-    fields = {f"{cls.__name__}.{f.name}" for cls in (PatchSet, ComplexSample)
+    params, _ = finetune_run(complexes, toy_cfg, steps=1, mdl=mdl, params=params, batch_size=2)
+    ctx = inversion.prepare_receptor(mdl, params, _recording(receptor_cloud[0], reads))
+    inversion.run_inversion(ctx, mdl, params, toy_cfg, seed=0, steps=2)
+    fields = {f"{cls.__name__}.{f.name}"
+              for cls in (SurfacePointCloud, PatchSet, PretrainSample, ComplexSample)
               for f in dataclasses.fields(cls)}
     assert sorted(fields - reads) == []
 

@@ -17,7 +17,7 @@ from dockinv.structures import (
     parse_pdb,
     write_molecule,
 )
-from dockinv.surface import SurfacePointCloud
+from dockinv.surface import FEATURE_WIDTHS, SurfacePointCloud
 
 PDB_CA_LINE = (
     "ATOM      1  CA  ALA A   1       0.000   0.000   0.000  1.00  0.00           C"
@@ -125,12 +125,10 @@ class TestMolecule:
 
 
 class TestPointcloudContainer:
-    def _cloud(self, n=7, d=17):
+    def _cloud(self, n=7):
         rng = np.random.default_rng(3)
-        normals = rng.standard_normal((n, 3))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        return SurfacePointCloud(rng.standard_normal((n, 3)), normals,
-                                 rng.standard_normal((n, d)), "protein")
+        return SurfacePointCloud(rng.standard_normal((n, 3)),
+                                 rng.standard_normal((n, FEATURE_WIDTHS["protein"])), "protein")
 
     def test_roundtrip_lossless(self, tmp_path):
         cloud = self._cloud()
@@ -138,7 +136,6 @@ class TestPointcloudContainer:
         fileio.write_pointcloud(cloud, path)
         back = fileio.read_pointcloud(path)
         np.testing.assert_array_equal(back.points, cloud.points)
-        np.testing.assert_array_equal(back.normals, cloud.normals)
         np.testing.assert_array_equal(back.features, cloud.features)
         assert back.molecule_type == cloud.molecule_type
 
@@ -157,16 +154,21 @@ class TestPointcloudContainer:
         with pytest.raises(fileio.FormatError, match="c.mdpc: truncated payload"):
             fileio.read_pointcloud(path)
 
+    def test_payload_longer_than_header_is_rejected(self, tmp_path):
+        path = tmp_path / "c.mdpc"
+        fileio.write_pointcloud(self._cloud(), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(fileio.FormatError, match="c.mdpc: payload longer than its header"):
+            fileio.read_pointcloud(path)
+
     @pytest.mark.parametrize("name, index, value, reason", [
         ("points", (0, 0), np.nan, "points must be finite"),
-        ("normals", (1, 2), np.inf, "normals must be finite"),
-        ("normals", 0, 3.0, "normals must be unit length"),
         ("features", (2, 5), np.nan, "features must be finite"),
-    ], ids=["nan-point", "inf-normal", "long-normal", "nan-feature"])
+    ], ids=["nan-point", "nan-feature"])
     def test_malformed_cloud_is_rejected_naming_the_file(self, name, index, value, reason,
                                                          tmp_path):
         cloud = self._cloud()
-        arrays = {k: getattr(cloud, k).copy() for k in ("points", "normals", "features")}
+        arrays = {k: getattr(cloud, k).copy() for k in ("points", "features")}
         arrays[name][index] = value
         path = tmp_path / "bad.mdpc"
         fileio.write_pointcloud(SimpleNamespace(molecule_type="protein", **arrays), path)
@@ -174,9 +176,18 @@ class TestPointcloudContainer:
             fileio.read_pointcloud(path)
         assert str(err.value).startswith(f"{path}: {reason}")
 
+    def test_feature_width_off_the_table_is_rejected(self, tmp_path):
+        cloud = self._cloud()
+        features = np.concatenate([cloud.features, cloud.points], axis=1)
+        path = tmp_path / "wide.mdpc"
+        fileio.write_pointcloud(SimpleNamespace(points=cloud.points, features=features,
+                                                molecule_type="protein"), path)
+        with pytest.raises(fileio.FormatError, match=r"wide.mdpc: features are \(7, 17\), "
+                                                     r"expected \(7, 14\)"):
+            fileio.read_pointcloud(path)
+
     def test_empty_cloud_roundtrips(self, tmp_path):
-        cloud = SurfacePointCloud(np.zeros((0, 3)), np.zeros((0, 3)),
-                                  np.zeros((0, 17)), "small-molecule")
+        cloud = SurfacePointCloud(np.zeros((0, 3)), np.zeros((0, 16)), "small-molecule")
         path = tmp_path / "empty.mdpc"
         fileio.write_pointcloud(cloud, path)
         back = fileio.read_pointcloud(path)

@@ -337,16 +337,15 @@ class TestGeometricFeatures:
 
 
 class TestAssemble:
-    def test_protein_layout_17(self, receptor_cloud):
+    def test_protein_layout_14(self, receptor_cloud):
         cloud, _ = receptor_cloud
-        assert cloud.features.shape[1] == 17
+        assert cloud.features.shape[1] == sf.FEATURE_WIDTHS["protein"] == 14
         assert np.all(cloud.features[:, 13] == 0.0)  # type flag
-        np.testing.assert_array_equal(cloud.features[:, 14:17], cloud.points)
 
-    def test_molecule_layout_19(self, toy_cfg):
+    def test_molecule_layout_16(self, toy_cfg):
         mol = random_molecule(4)
         cloud, _ = sf.build_surface(mol, toy_cfg, seed=2)
-        assert cloud.features.shape[1] == 19
+        assert cloud.features.shape[1] == sf.FEATURE_WIDTHS["small-molecule"] == 16
         assert np.all(cloud.features[:, 15] == 1.0)
 
 
@@ -471,11 +470,10 @@ class TestConstructionEquivariance:
         c2, p2 = sf.build_surface(moved, toy_cfg, seed=33)
 
         np.testing.assert_allclose(c2.points, c1.points @ rot.T + shift, atol=1e-6)
-        np.testing.assert_allclose(c2.normals, c1.normals @ rot.T, atol=1e-9)
-        # non-coordinate features are invariant; the coordinate block moves
-        np.testing.assert_allclose(c2.features[:, :14], c1.features[:, :14], atol=1e-9)
-        np.testing.assert_allclose(c2.features[:, 14:], c1.features[:, 14:] @ rot.T + shift,
-                                   atol=1e-6)
+        n1 = sf.estimate_normals(c1.points, structure.coords, structure.radii)
+        n2 = sf.estimate_normals(c2.points, moved.coords, moved.radii)
+        np.testing.assert_allclose(n2, n1 @ rot.T, atol=1e-9)
+        np.testing.assert_allclose(c2.features, c1.features, atol=1e-9)
         np.testing.assert_array_equal(p1.center_indices, p2.center_indices)
         np.testing.assert_array_equal(p1.member_indices, p2.member_indices)
 
@@ -483,7 +481,7 @@ class TestConstructionEquivariance:
                                                          receptor_cloud, toy_cfg):
         cloud = sf.build_cloud(receptor_structure, toy_cfg, seed=11)
         expected, _ = receptor_cloud
-        for name in ("points", "normals", "features"):
+        for name in ("points", "features"):
             assert np.array_equal(getattr(cloud, name), getattr(expected, name))
         assert cloud.molecule_type == expected.molecule_type
 
