@@ -15,18 +15,27 @@ for finiteness once, like any op output; its intermediates are not. These
 are built this way:
 
 - the encoder's edge geometry (``equivariant.conv_geometry``: the radial
-  pool and the edge harmonics) and its convolution
-  (``equivariant.ConvLayer.apply``, one node per output order);
+  pool and the edge harmonics), its order-1 input channel
+  (``equivariant.encoder_input``), its convolution
+  (``equivariant.ConvLayer.apply``, one node per output order) and its gate
+  (one node per order);
 - the attended block of ``equivariant.equivariant_attention`` (q, k and v
-  projections, scaled scores, softmax and value mix);
+  projections, scaled scores, softmax and value mix) and its mean/max
+  pooling;
 - the pocket, interaction and affinity heads
-  (``model.PipelineModel._mlp_head``) and ``finetune.bce``;
+  (``model.PipelineModel._mlp_head``), the affinity gate, the three loss
+  terms of ``finetune`` and their weighted total;
 - the ligand descriptors of ``inversion.state_features``
-  (``_pairwise_omega``, ``_geom_block``).
+  (``_pairwise_omega``, ``_geom_block`` and ``_state_block``).
 
-The attention, head and bce nodes repeat the numpy expressions of the ops
-they replace and chain those ops' vjps, so their values and gradients are
-bitwise those of the op-by-op graph.
+Every node except the geometry, conv, omega and geom-block nodes repeats
+the numpy expressions of the ops it replaces and chains those ops' vjps,
+summing the gradients that several ops sent to one input in the order the
+op graph's backward sweep did, so its values and gradients are bitwise
+those of the op graph. ``tests/per_op.py`` keeps each op graph and
+``tests/test_hand_vjp.py`` checks every node against it. Every gradient
+scatter (a gather's vjp, and those of the conv, geometry and geom-block
+nodes) goes through :func:`scatter_add`.
 
 Each op pays a fixed Python cost, so the core keeps it small: a binary op
 lets numpy broadcast and turns numpy's ``ValueError`` into a
@@ -60,21 +69,21 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "matmul",
     "log",
-    "sigmoid",
     "sigmoid_values",
     "tanh",
     "clip",
     "softmax",
+    "softmax_values",
+    "softmax_vjp",
     "logsumexp",
     "gather",
+    "scatter_add",
     "concat",
     "reduce_sum",
     "reduce_mean",
-    "reduce_max",
     "reduce_min",
     "reshape",
 ]
@@ -314,25 +323,6 @@ def mul(a, b) -> Tensor:
     return _make(out, "mul", (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if (b.values == 0.0).any():
-        raise DomainError("division by zero")
-    try:
-        out = a.values / b.values
-    except ValueError:
-        raise _shape_error(a, b, "div") from None
-    sa, sb, bv = a.shape, b.shape, b.values
-    a_grad = a.requires_grad
-    av = a.values if b.requires_grad else None
-
-    def vjp(g):
-        return (_unbroadcast(g / bv, sa) if a_grad else None,
-                None if av is None else _unbroadcast(-g * av / (bv * bv), sb))
-
-    return _make(out, "div", (a, b), vjp)
-
-
 def neg(a) -> Tensor:
     a = as_tensor(a)
     return _make(-a.values, "neg", (a,), lambda g: (-g,))
@@ -348,20 +338,14 @@ def log(a) -> Tensor:
 
 
 def sigmoid_values(a: np.ndarray) -> np.ndarray:
-    """The logistic function of a numpy array, split by sign so no exp overflows:
-    the forward of :func:`sigmoid`, for hand-VJP nodes that end in one."""
+    """The logistic function of a numpy array, split by sign so no exp overflows,
+    for hand-VJP nodes that apply one."""
     out = np.empty_like(a)
     pos = a >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
     e = np.exp(a[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = sigmoid_values(a.values)
-    return _make(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(a) -> Tensor:
@@ -436,16 +420,15 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, "mean", (a,), vjp)
 
 
-def _extreme(a, axis, keepdims, kind):
+def reduce_min(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    red = np.max if kind == "max" else np.min
     if axis is not None and not isinstance(axis, int):
-        raise ContractError(f"{kind} reduction over multiple axes is unsupported")
-    out = red(a.values, axis=axis, keepdims=keepdims)
+        raise ContractError("min reduction over multiple axes is unsupported")
+    out = np.min(a.values, axis=axis, keepdims=keepdims)
     if not a.requires_grad:
-        return _make(out, kind, (a,), None)
+        return _make(out, "min", (a,), None)
     # route gradient to the first extremal entry along the reduced axes
-    hit = a.values == red(a.values, axis=axis, keepdims=True)
+    hit = a.values == np.min(a.values, axis=axis, keepdims=True)
     if axis is None:
         mask = np.zeros(a.size)
         mask[np.argmax(hit.reshape(-1))] = 1.0
@@ -460,28 +443,25 @@ def _extreme(a, axis, keepdims, kind):
             g = np.expand_dims(g, axis)
         return (mask * g,)
 
-    return _make(out, kind, (a,), vjp)
+    return _make(out, "min", (a,), vjp)
 
 
-def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, "max")
+def softmax_values(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The softmax of a numpy array along ``axis``, shifted by its largest
+    entry so no exp overflows, for :func:`softmax` and hand-VJP nodes."""
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def reduce_min(a, axis=None, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, "min")
+def softmax_vjp(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The gradient of a softmax along ``axis`` with output ``out``."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _make(out, "softmax", (a,), vjp)
+    out = softmax_values(a.values, axis)
+    return _make(out, "softmax", (a,), lambda g: (softmax_vjp(out, g, axis),))
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -516,14 +496,60 @@ def gather(a, index) -> Tensor:
             f"gather index out of range [0, {a.shape[0]}): min={idx.min()}, max={idx.max()}"
         )
     out = a.values[idx]
-    shape = a.shape
+    n, tail = a.shape[0], a.shape[1:]
+    flat = idx.reshape(-1)
 
     def vjp(g):
-        ga = np.zeros(shape)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        return (scatter_add(flat, g.reshape((flat.size,) + tail), n),)
 
     return _make(out, "gather", (a,), vjp)
+
+
+# weights per bincount call in scatter_add (or the output size, if larger):
+# the bin index and the copy that puts the running sum first are transient
+# arrays of about this length, whatever the size of the scattered block
+_SCATTER_CHUNK = 1 << 18
+
+
+def scatter_add(index: np.ndarray, values: np.ndarray, n_rows: int,
+                start: np.ndarray | None = None) -> np.ndarray:
+    """Row sums into ``n_rows`` bins: row ``e`` of ``values`` is added to bin ``index[e]``.
+
+    ``index`` is a 1-D integer array of bins in ``[0, n_rows)`` and
+    ``values`` has shape ``(len(index),) + tail``; the result has shape
+    ``(n_rows,) + tail``. Without ``start`` the result is bitwise that of
+    adding ``values`` into a zeroed array with the unbuffered ``at`` method of
+    ``np.add``: ``np.bincount`` over the flattened (bin, column) indices adds
+    the weights one by one in input order, from 0.0, so every bin sums its
+    terms in the same order. It takes about a third of the time of that call.
+
+    With ``start`` (shape ``(n_rows,) + tail``, holding no ``-0.0``) the sums
+    continue from it: it enters the bincount first, one weight per bin, and
+    ``0.0 + v == v`` for every ``v`` but ``-0.0``. A result of this function
+    holds no ``-0.0``, so scattering blocks in turn, each call starting from
+    the last one's result, is bitwise adding each block in turn into a zeroed
+    array with that ``at`` method. The rows are scattered in chunks chained that way, so the
+    transient index and weights stay near ``_SCATTER_CHUNK`` entries.
+    """
+    tail = values.shape[1:]
+    width = math.prod(tail)
+    index = index.astype(np.intp, copy=False)
+    weights = values.reshape(len(index), width)
+    n_bins = n_rows * width
+    rows = max(1, max(_SCATTER_CHUNK, n_bins) // max(width, 1))
+    out = None if start is None else start.reshape(-1)
+    for lo in range(0, len(index), rows):
+        bins = index[lo:lo + rows]
+        if width != 1:
+            bins = (bins * width)[:, None] + np.arange(width)
+        bins, w = bins.reshape(-1), weights[lo:lo + rows].reshape(-1)
+        if out is not None:
+            bins = np.concatenate([np.arange(n_bins), bins])
+            w = np.concatenate([out, w])
+        out = np.bincount(bins, w, minlength=n_bins)
+    if out is None:
+        out = np.zeros(n_bins)
+    return out.reshape((n_rows,) + tail)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -641,20 +667,30 @@ def backward(root: Tensor, seed=None) -> Tape:
 # ---------------------------------------------------------------------------
 
 class GradCheckReport:
-    """Outcome of comparing tape gradients against central differences."""
+    """Outcome of comparing tape gradients against central differences.
 
-    def __init__(self, passed, max_rel_err, worst_index, analytic, numeric):
+    ``max_rel_err`` is what the check judges: the error left after each
+    coordinate's rounding allowance, relative to the gradient. ``max_abs_err``
+    is the raw largest ``|ad - fd|`` and ``rounding`` the largest allowance,
+    so a report shows how much margin the check had.
+    """
+
+    def __init__(self, passed, max_rel_err, worst_index, analytic, numeric, max_abs_err,
+                 rounding):
         self.passed = bool(passed)
         self.max_rel_err = float(max_rel_err)
         self.worst_index = worst_index
         self.analytic = analytic
         self.numeric = numeric
+        self.max_abs_err = float(max_abs_err)
+        self.rounding = float(rounding)
 
     def __repr__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"GradCheckReport({status}, max_rel_err={self.max_rel_err:.3e}, "
-            f"worst_index={self.worst_index})"
+            f"worst_index={self.worst_index}, max_abs_err={self.max_abs_err:.3e}, "
+            f"rounding={self.rounding:.3e})"
         )
 
 
@@ -674,7 +710,8 @@ def grad_check(
     rounding term ``4 * eps * max(|f(x+h)|, |f(x-h)|, 1) / step`` (``eps`` the
     float64 machine epsilon). What is left of ``|ad - fd|`` is divided by
     ``max(|ad|, |fd|, abs_floor)``; ``max_rel_err`` is the largest such ratio
-    and the check passes when it is at most ``tolerance``. With ``sample``
+    and the check passes when it is at most ``tolerance``. The report also
+    holds the raw largest ``|ad - fd|`` and the largest allowance. With ``sample``
     set, only a seeded random subset of coordinates is differenced (the full
     analytic gradient is still computed in one sweep).
     """
@@ -710,13 +747,15 @@ def grad_check(
     b = numeric[coords]
     rounding = 4 * np.finfo(np.float64).eps * f_scale[coords] / step
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), abs_floor)
-    rel = np.maximum(np.abs(a - b) - rounding, 0.0) / scale
+    abs_err = np.abs(a - b)
+    rel = np.maximum(abs_err - rounding, 0.0) / scale
     worst = int(np.argmax(rel))
-    report = GradCheckReport(
+    return GradCheckReport(
         passed=bool(rel[worst] <= tolerance),
         max_rel_err=rel[worst],
         worst_index=int(coords[worst]),
         analytic=analytic,
         numeric=numeric.reshape(-1),
+        max_abs_err=abs_err.max(),
+        rounding=rounding.max(),
     )
-    return report

@@ -303,9 +303,7 @@ def conv_geometry(coords, nbr_idx: np.ndarray, basis: RadialBasis) -> dict:
 
         def edges_to_points(g_dvec):
             # dvec = x[flat] - x[src], and src repeats each point k times
-            g_x = np.zeros((n, 3))
-            np.add.at(g_x, flat, g_dvec)
-            return (g_x - g_dvec.reshape(n, k, 3).sum(axis=1),)
+            return (ad.scatter_add(flat, g_dvec, n) - g_dvec.reshape(n, k, 3).sum(axis=1),)
 
         def pool_vjp(g):
             # dr / d dvec = dvec / r = unit, the 1e-24 notwithstanding
@@ -350,7 +348,8 @@ class ConvLayer:
     :func:`conv_geometry`. Weights and bias given as numpy arrays are read in
     place. A path's coupled harmonics ``kc`` are a numpy constant of the
     geometry, cached in ``geom["kc"]``, that the node differentiates through
-    itself.
+    itself. The vjp scatters each input channel's per-edge gradient back to
+    its points with :func:`ad.scatter_add`, path by path onto a running sum.
     """
 
     def __init__(self, name: str, layout_in: dict[int, int], layout_out: dict[int, int],
@@ -430,6 +429,11 @@ def _conv_order(terms: list, channels: dict, gathered: dict, geom: dict, n_basis
     weights and bias; the vjp maps ``G^T g_y`` through ``edge_scale`` and the
     coupling onto ``sph``. It keeps G only for an ``sph`` that requires grad,
     y only when ``pool`` does, and a path's rows only when its weight does.
+    A channel's gradient is scattered with :func:`ad.scatter_add` as each
+    path's per-edge block is made, starting from the sum of the paths before
+    it: each point sums its edges' terms path by path, edge by edge, in the
+    order a scatter per path into a zeroed array would, so the result is
+    bitwise that sequence, and only one path's block is alive at a time.
     """
     n, k, flat, pool = geom["n"], geom["k"], geom["flat"], geom["pool"]
     pool_v = pool.values
@@ -511,9 +515,11 @@ def _conv_order(terms: list, channels: dict, gathered: dict, geom: dict, n_basis
                 g_g = g_y.reshape(-1, no) @ kc.T                               # (E*c_in, ni)
             else:
                 g_g = g_y.reshape(e, c_in, no) @ kc.transpose(0, 2, 1)         # (E, c_in, ni)
-            if grads[ch_slot] is None:
-                grads[ch_slot] = np.zeros((n, c_in, ni))
-            np.add.at(grads[ch_slot], flat, g_g.reshape(g_shape))
+            # each path's block is scattered onto its channel's running sum
+            # at once, in path order, as the op graph added each path's
+            # gather gradient: only one path's block is alive at a time
+            grads[ch_slot] = ad.scatter_add(flat, g_g.reshape(g_shape), n,
+                                            start=grads[ch_slot])
         return tuple(grads)
 
     return ad.primitive(out, "conv", tuple(parents), vjp)
@@ -536,16 +542,36 @@ def encoder_input(features, points) -> IrrepsField:
     example half-integer points moved by whole numbers) leaves the field
     bitwise unchanged, whereas the rounding of a mean over absolute
     coordinates depends on where the cloud sits.
+
+    The order-1 channel is one node (op ``"encoder-input"``). It repeats the
+    numpy expressions of the slice, ``ad.sub``, ``ad.reduce_mean``,
+    ``ad.mul`` and ``ad.reshape`` ops it replaces and chains their vjps; it
+    lists ``points`` twice as a parent, once for the difference and once for
+    the first point it subtracts, so the backward sweep adds those two
+    gradients to the points' in the op graph's order, and values and
+    gradients are bitwise those of the op graph.
     """
     scalars = ad.as_tensor(features)
     points = ad.as_tensor(points)
     n, c = scalars.shape
-    rel = ad.sub(points, points[:1])
-    rel = ad.sub(rel, ad.reduce_mean(rel, axis=0, keepdims=True))
-    vec = ad.mul(rel, 0.1)[:, [1, 2, 0]]
+    pv = points.values
+    rel = pv - pv[:1]
+    centred = rel - rel.mean(axis=0, keepdims=True)
+    vec = (centred * 0.1)[:, [1, 2, 0]].reshape(n, 1, 3)
+
+    def vjp(g):
+        g_vec = np.zeros((n, 3))
+        g_vec[:, [1, 2, 0]] = g.reshape(n, 3)
+        g_centred = g_vec * 0.1
+        g_mean = (-g_centred).sum(axis=(0,), keepdims=True)
+        g_rel = g_centred + np.broadcast_to(g_mean, (n, 3)).copy() / n
+        g_first = np.zeros((n, 3))
+        g_first[:1] = (-g_rel).sum(axis=(0,), keepdims=True)
+        return g_rel, g_first
+
     return IrrepsField({
         0: ad.reshape(scalars, (n, c, 1)),
-        1: ad.reshape(vec, (n, 1, 3)),
+        1: ad.primitive(vec, "encoder-input", (points, points), vjp),
     })
 
 
@@ -579,12 +605,9 @@ class Encoder:
         return shapes
 
     def _gate(self, field: IrrepsField) -> IrrepsField:
-        c = self.mult
-        scalars = field.channels[0]
-        out = {0: ad.tanh(scalars[:, :c, :])}
-        for l in (1, 2):
-            out[l] = ad.mul(field.channels[l], ad.sigmoid(scalars[:, c * l : c * (l + 1), :]))
-        return IrrepsField(out)
+        return IrrepsField({l: _gate_order(field.channels[0], l, self.mult,
+                                           field.channels[l] if l else None)
+                            for l in (0, 1, 2)})
 
     def apply(self, params: dict, features, points, geom: dict | None = None,
               orders=None) -> IrrepsField:
@@ -605,6 +628,44 @@ class Encoder:
         enc0, enc1 = self.layers
         hidden = self._gate(enc0.apply(params, encoder_input(features, points), geom))
         return enc1.apply(params, hidden, geom, orders)
+
+
+def _gate_order(scalars: Tensor, l: int, c: int, channel: Tensor | None) -> Tensor:
+    """Order ``l`` of the encoder's gate as one node (op ``"gate"``).
+
+    Order 0 is ``tanh`` of the first c scalars; order l > 0 is ``channel``
+    scaled by the sigmoid of scalars ``c*l .. c*(l+1)``. The forward repeats
+    the numpy expressions of the slice, tanh, sigmoid and ``ad.mul`` ops it
+    replaces (``tests/per_op.py::gate_order``), and the vjp chains their
+    vjps: the scalars' gradient is a zero array holding the block, as a
+    slice's is, so values and gradients are bitwise those of the op graph.
+    """
+    sv = scalars.values
+    block = (slice(None), slice(c * l, c * (l + 1)), slice(None))
+    part = np.ascontiguousarray(sv[block])
+    s_on = scalars.requires_grad
+
+    def to_scalars(g_part):
+        g_s = np.zeros(sv.shape)
+        g_s[block] = g_part
+        return g_s
+
+    if channel is None:
+        out = np.tanh(part)
+        return ad.primitive(out, "gate", (scalars,),
+                            lambda g: (to_scalars(g * (1.0 - out * out)),))
+    cv = channel.values
+    sig = ad.sigmoid_values(part)
+    c_on = channel.requires_grad
+
+    def vjp(g):
+        g_s = None
+        if s_on:
+            g_sig = (g * cv).sum(axis=(2,), keepdims=True)
+            g_s = to_scalars(g_sig * sig * (1.0 - sig))
+        return (g * sig if c_on else None), g_s
+
+    return ad.primitive(cv * sig, "gate", (channel, scalars), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +689,32 @@ def equivariant_attention(receptor: Tensor, ligand: Tensor, params: dict):
         raise ad.DomainError("equivariant attention needs a non-empty ligand field")
     attended, scores = _attend(receptor, ligand, params["attn.wq"], params["attn.wk"],
                                params["attn.wv0"])
-    summary = ad.add(receptor, attended)
-    fused = ad.concat(
-        [ad.reduce_mean(summary, axis=0), ad.reduce_max(summary, axis=0)], axis=0
-    )
-    return attended, fused, scores
+    return attended, _pool(ad.as_tensor(receptor), attended), scores
+
+
+def _pool(receptor: Tensor, attended: Tensor) -> Tensor:
+    """``[mean | max]`` over rows of ``receptor + attended`` as one node (op
+    ``"pool"``). The forward repeats the numpy expressions of the add, mean,
+    max and concat ops it replaces (``tests/per_op.py::pool``), and the vjp
+    chains their vjps (the max routes to the first maximal row), so values
+    and gradients are bitwise those of the op graph."""
+    summary = receptor.values + attended.values
+    n, d = summary.shape
+    top = np.max(summary, axis=0)
+    out = np.concatenate([summary.mean(axis=0), top])
+    if not (receptor.requires_grad or attended.requires_grad):
+        return ad.primitive(out, "pool", (receptor, attended), None)
+    first = np.argmax(summary == top, axis=0)
+
+    def vjp(g):
+        g_mean, g_max = np.ascontiguousarray(g[:d]), np.ascontiguousarray(g[d:])
+        g_sum = np.broadcast_to(g_mean.reshape(1, d), (n, d)).copy() / n
+        mask = np.zeros((n, d))
+        mask[first, np.arange(d)] = 1.0
+        g_sum = g_sum + mask * g_max.reshape(1, d)
+        return g_sum, g_sum
+
+    return ad.primitive(out, "pool", (receptor, attended), vjp)
 
 
 def _attend(receptor: Tensor, ligand: Tensor, wq, wk, wv):
@@ -655,8 +737,7 @@ def _attend(receptor: Tensor, ligand: Tensor, wq, wk, wv):
     q = rv @ wq_v
     kT = np.ascontiguousarray((lv @ wk_v).T)
     scaled = (q @ kT) * scale
-    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-    scores = e / e.sum(axis=1, keepdims=True)
+    scores = ad.softmax_values(scaled, 1)
     v = lv @ wv_v
     attended = scores @ v
 
@@ -668,7 +749,7 @@ def _attend(receptor: Tensor, ligand: Tensor, wq, wk, wv):
             g_wv = lv.T @ g_v if wv_on else None
         if r_on or l_on or wq_on or wk_on:
             g_s = g @ v.T
-            g_qk = (scores * (g_s - (g_s * scores).sum(axis=1, keepdims=True))) * scale
+            g_qk = ad.softmax_vjp(scores, g_s, 1) * scale
             if r_on or wq_on:
                 g_q = g_qk @ kT.T
                 g_r = g_q @ wq_v.T if r_on else None

@@ -8,6 +8,7 @@ split; the statistics ride along in checkpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,54 +100,99 @@ def build_complex_sample(receptor: MolecularStructure, ligand: MolecularStructur
                          mdl.precompute_geometry(l_cloud.points, l_cloud.molecule_type))
 
 
-def bce(pred: Tensor, target) -> Tensor:
-    """Elementwise binary cross-entropy with [1e-7, 1-1e-7] clamping, as one
-    node (op ``"bce"``); ``target`` broadcasts to ``pred``'s shape.
+_P_LO, _P_HI = 1e-7, 1.0 - 1e-7     # probabilities are clamped to these before a log
 
-    The forward repeats the numpy expressions of ``ad.clip``, ``ad.log``,
-    ``ad.mul``, ``ad.sub``, ``ad.add`` and ``ad.neg``, and the vjp chains
-    their vjps in reverse, so values and gradients are bitwise those of the
-    op-by-op graph.
+
+class _BCE:
+    """Elementwise binary cross-entropy of numpy predictions ``pv`` against a
+    ``target`` that broadcasts to their shape, clamped to [1e-7, 1 - 1e-7].
+
+    The loss nodes below build on it. ``values`` repeats the numpy
+    expressions of the clip, log, mul, sub, add and neg ops of its op graph
+    (``tests/per_op.py::bce``), and :meth:`vjp` chains their vjps in
+    reverse, so both are bitwise that graph's.
     """
-    t = np.asarray(target, dtype=float)
-    lo, hi = 1e-7, 1.0 - 1e-7
-    pv = pred.values
-    p = np.clip(pv, lo, hi)
-    q = 1.0 - p
-    not_t = 1.0 - t
-    out = -(t * np.log(p) + not_t * np.log(q))
-    if out.shape != pred.shape:
-        raise ad.ShapeError(f"bce target of shape {t.shape} does not broadcast to {pred.shape}")
 
-    def vjp(g):
+    def __init__(self, pv: np.ndarray, target):
+        self.pv = pv
+        self.t = np.asarray(target, dtype=float)
+        self.p = np.clip(pv, _P_LO, _P_HI)
+        self.q = 1.0 - self.p
+        self.not_t = 1.0 - self.t
+        self.values = -(self.t * np.log(self.p) + self.not_t * np.log(self.q))
+        if self.values.shape != pv.shape:
+            raise ad.ShapeError(f"bce target of shape {self.t.shape} does not broadcast to "
+                                f"{pv.shape}")
+
+    def vjp(self, g: np.ndarray) -> np.ndarray:
         g = -g
-        g_q = g * not_t / q
-        return ((g * t / p - g_q) * ((pv > lo) & (pv < hi)).astype(np.float64),)
+        g_q = g * self.not_t / self.q
+        return (g * self.t / self.p - g_q) * ((self.pv > _P_LO) & (self.pv < _P_HI)).astype(
+            np.float64)
 
-    return ad.primitive(out, "bce", (pred,), vjp)
+
+def _mean_vjp(g, shape: tuple) -> np.ndarray:
+    """``ad.reduce_mean``'s vjp over every axis."""
+    return np.broadcast_to(g, shape).copy() / math.prod(shape)
 
 
 def pocket_loss(pred: Tensor, labels, geom_labels, lambda_p: float) -> Tensor:
-    """Mean BCE against labels plus the squared pull toward pseudo-labels."""
-    base = ad.reduce_mean(bce(pred, labels))
-    dev = ad.sub(ad.clip(pred, 1e-7, 1.0 - 1e-7), np.asarray(geom_labels, dtype=float))
-    reg = ad.reduce_mean(ad.mul(dev, dev))
-    return ad.add(base, ad.mul(reg, lambda_p))
+    """Mean BCE against labels plus ``lambda_p`` times the mean squared pull
+    of the clamped prediction toward the pseudo-labels, as one node (op
+    ``"pocket-loss"``). The forward and vjp repeat those of the op graph
+    (``tests/per_op.py::pocket_loss``), so both are bitwise its own."""
+    pv = pred.values
+    bce = _BCE(pv, labels)
+    dev = bce.p - np.asarray(geom_labels, dtype=float)
+    out = bce.values.mean() + (dev * dev).mean() * lambda_p
+
+    def vjp(g):
+        g_sq = _mean_vjp(g * lambda_p, pv.shape)
+        g_clip = (g_sq * dev + g_sq * dev) * ((pv > _P_LO) & (pv < _P_HI)).astype(np.float64)
+        return (bce.vjp(_mean_vjp(g, pv.shape)) + g_clip,)
+
+    return ad.primitive(out, "pocket-loss", (pred,), vjp)
 
 
 def interaction_loss(pocket_pred: Tensor, int_pred: Tensor, y_int) -> Tensor:
-    """Pocket-gated BCE of the scalar ``int_pred``, averaged over receptor points."""
-    n_r = pocket_pred.shape[0]
-    int_pred = ad.gather(ad.reshape(int_pred, (1,)), np.zeros(n_r, dtype=int))
-    per_point = ad.mul(pocket_pred, bce(int_pred, y_int))
-    return ad.reduce_mean(per_point)
+    """Pocket-gated BCE of the scalar ``int_pred``, averaged over receptor
+    points, as one node (op ``"interaction-loss"``). The forward and vjp
+    repeat those of the op graph (``tests/per_op.py::interaction_loss``),
+    which gathers ``int_pred`` once per point: its gradient is the
+    in-order sum over points, as that gather's scatter adds it."""
+    pocket_v = pocket_pred.values
+    n_r = pocket_v.shape[0]
+    bce = _BCE(np.full(n_r, int_pred.values), y_int)
+    out = (pocket_v * bce.values).mean()
+    p_on, i_on = pocket_pred.requires_grad, int_pred.requires_grad
+
+    def vjp(g):
+        g_per = _mean_vjp(g, (n_r,))
+        g_int = None
+        if i_on:
+            g_gathered = bce.vjp(g_per * pocket_v)
+            g_int = ad.scatter_add(np.zeros(n_r, dtype=np.intp), g_gathered, 1).reshape(())
+        return (g_per * bce.values if p_on else None), g_int
+
+    return ad.primitive(out, "interaction-loss", (pocket_pred, int_pred), vjp)
 
 
 def affinity_loss(gate: Tensor, pred_dg: Tensor, target_dg: float, tau_conf: float) -> Tensor:
-    """Confidence-floored squared error for one labeled pair."""
-    w = ad.clip(gate, tau_conf, None)
-    err = ad.sub(pred_dg, float(target_dg))
-    return ad.mul(w, ad.mul(err, err))
+    """Confidence-floored squared error for one labeled pair, as one node (op
+    ``"affinity-loss"``), bitwise the op graph of
+    ``tests/per_op.py::affinity_loss``."""
+    gv = gate.values
+    w = np.clip(gv, float(tau_conf), np.inf)
+    err = pred_dg.values - float(target_dg)
+    sq = err * err
+    g_on, d_on = gate.requires_grad, pred_dg.requires_grad
+
+    def vjp(g):
+        g_gate = g * sq * (gv > float(tau_conf)).astype(np.float64) if g_on else None
+        g_sq = g * w
+        return g_gate, (g_sq * err + g_sq * err if d_on else None)
+
+    return ad.primitive(w * sq, "affinity-loss", (gate, pred_dg), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +218,13 @@ def complex_terms(mdl: PipelineModel, params_t: dict, zr, zl, pocket_labels, y_g
 
 
 def weighted_total(lp: Tensor, li: Tensor, lg: Tensor, cfg: RunConfig) -> Tensor:
-    """alpha * pocket + beta * interaction + affinity."""
-    return ad.add(ad.add(ad.mul(lp, cfg.alpha), ad.mul(li, cfg.beta)), lg)
+    """alpha * pocket + beta * interaction + affinity, as one node (op
+    ``"weighted-total"``), bitwise the op graph of
+    ``tests/per_op.py::weighted_total``."""
+    alpha, beta = float(cfg.alpha), float(cfg.beta)
+    out = (lp.values * alpha + li.values * beta) + lg.values
+    return ad.primitive(out, "weighted-total", (lp, li, lg),
+                        lambda g: (g * alpha, g * beta, g))
 
 
 def complex_forward(mdl: PipelineModel, params_t: dict, sample: ComplexSample, cfg: RunConfig):

@@ -68,14 +68,15 @@ PROTEIN_FEATURE_DIM = 25   # 20 residue logits | phi | psi | 3 rotamer logits
 V_MAX = {"C": 4.0, "N": 3.0, "O": 2.0, "S": 2.0, "H": 1.0}
 
 # indicator rows over MOLECULE_TYPES = (C.sp3, C.sp2, H, O.sp3, O.sp2, N.sp3, N.sp2, S.sp2)
-_SET_ONS = np.array([0, 0, 0, 1, 1, 1, 1, 1], dtype=float)
-_SET_ON = np.array([0, 0, 0, 1, 1, 1, 1, 0], dtype=float)
-_SET_CS = np.array([1, 1, 0, 0, 0, 0, 0, 1], dtype=float)
-_SET_C = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=float)
-# hybridization channels (sp3, sp2) mapped onto subtype logits
+# as (8, 1) columns: h-bonding O/N/S, the O/N minus C/S charge score, carbon
+_ONS_COL = np.array([[0], [0], [0], [1], [1], [1], [1], [1]], dtype=float)
+_CHG_COL = np.array([[-1], [-1], [0], [1], [1], [1], [1], [-1]], dtype=float)
+_C_COL = np.array([[1], [1], [0], [0], [0], [0], [0], [0]], dtype=float)
+# hybridization channels (sp3, sp2) mapped onto subtype logits, and its transpose
 _HYB_MAP = np.array(
     [[1, 0], [0, 1], [0, 0], [1, 0], [0, 1], [1, 0], [0, 1], [0, 1]], dtype=float
 )
+_HYB_T = np.ascontiguousarray(_HYB_MAP.T)
 
 
 def _type_logits(f: np.ndarray) -> np.ndarray:
@@ -184,13 +185,6 @@ def _pairwise_omega(x: Tensor, x_np: np.ndarray, r_chem: float, r_probe: float, 
     return ad.primitive(out, "omega", (x,), vjp)
 
 
-def _neighborhood_average(omega: Tensor, denom: Tensor, values: Tensor) -> Tensor:
-    """Rows of ``values`` averaged with ``omega``'s weights; ``denom`` is ``omega @ 1``."""
-    if values.ndim == 1:
-        values = ad.reshape(values, (-1, 1))
-    return ad.div(ad.matmul(omega, values), denom)
-
-
 def _geom_block(x: Tensor, x_np: np.ndarray, k_geom: int) -> Tensor:
     """Differentiable geometric descriptors over frozen k-NN neighborhoods:
     scaled covariance trace, covariance determinant, and a squashed density.
@@ -238,8 +232,7 @@ def _geom_block(x: Tensor, x_np: np.ndarray, k_geom: int) -> Tensor:
         m = cof * g[:, 1, None, None]
         m[:, [0, 1, 2], [0, 1, 2]] += 0.1 * g[:, :1]
         g_diffs = unit * (g[:, 2] * d_density)[:, None, None]
-        g_x = np.zeros((n, 3))
-        np.add.at(g_x, flat, ((2.0 / k) * (c @ m) + g_diffs).reshape(-1, 3))
+        g_x = ad.scatter_add(flat, ((2.0 / k) * (c @ m) + g_diffs).reshape(-1, 3), n)
         return (g_x - g_diffs.sum(axis=1),)
 
     return ad.primitive(out, "geom-block", (x,), vjp)
@@ -252,50 +245,127 @@ def state_features(x: Tensor, f: Tensor, molecule_type: str, cfg: RunConfig) -> 
     surface featurization, so the output matches the stage-1
     [chem | atom | geom | flag] layout and is differentiable in both
     coordinates and feature channels. The coordinates reach the encoder as
-    its points, not as feature columns. The neighbourhood averages share
-    one ``omega`` node and its row sums.
+    its points, not as feature columns.
+
+    Three autodiff nodes: the ``omega`` weights and the ``geom-block``
+    descriptors over ``x``, and :func:`_state_block` over those two and ``f``.
     """
     x_np = x.values
-    n = x_np.shape[0]
     omega = _pairwise_omega(x, x_np, cfg.r_chem, cfg.r_probe, cfg.eps_omega)
-    denom = ad.matmul(omega, np.ones((n, 1)))
+    geom = _geom_block(x, x_np, cfg.k_geom)
+    return _state_block(omega, ad.as_tensor(f), geom, molecule_type)
 
+
+def _sum_blocks(shape: tuple, blocks: list) -> np.ndarray:
+    """Sum, in order, of zero arrays of ``shape`` that each hold one ``(key,
+    value)`` block: the op graph's accumulation of slice gradients, which
+    turns a -0.0 entry into 0.0 wherever another term adds a zero to it."""
+    acc = None
+    for key, v in blocks:
+        z = np.zeros(shape)
+        z[key] = v
+        acc = z if acc is None else acc + z
+    return acc
+
+
+def _state_block(omega: Tensor, f: Tensor, geom: Tensor, molecule_type: str) -> Tensor:
+    """The [chem | atom | geom | flag] matrix of :func:`state_features` as one
+    node (op ``"state-features"``) over the ``omega`` weights, the feature
+    channels ``f`` and the ``geom-block`` descriptors.
+
+    Each per-point quantity X (the soft atom types, and the h-bond, charge
+    and hydrophobicity scores) is averaged over neighbourhoods as ``(omega
+    @ X) / (omega @ 1)``. The forward repeats the numpy expressions of the
+    autodiff ops this node replaces (``tests/per_op.py::state_block``), over
+    C-ordered copies of the slices of ``f``, and the vjp chains their vjps.
+    A gradient that several ops sent to one input is summed in the order the
+    op graph's backward sweep summed it, so values and gradients are bitwise
+    those of the op graph.
+    """
+    ov, fv = omega.values, f.values
+    n = fv.shape[0]
+    ones = np.ones((n, 1))
+    denom = ov @ ones
     if molecule_type == "small-molecule":
-        logits = ad.add(f[:, 0:8], ad.matmul(f[:, 9:11], _HYB_MAP.T))
-        p = ad.softmax(logits, axis=1)
-        charge = f[:, 8]
-        polarity = f[:, 11]
-        hb_atom = ad.mul(ad.matmul(p, _SET_ONS[:, None]), ad.reshape(ad.sigmoid(polarity), (n, 1)))
-        chg_atom = ad.matmul(p, (_SET_ON - _SET_CS)[:, None])
-        phob_atom = ad.matmul(p, _SET_C[:, None])
-        atom_block = _neighborhood_average(omega, denom, p)
-        charge_shift = ad.tanh(_neighborhood_average(omega, denom, charge))
+        f_cols = ((slice(None), slice(0, 8)), (slice(None), slice(9, 11)),
+                  (slice(None), 8), (slice(None), 11))
+        f08, f911, charge, polarity = (np.ascontiguousarray(fv[key]) for key in f_cols)
+        logits = f08 + f911 @ _HYB_T
+        p = ad.softmax_values(logits, 1)
+        sig = ad.sigmoid_values(polarity)
+        hb_mm = p @ _ONS_COL
+        # per-point quantities, in the order the op graph sums their
+        # contributions to the gradients of omega and of omega @ 1
+        atoms = {"hb": hb_mm * sig[:, None], "chg": p @ _CHG_COL, "charge": charge.reshape(n, 1),
+                 "phob": p @ _C_COL, "atom": p}
         flag = 1.0
     elif molecule_type == "protein":
-        p = ad.softmax(f[:, 0:20], axis=1)
-        elem = ad.matmul(p, AA_ELEMENT_PROFILE)               # (n, 6): C H O N S Se
-        hb_atom = ad.reshape(
-            ad.add(ad.add(elem[:, 2], elem[:, 3]), elem[:, 4]), (n, 1)
-        )
-        chg_atom = ad.reshape(
-            ad.sub(ad.add(elem[:, 2], elem[:, 3]), ad.add(elem[:, 0], elem[:, 4])), (n, 1)
-        )
-        phob_atom = ad.reshape(elem[:, 0], (n, 1))
-        atom_block = _neighborhood_average(omega, denom, elem)
-        charge_shift = ad.constant(np.zeros((n, 1)))
+        p = ad.softmax_values(np.ascontiguousarray(fv[:, 0:20]), 1)
+        elem = p @ AA_ELEMENT_PROFILE                                   # (n, 6): C H O N S Se
+        e0, e2, e3, e4 = (np.ascontiguousarray(elem[:, j]) for j in (0, 2, 3, 4))
+        atoms = {"hb": ((e2 + e3) + e4).reshape(n, 1),
+                 "chg": ((e2 + e3) - (e0 + e4)).reshape(n, 1),
+                 "phob": e0.reshape(n, 1), "atom": elem}
         flag = 0.0
     else:
         raise ValueError(f"unknown molecule type {molecule_type!r}")
+    mm = {name: ov @ v for name, v in atoms.items()}
+    avg = {name: m / denom for name, m in mm.items()}
+    shift = np.tanh(avg["charge"]) if "charge" in avg else np.zeros((n, 1))
+    chg_pre = avg["chg"] + shift * 0.25
+    aro_pre = avg["phob"] * (1.0 / 4.5)
+    out = np.concatenate([avg["hb"], np.clip(chg_pre, -1.0, 1.0), avg["phob"],
+                          np.clip(aro_pre, 0.0, 1.0), avg["atom"], geom.values,
+                          np.full((n, 1), flag)], axis=1)
+    o_on, f_on, geom_on = omega.requires_grad, f.requires_grad, geom.requires_grad
+    w = atoms["atom"].shape[1]
 
-    h_bond = _neighborhood_average(omega, denom, hb_atom)
-    chg = ad.clip(ad.add(_neighborhood_average(omega, denom, chg_atom),
-                         ad.mul(charge_shift, 0.25)), -1.0, 1.0)
-    phob = _neighborhood_average(omega, denom, phob_atom)
-    aro = ad.clip(ad.mul(phob, 1.0 / 4.5), 0.0, 1.0)
-    chem_block = ad.concat([h_bond, chg, phob, aro], axis=1)
-    geom_block = _geom_block(x, x_np, cfg.k_geom)
-    flags = np.full((n, 1), flag)
-    return ad.concat([chem_block, atom_block, geom_block, ad.constant(flags)], axis=1)
+    def vjp(g):
+        col = {name: np.ascontiguousarray(g[:, j:j + 1])
+               for j, name in enumerate(("hb", "chg", "phob", "aro"))}
+        g_avg = {"hb": col["hb"], "atom": np.ascontiguousarray(g[:, 4:4 + w])}
+        g_chg_pre = col["chg"] * ((chg_pre > -1.0) & (chg_pre < 1.0)).astype(np.float64)
+        g_avg["chg"] = g_chg_pre
+        if "charge" in avg:
+            g_avg["charge"] = (g_chg_pre * 0.25) * (1.0 - shift * shift)
+        g_aro_pre = col["aro"] * ((aro_pre > 0.0) & (aro_pre < 1.0)).astype(np.float64)
+        g_avg["phob"] = col["phob"] + g_aro_pre * (1.0 / 4.5)
+        g_mm = {name: g_avg[name] / denom for name in atoms}
+        g_omega = g_f = None
+        if o_on:
+            g_den = g_om = None
+            for name in atoms:
+                d = -g_avg[name] * mm[name] / (denom * denom)
+                if d.shape[1] != 1:
+                    d = d.sum(axis=(1,), keepdims=True)
+                g_den = d if g_den is None else g_den + d
+                t = g_mm[name] @ atoms[name].T
+                g_om = t if g_om is None else g_om + t
+            g_omega = g_om + g_den @ ones.T
+        if f_on:
+            g_at = {name: ov.T @ g_mm[name] for name in atoms}
+            if molecule_type == "small-molecule":
+                g_p = (((g_at["hb"] * sig[:, None]) @ _ONS_COL.T + g_at["chg"] @ _CHG_COL.T)
+                       + g_at["phob"] @ _C_COL.T) + g_at["atom"]
+                g_logits = ad.softmax_vjp(p, g_p, 1)
+                g_pol = (g_at["hb"] * hb_mm).reshape(n) * sig * (1.0 - sig)
+                g_f = _sum_blocks(fv.shape, [(f_cols[3], g_pol),
+                                             (f_cols[2], g_at["charge"].reshape(n)),
+                                             (f_cols[0], g_logits),
+                                             (f_cols[1], g_logits @ _HYB_T.T)])
+            else:
+                g_hb, g_chg, g_phob = (g_at[name].reshape(n) for name in ("hb", "chg", "phob"))
+                g_elem = _sum_blocks(elem.shape, [
+                    ((slice(None), 2), g_hb), ((slice(None), 3), g_hb), ((slice(None), 4), g_hb),
+                    ((slice(None), 2), g_chg), ((slice(None), 3), g_chg),
+                    ((slice(None), 0), -g_chg), ((slice(None), 4), -g_chg),
+                    ((slice(None), 0), g_phob)]) + g_at["atom"]
+                g_logits = ad.softmax_vjp(p, g_elem @ AA_ELEMENT_PROFILE.T, 1)
+                g_f = _sum_blocks(fv.shape, [((slice(None), slice(0, 20)), g_logits)])
+        g_geom = np.ascontiguousarray(g[:, 4 + w:7 + w]) if geom_on else None
+        return g_omega, g_f, g_geom
+
+    return ad.primitive(out, "state-features", (omega, f, geom), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -139,27 +139,36 @@ class PipelineModel:
         psi = ad.softmax(kurt, axis=1)
         return coords, psi
 
-    def _mlp_head(self, params: dict, name: str, x: Tensor, sigmoid: bool) -> Tensor:
+    def _mlp_head(self, params: dict, name: str, x, sigmoid: bool, shape: tuple) -> Tensor:
         """``tanh(x @ w1 + b1) @ w2 + b2``, through a sigmoid when ``sigmoid``
-        is set, as one node (op ``"mlp-head"``).
+        is set and reshaped to ``shape``, as one node (op ``"mlp-head"``).
 
-        A weight is a Tensor (then a parent) or a numpy array, read in
-        place. The forward repeats the numpy expressions of the ops it
-        replaces (``ad.matmul``, ``ad.add`` of a reshaped bias, ``ad.tanh``,
-        ``ad.sigmoid``) and the vjp chains their vjps in reverse, so values
-        and gradients are bitwise those of the op-by-op graph.
+        ``x`` is a matrix, a vector (taken as one row) or a list of matrices
+        joined along their columns, each a Tensor and a parent; a weight is a
+        Tensor (then a parent) or a numpy array, read in place. The
+        forward repeats the numpy expressions of the ops it replaces (a
+        concat or reshape of the input, matmul, add of a reshaped bias, tanh,
+        sigmoid, reshape of the output: ``tests/per_op.py::mlp_head``) and
+        the vjp chains their vjps in reverse, so values and gradients are
+        bitwise those of the op graph.
         """
-        operands = (x,) + tuple(params[f"{name}.{w}"] for w in ("w1", "b1", "w2", "b2"))
+        parts = x if isinstance(x, list) else [x]
+        operands = tuple(parts) + tuple(params[f"{name}.{w}"] for w in ("w1", "b1", "w2", "b2"))
         parents = tuple(t for t in operands if isinstance(t, Tensor))
-        xv, w1, b1, w2, b2 = (t.values if isinstance(t, Tensor) else t for t in operands)
-        x_on, w1_on, b1_on, w2_on, b2_on = (isinstance(t, Tensor) and t.requires_grad
-                                            for t in operands)
+        part_vals = [t.values for t in parts]
+        w1, b1, w2, b2 = (t.values if isinstance(t, Tensor) else t for t in operands[len(parts):])
+        on = [isinstance(t, Tensor) and t.requires_grad for t in operands]
+        x_on, (w1_on, b1_on, w2_on, b2_on) = any(on[:len(parts)]), on[len(parts):]
+        rows = [v.reshape(1, -1) if v.ndim == 1 else v for v in part_vals]
+        xv = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
         h = np.tanh(xv @ w1 + b1.reshape(1, -1))
         out = h @ w2 + b2.reshape(1, -1)
         if sigmoid:
             out = ad.sigmoid_values(out)
+        out_shape = out.shape
 
         def vjp(g):
+            g = g.reshape(out_shape)
             if sigmoid:
                 g = g * out * (1.0 - out)
             g_x = g_w1 = g_b1 = None
@@ -168,44 +177,70 @@ class PipelineModel:
                 g_x = g_a @ w1.T if x_on else None
                 g_w1 = xv.T @ g_a if w1_on else None
                 g_b1 = g_a.sum(axis=0) if b1_on else None
-            grads = (g_x, g_w1, g_b1, h.T @ g if w2_on else None, g.sum(axis=0) if b2_on else None)
+            g_parts = [None] * len(parts) if g_x is None else [
+                np.ascontiguousarray(gp).reshape(v.shape) for gp, v in
+                zip(np.split(g_x, np.cumsum([r.shape[1] for r in rows])[:-1], axis=1), part_vals)]
+            grads = (*g_parts, g_w1, g_b1, h.T @ g if w2_on else None,
+                     g.sum(axis=0) if b2_on else None)
             return tuple(gt for gt, t in zip(grads, operands) if isinstance(t, Tensor))
 
-        return ad.primitive(out, "mlp-head", parents, vjp)
+        return ad.primitive(out.reshape(shape), "mlp-head", parents, vjp)
 
-    def pocket_head(self, params: dict, per_point: Tensor) -> Tensor:
-        return ad.reshape(self._mlp_head(params, "pocket", per_point, True), (-1,))
+    def pocket_head(self, params: dict, per_point) -> Tensor:
+        """Pocket probabilities of each row of ``per_point``, a matrix or a
+        list of matrices joined along their columns."""
+        return self._mlp_head(params, "pocket", per_point, True, (-1,))
 
     def interaction_head(self, params: dict, fused: Tensor) -> Tensor:
-        x = ad.reshape(fused, (1, -1))
-        return ad.reshape(self._mlp_head(params, "int", x, True), ())
+        return self._mlp_head(params, "int", fused, True, ())
 
     def affinity_head(self, params: dict, fused: Tensor) -> Tensor:
-        x = ad.reshape(fused, (1, -1))
-        return ad.reshape(self._mlp_head(params, "aff", x, False), ())
+        return self._mlp_head(params, "aff", fused, False, ())
 
-    def fuse(self, params: dict, receptor: Tensor, ligand: Tensor):
+    def fuse(self, params: dict, receptor, ligand: Tensor):
         return equivariant_attention(receptor, ligand, params)
 
     def complex_heads(self, params: dict, receptor: IrrepsField, ligand: IrrepsField):
         """Fuse the two fields and run the pocket, interaction and affinity heads.
 
-        Each field's order 0 is reshaped once to an (n, d0) matrix. Each
-        receptor point's pocket-head input is its own order-0 features next
-        to the attended ones. The interaction and affinity heads score the
-        fused vector, and the gate is the largest pocket probability times the
+        Each field's order 0 is reshaped once to an (n, d0) matrix (a numpy
+        channel, such as a prepared receptor's, is lifted to one constant).
+        Each receptor point's pocket-head input is its own order-0 features
+        next to the attended ones. The interaction and affinity heads score the fused
+        vector, and the gate is the largest pocket probability times the
         interaction probability.
 
         Returns (pocket probabilities, interaction probability, predicted
         affinity, gate tensor used by the affinity loss).
         """
-        zr = ad.reshape(receptor.channels[0], (-1, self.d0))
-        zl = ad.reshape(ligand.channels[0], (-1, self.d0))
+        zr, zl = (ad.constant(ch.reshape(-1, self.d0)) if isinstance(ch, np.ndarray)
+                  else ad.reshape(ch, (-1, self.d0))
+                  for ch in (receptor.channels[0], ligand.channels[0]))
         attended, fused, _ = self.fuse(params, zr, zl)
-        pocket = self.pocket_head(params, ad.concat([zr, attended], axis=1))
+        pocket = self.pocket_head(params, [zr, attended])
         y_int = self.interaction_head(params, fused)
-        gate = ad.mul(ad.reduce_max(pocket), y_int)
-        return pocket, y_int, self.affinity_head(params, fused), gate
+        return pocket, y_int, self.affinity_head(params, fused), _confidence(pocket, y_int)
+
+
+def _confidence(pocket: Tensor, y_int: Tensor) -> Tensor:
+    """The largest pocket probability times ``y_int``, as one node (op
+    ``"confidence"``): the numpy expressions of the max and mul ops it
+    replaces (``tests/per_op.py::confidence``), and their vjps (the max
+    routes to the first largest entry), so values and gradients are bitwise
+    those of the op graph."""
+    pv, yv = pocket.values, y_int.values
+    top = np.max(pv)
+    p_on, y_on = pocket.requires_grad, y_int.requires_grad
+
+    def vjp(g):
+        g_p = None
+        if p_on:
+            g_p = np.zeros(pv.size)
+            g_p[np.argmax((pv == top).reshape(-1))] = 1.0
+            g_p = g_p.reshape(pv.shape) * (g * yv)
+        return g_p, (g * top if y_on else None)
+
+    return ad.primitive(top * yv, "confidence", (pocket, y_int), vjp)
 
 
 # ---------------------------------------------------------------------------

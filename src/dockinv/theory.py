@@ -108,7 +108,10 @@ def verify_gradient(state: inversion.InversionState, ctx, mdl, params: dict, cfg
                     grad_scale: float = 1.0) -> VerifyReport:
     """composite_objective's gradients in ``x`` and ``f`` against central
     differences on sampled coordinates, with neighbourhoods and pseudo-labels
-    held; a near-zero gradient would match them vacuously, so it fails."""
+    held; a near-zero gradient would match them vacuously, so it fails. The
+    details report, per block, the judged error net of the rounding allowance
+    (``max_rel_err``), the raw largest ``|ad - fd|`` (``max_abs_err``) and the
+    largest allowance (``rounding``)."""
     frozen = inversion.frozen_structure(state, ctx, mdl, cfg)
     violations, details = [], {}
     for seed, kind in enumerate(("x", "f")):
@@ -117,6 +120,8 @@ def verify_gradient(state: inversion.InversionState, ctx, mdl, params: dict, cfg
                                rng=np.random.default_rng(seed))
         largest = float(np.abs(report.analytic).max())
         details[f"max_rel_err_{kind}"] = report.max_rel_err
+        details[f"max_abs_err_{kind}"] = report.max_abs_err
+        details[f"rounding_{kind}"] = report.rounding
         details[f"max_abs_grad_{kind}"] = largest
         if not report.passed:
             violations.append(f"{kind}: relative error {report.max_rel_err:.3e} at coordinate "

@@ -33,8 +33,18 @@ def config_file(tmp_path, toy_cfg):
     return path
 
 
-def test_verify_passes_with_exit_0(config_file):
-    assert main(["verify", "--config", str(config_file)]) == 0
+def test_verify_passes_with_exit_0(config_file, tmp_path):
+    report = tmp_path / "verify.txt"
+    assert main(["verify", "--config", str(config_file), "--out", str(report)]) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "verify.txt.jsonl").read_text().splitlines()]
+    gradient = next(r for r in records if r["name"].startswith("gradient"))["details"]
+    for kind in ("x", "f"):
+        # the judged error is net of the rounding allowance; the raw error and
+        # the allowance show the margin, and finite differences are never exact
+        raw, allowance = gradient[f"max_abs_err_{kind}"], gradient[f"rounding_{kind}"]
+        assert raw > 0.0 and allowance > 0.0, kind
+        assert gradient[f"max_rel_err_{kind}"] <= 1e-5, kind
 
 
 def test_negative_control_fails_verification_with_exit_3(config_file, tmp_path):

@@ -309,52 +309,6 @@ def per_edge_reference(layer, params, field, pts, nbr):
     return out
 
 
-def _bmm(a, b):
-    """Batched matmul (B, n, k) @ (B, k, m) as one node."""
-    return ad.primitive(a.values @ b.values, "bmm", (a, b),
-                        lambda g: (g @ b.values.transpose(0, 2, 1), a.values.transpose(0, 2, 1) @ g))
-
-
-def per_op_reference(layer, params, field, geom, orders=None):
-    """The conv as about ten autodiff ops per path, as it ran before the
-    one-node-per-order primitive: the same numpy calls in the same order,
-    over the paths into ``orders`` (default: every output order). Each
-    path's coupled harmonics are an op over ``geom["sph"]``, cached in
-    ``geom["kc"]`` as a Tensor."""
-    n, k, flat, pool = geom["n"], geom["k"], geom["flat"], geom["pool"]
-    n_basis = layer.basis.n_basis
-    orders = layer.layout_out if orders is None else orders
-    gathered, sums = {}, {}
-    for (l_in, l_f, l_out) in layer.paths:
-        if l_out not in orders:
-            continue
-        c_in, c_out = layer.layout_in[l_in], layer.layout_out[l_out]
-        ni, no = 2 * l_in + 1, 2 * l_out + 1
-        if l_in not in gathered:
-            gathered[l_in] = ad.gather(field.channels[l_in], flat)
-        cg = eq.coupling_tensor(l_out, l_f, l_in)
-        if l_f == 0:
-            kc = cg[:, 0, :].T * (eq._C0 / k)
-            y = ad.matmul(ad.reshape(gathered[l_in], (-1, ni)), kc)
-        else:
-            kc = geom["kc"].get((l_out, l_f, l_in))
-            if kc is None:
-                kc = ad.mul(per_op.einsum("ef,fio->eio", geom["sph"][l_f], cg.transpose(1, 2, 0)),
-                            geom["edge_scale"])
-                geom["kc"][(l_out, l_f, l_in)] = kc
-            y = _bmm(gathered[l_in], kc)
-        pooled = _bmm(pool, ad.reshape(y, (n, k, c_in * no)))
-        rows = per_op.transpose(ad.reshape(pooled, (n, n_basis, c_in, no)), (0, 3, 1, 2))
-        w = ad.reshape(params[f"{layer.name}.w{l_in}{l_f}{l_out}"], (n_basis * c_in, c_out))
-        msg = ad.matmul(ad.reshape(rows, (n * no, n_basis * c_in)), w)
-        sums[l_out] = msg if l_out not in sums else ad.add(sums[l_out], msg)
-    out = {l: per_op.transpose(ad.reshape(s, (n, 2 * l + 1, -1)), (0, 2, 1)) for l, s in sums.items()}
-    bias_key = f"{layer.name}.bias0"
-    if 0 in out and bias_key in params:
-        out[0] = ad.add(out[0], ad.reshape(params[bias_key], (1, -1, 1)))
-    return eq.IrrepsField(out)
-
-
 CONFIGS = [toy_config(), RunConfig().validate()]
 
 
@@ -366,7 +320,7 @@ class TestConvAgainstPerOpReference:
         enc, params = build_encoder(cfg)
         pts, feats = random_cloud(rng, 30, scale=2.0)
         got = enc.apply({key: lift(v) for key, v in params.items()}, feats, lift(pts)).values()
-        monkeypatch.setattr(eq.ConvLayer, "apply", per_op_reference)
+        monkeypatch.setattr(eq.ConvLayer, "apply", per_op.conv)
         ref = enc.apply({key: lift(v) for key, v in params.items()}, feats, lift(pts)).values()
         assert set(got) == set(ref)
         for l in ref:
@@ -398,7 +352,7 @@ class TestConvAgainstPerOpReference:
             weights = {l: rng.standard_normal((30, c, 2 * l + 1))
                        for l, c in layer.layout_out.items()}
             got = self._layer_grads(eq.ConvLayer.apply, layer, scoped, field, pts, nbr, weights)
-            ref = self._layer_grads(per_op_reference, layer, scoped, field, pts, nbr, weights)
+            ref = self._layer_grads(per_op.conv, layer, scoped, field, pts, nbr, weights)
             assert set(got) == set(ref) == {"x", *(f"ch{l}" for l in field), *scoped}
             for name in ref:
                 scale = np.abs(ref[name]).max()
@@ -430,6 +384,35 @@ class TestConvAgainstPerOpReference:
         field = enc.apply(params, feats, pts)
         for ch in field.channels.values():
             assert ch.op == "conv" and ch._node is None and not ch.requires_grad
+
+    def test_channel_gradient_is_add_at_of_its_paths_in_turn(self, monkeypatch):
+        # one output order, so one conv node; only the order-1 input channel
+        # requires grad, so every scatter is one of its paths' per-edge blocks
+        # (three paths here), each started from the last one's sum
+        rng = np.random.default_rng(23)
+        cfg = toy_config()
+        pts = rng.standard_normal((16, 3)) * 2.0
+        nbr = eq.knn_indices(pts, cfg.conv_k)
+        layer = eq.ConvLayer("c", {0: 3, 1: 2, 2: 2}, {1: 2},
+                             eq.RadialBasis(cfg.conv_cutoff, cfg.n_radial_basis))
+        params = {key: rng.standard_normal(shape) / 3.0
+                  for key, shape in layer.param_shapes().items()}
+        field = {l: rng.standard_normal((16, c, 2 * l + 1)) for l, c in layer.layout_in.items()}
+        field[1] = ad.param(field[1])
+        scattered, scatter = [], ad.scatter_add
+
+        def recording(index, values, n_rows, start=None):
+            scattered.append((index, values.copy()))
+            return scatter(index, values, n_rows, start=start)
+
+        monkeypatch.setattr(ad, "scatter_add", recording)
+        out = layer.apply(params, eq.IrrepsField(field), eq.conv_geometry(pts, nbr, layer.basis))
+        ad.backward(out.channels[1], seed=rng.standard_normal(out.channels[1].shape))
+        assert len(scattered) == 3
+        want = np.zeros(field[1].shape)
+        for index, values in scattered:
+            np.add.at(want, index, values)
+        assert field[1].grad.tobytes() == want.tobytes()
 
     def test_parameter_grad_encode_of_300_points_stays_under_45_mb(self):
         # the conv's vjp keeps a path's rows only for its weight; keeping every

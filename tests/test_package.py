@@ -134,3 +134,39 @@ def test_benchmark_spans_fit_dockinv():
     for fn, names in hooked.items():
         missing = names - set(inspect.signature(fn).parameters)
         assert not missing, f"{fn.__name__} lost the arguments {missing} a span hook reads"
+
+
+def _primitive_ops() -> dict:
+    """{op name: files} of every ``ad.primitive(values, "op", ...)`` call in src/dockinv/."""
+    src = Path(dockinv.__file__).parent
+    ops: dict = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "primitive"):
+                op = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "op"), None)
+                assert isinstance(op, ast.Constant), \
+                    f"{path.name}:{node.lineno} names its op with a non-literal"
+                ops.setdefault(op.value, set()).add(path.name)
+    return ops
+
+
+def test_every_hand_vjp_op_has_a_registry_entry():
+    """Each op built with ad.primitive in src/ is checked against its op graph
+    by tests/test_hand_vjp.py, through an entry in per_op.REGISTRY."""
+    import per_op
+
+    ops = _primitive_ops()
+    assert "state-features" in ops and "conv" in ops      # the scan finds the calls
+    missing = sorted(set(ops) - set(per_op.REGISTRY))
+    assert not missing, f"hand-VJP ops without a per_op.REGISTRY entry: {missing}"
+
+
+def test_scatters_go_through_one_helper():
+    """Gradient scatters use ad.scatter_add, which is bitwise np.add.at and
+    several times faster; np.add.at itself appears nowhere in src/dockinv/."""
+    src = Path(dockinv.__file__).parent
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if re.search(r"\.add\.at\b", path.read_text())]
+    assert not offenders, f"np.add.at in {offenders}; use ad.scatter_add"

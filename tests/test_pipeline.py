@@ -11,7 +11,8 @@ from conftest import write_pdb
 import per_op
 
 from dockinv import autodiff as ad
-from dockinv import equivariant, fileio, finetune, inversion, neighbors, surface, theory, toydata
+from dockinv import (equivariant, fileio, finetune, inversion, model, neighbors, surface,
+                     theory, toydata)
 from dockinv.config import RunConfig
 from dockinv.finetune import (ComplexSample, build_complex_sample, complex_terms, finetune_loss,
                               finetune_run, geometric_pseudolabels, load_complex_dir,
@@ -58,11 +59,56 @@ def test_objective_tensor_count_stays_bounded(toy_cfg, mdl, init_params, ctx, st
     # brought it from 190 to 178; the attended block, the three MLP heads and
     # the two bce terms as one node each (weights read in place, not lifted
     # to constants) brought it to 115; leaving the coordinates out of the
-    # state's feature matrix brought it to 114. Every tensor is Python
+    # state's feature matrix brought it to 114; the state features as three
+    # nodes, the gate, the encoder's order-1 input, the pooling, the head
+    # reshapes and every loss as one node each, and the receptor's order 0
+    # lifted to one constant, brought it to 29. Every tensor is Python
     # overhead on every step
     for need_grad in (True, False):
         count = _objective_tensors(start, ctx, mdl, init_params, toy_cfg, need_grad)[3]
-        assert count <= 114, need_grad
+        assert count <= 29, need_grad
+
+
+@pytest.mark.parametrize("molecule_type", ["small-molecule", "protein"])
+def test_objective_is_bitwise_its_op_graph(toy_cfg, mdl, init_params, ctx, molecule_type,
+                                           monkeypatch):
+    # every fused node swapped for the op graph it replaces gives the same F
+    # and bitwise the same gradients: the nodes sum what the op graph's
+    # backward sweep summed, and in its order, also where several nodes feed
+    # one input (the coordinates have seven consumers)
+    starts = [inversion.initial_state(ctx, mdl, init_params, toy_cfg, molecule_type, seed)
+              for seed in (0, 1)]
+
+    def run():
+        return [inversion.composite_objective(st, ctx, mdl, init_params, toy_cfg)[:3]
+                for st in starts]
+
+    got = run()
+    heads = ("w1", "b1", "w2", "b2")
+
+    def encoder_input(features, points):
+        scalars = ad.as_tensor(features)
+        return equivariant.IrrepsField({0: ad.reshape(scalars, scalars.shape + (1,)),
+                                        1: per_op.encoder_vec(points)})
+
+    for owner, name, reference in (
+            (inversion, "_state_block", per_op.state_block),
+            (equivariant, "encoder_input", encoder_input),
+            (equivariant, "_gate_order", per_op.gate_order),
+            (equivariant, "_attend", lambda *args: (per_op.attention(*args), None)),
+            (equivariant, "_pool", per_op.pool),
+            (PipelineModel, "_mlp_head", lambda self, params, name, x, sig, shape:
+             per_op.mlp_head(x, *(params[f"{name}.{w}"] for w in heads), sig, shape)),
+            (model, "_confidence", per_op.confidence),
+            (finetune, "pocket_loss", per_op.pocket_loss),
+            (finetune, "interaction_loss", per_op.interaction_loss),
+            (finetune, "affinity_loss", per_op.affinity_loss),
+            (inversion, "weighted_total", lambda lp, li, lg, cfg:
+             per_op.weighted_total(lp, li, lg, cfg.alpha, cfg.beta))):
+        monkeypatch.setattr(owner, name, reference)
+    for (parts, gx, gf), (ref_parts, ref_gx, ref_gf) in zip(got, run()):
+        assert parts == ref_parts
+        assert gx.tobytes() == ref_gx.tobytes() and gf.tobytes() == ref_gf.tobytes()
 
 
 def test_objective_over_head_orders_matches_full_encode(toy_cfg, mdl, init_params,
@@ -214,44 +260,13 @@ def test_sample_fields_all_read(toy_cfg, mdl, surface_corpus, complex_corpus, re
     assert sorted(fields - reads) == []
 
 
-def geom_block_per_op_reference(x, x_np, k_geom):
-    """inversion._geom_block as about 59 autodiff ops, as it ran before its
-    hand-written vjp: the same numpy calls in the same order."""
-    n = x_np.shape[0]
-    k = min(k_geom, n - 1)
-    nbr, _ = neighbors.knn(x_np, x_np, k, exclude_self=True)
-    nbr_pts = ad.reshape(ad.gather(x, nbr.reshape(-1)), (n, k, 3))
-    mu = ad.reduce_mean(nbr_pts, axis=1, keepdims=True)
-    c = ad.sub(nbr_pts, mu)
-    cov = {}
-    for a in range(3):
-        for b in range(a, 3):
-            cov[(a, b)] = ad.reduce_mean(ad.mul(c[:, :, a], c[:, :, b]), axis=1)
-    trace = ad.add(ad.add(cov[(0, 0)], cov[(1, 1)]), cov[(2, 2)])
-    det = ad.sub(
-        ad.add(
-            ad.mul(cov[(0, 0)], ad.sub(ad.mul(cov[(1, 1)], cov[(2, 2)]),
-                                       ad.mul(cov[(1, 2)], cov[(1, 2)]))),
-            ad.mul(cov[(0, 2)], ad.sub(ad.mul(cov[(0, 1)], cov[(1, 2)]),
-                                       ad.mul(cov[(1, 1)], cov[(0, 2)])))),
-        ad.mul(cov[(0, 1)], ad.sub(ad.mul(cov[(0, 1)], cov[(2, 2)]),
-                                   ad.mul(cov[(1, 2)], cov[(0, 2)]))),
-    )
-    diffs = ad.sub(nbr_pts, ad.reshape(x, (n, 1, 3)))
-    dists = per_op.power(ad.add(ad.reduce_sum(ad.mul(diffs, diffs), axis=2), 1e-24), 0.5)
-    d_raw = ad.reduce_mean(dists, axis=1)
-    density = ad.div(d_raw, ad.add(d_raw, 2.0))
-    return ad.concat([ad.reshape(ad.mul(trace, 0.1), (n, 1)), ad.reshape(det, (n, 1)),
-                      ad.reshape(density, (n, 1))], axis=1)
-
-
 @pytest.mark.parametrize("n, k_geom", [(24, 8), (12, 8), (5, 8)])
 def test_geom_block_matches_per_op_reference(n, k_geom):
     rng = np.random.default_rng(n)
     x_np = rng.standard_normal((n, 3)) * 1.5
     weights = rng.standard_normal((n, 3))
     results = []
-    for block in (inversion._geom_block, geom_block_per_op_reference):
+    for block in (inversion._geom_block, per_op.geom_block):
         x = ad.param(x_np)
         out = block(x, x_np, k_geom)
         ad.backward(ad.reduce_sum(ad.mul(out, weights)))
@@ -260,20 +275,6 @@ def test_geom_block_matches_per_op_reference(n, k_geom):
     assert got.tobytes() == ref.tobytes()
     assert np.abs(got_grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
     assert inversion._geom_block(ad.constant(x_np), x_np, k_geom).values.tobytes() == ref.tobytes()
-
-
-def test_geom_block_coordinate_grad_check_on_twelve_points():
-    rng = np.random.default_rng(20)
-    x_np = rng.standard_normal((12, 3))
-    weights = rng.standard_normal((12, 3))
-
-    def fn(x):
-        # the neighbourhoods stay those of x_np, as in one objective call
-        return ad.reduce_sum(ad.mul(inversion._geom_block(x, x_np, 8), weights))
-
-    report = ad.grad_check(fn, x_np, step=1e-6, tolerance=1e-6)
-    assert report.passed, report
-    assert np.abs(report.analytic).max() > 1e-2
 
 
 @pytest.mark.parametrize("cfg", [toydata.toy_config(), RunConfig().validate()],
@@ -298,119 +299,6 @@ def test_pairwise_omega_matches_per_op_reference(cfg):
                                         cfg.eps_omega)
     assert no_grad.values.tobytes() == ref.tobytes()
     assert no_grad.op == "omega" and no_grad._node is None
-
-
-def test_pairwise_omega_coordinate_grad_check_on_twelve_points(toy_cfg):
-    rng = np.random.default_rng(22)
-    x_np = rng.standard_normal((12, 3)) * 2.0
-    weights = rng.standard_normal((12, 12))
-
-    def fn(x):
-        # the cutoff mask stays that of x_np, as in one objective call
-        out = inversion._pairwise_omega(x, x_np, toy_cfg.r_chem, toy_cfg.r_probe,
-                                        toy_cfg.eps_omega)
-        return ad.reduce_sum(ad.mul(out, weights))
-
-    report = ad.grad_check(fn, x_np, step=1e-6, tolerance=1e-6)
-    assert report.passed, report
-    assert np.abs(report.analytic).max() > 1e-2
-
-
-def _node_inputs(data, weights, weights_as_tensors):
-    """``data`` as grad-requiring Tensors, then ``weights`` as such or as numpy arrays."""
-    return ([ad.param(a) for a in data]
-            + [ad.param(w) if weights_as_tensors else w for w in weights])
-
-
-def _assert_node_matches_reference(node, reference, data, weights):
-    """Value and every parent's gradient of ``node(*inputs)`` are bitwise those
-    of ``reference(*inputs)``, with the weights as grad-requiring Tensors and
-    as numpy arrays; one grad_check over all inputs passes."""
-    for weights_as_tensors in (True, False):
-        runs = []
-        for fn in (node, reference):
-            inputs = _node_inputs(data, weights, weights_as_tensors)
-            out = fn(*inputs)
-            ad.backward(out, seed=np.random.default_rng(3).standard_normal(out.shape))
-            grads = [t.grad.tobytes() for t in inputs if isinstance(t, ad.Tensor)]
-            assert len(grads) == len(data) + (len(weights) if weights_as_tensors else 0)
-            runs.append((out.values.tobytes(), grads))
-        assert runs[0] == runs[1], weights_as_tensors
-
-    arrays = data + weights
-    proj = np.random.default_rng(4).standard_normal(node(*_node_inputs(data, weights, False)).shape)
-
-    def fn(flat):
-        parts, start = [], 0
-        for a in arrays:
-            parts.append(ad.reshape(flat[start:start + a.size], a.shape))
-            start += a.size
-        return ad.reduce_sum(ad.mul(node(*parts), proj))
-
-    report = ad.grad_check(fn, np.concatenate([a.ravel() for a in arrays]), step=1e-6,
-                           tolerance=1e-6)
-    assert report.passed, report
-    assert np.abs(report.analytic).max() > 1e-2
-
-
-def test_attention_node_matches_per_op_reference():
-    rng = np.random.default_rng(30)
-    d = 6
-    data = [rng.standard_normal((40, d)), rng.standard_normal((24, d))]
-    weights = [rng.standard_normal((d, d)) / 2.0 for _ in range(3)]
-
-    def node(receptor, ligand, wq, wk, wv):
-        params = {"attn.wq": wq, "attn.wk": wk, "attn.wv0": wv}
-        return equivariant.equivariant_attention(receptor, ligand, params)[0]
-
-    _assert_node_matches_reference(node, per_op.attention, data, weights)
-    # stage 4's case: a constant receptor field, gradients for the ligand only
-    receptor = data[0]
-    _assert_node_matches_reference(lambda *args: node(receptor, *args),
-                                   lambda *args: per_op.attention(receptor, *args),
-                                   data[1:], weights)
-
-
-@pytest.mark.parametrize("rows", [1, 30])
-@pytest.mark.parametrize("sigmoid", [True, False])
-def test_mlp_head_node_matches_per_op_reference(mdl, rows, sigmoid):
-    rng = np.random.default_rng(31)
-    data = [rng.standard_normal((rows, 12))]
-    weights = [rng.standard_normal((12, 16)) / 3.0, rng.standard_normal(16),
-               rng.standard_normal((16, 1)) / 4.0, rng.standard_normal(1)]
-
-    def node(x, w1, b1, w2, b2):
-        return mdl._mlp_head({"h.w1": w1, "h.b1": b1, "h.w2": w2, "h.b2": b2}, "h", x, sigmoid)
-
-    def reference(x, w1, b1, w2, b2):
-        return per_op.mlp_head(x, w1, b1, w2, b2, sigmoid)
-
-    _assert_node_matches_reference(node, reference, data, weights)
-
-
-@pytest.mark.parametrize("target", [np.random.default_rng(33).integers(0, 2, 200) * 1.0,
-                                    np.random.default_rng(33).uniform(0.0, 1.0, 200), 1.0],
-                         ids=["labels", "soft-labels", "scalar"])
-def test_bce_node_matches_per_op_reference(target):
-    # predictions away from the clamp, where the gradient is smooth
-    pred = np.random.default_rng(32).uniform(0.05, 0.95, 200)
-    _assert_node_matches_reference(lambda p: finetune.bce(p, target),
-                                   lambda p: per_op.bce(p, target), [pred], [])
-
-
-def test_bce_node_clamps_like_the_reference():
-    # at and beyond the clamp the clip mask zeroes the gradient, as in the op graph
-    pred = np.array([0.0, 1e-7, 0.5, 1.0 - 1e-7, 1.0])
-    for target in (np.array([1.0, 0.0, 1.0, 1.0, 0.0]), 0.0):
-        runs = []
-        for bce in (finetune.bce, per_op.bce):
-            p = ad.param(pred)
-            out = bce(p, target)
-            ad.backward(out, seed=np.ones(5))
-            runs.append((out.values.tobytes(), p.grad.tobytes()))
-        assert runs[0] == runs[1]
-    with pytest.raises(ad.ShapeError):
-        finetune.bce(ad.param(pred), np.ones((2, 5)))
 
 
 def _valid_lattice(cfg):
@@ -625,6 +513,29 @@ def test_decode_is_deterministic(toy_cfg, init_params, start):
     assert [at.type_label for at in a.atoms] == [at.type_label for at in b.atoms]
     assert np.array_equal(a.coords, b.coords)
     assert [(x.i, x.j, x.order) for x in a.bonds] == [(x.i, x.j, x.order) for x in b.bonds]
+
+
+def test_decode_protein_reads_residues_torsions_and_rotamers(toy_cfg):
+    rng = np.random.default_rng(12)
+    n = 9
+    f = rng.standard_normal((n, inversion.PROTEIN_FEATURE_DIM))
+    # torsions on and beyond the wrap: -180 maps to 180, the rest into (-180, 180]
+    f[:, 20] = [-180.0, 180.0, 540.0, -190.0, 0.0, 359.0, -45.0, 725.5, -900.0]
+    f[:, 21] = rng.uniform(-720.0, 720.0, n)
+    state = inversion.InversionState(rng.standard_normal((n, 3)), f, "protein")
+    grad = rng.standard_normal(f.shape)
+    out = inversion.decode_protein(state, grad, toy_cfg, seed=4)
+    assert len(out.sequence) == n and set(out.sequence) <= set(AMINO_ACIDS)
+    for torsions, raw in ((out.phi, f[:, 20]), (out.psi, f[:, 21])):
+        assert ((torsions > -180.0) & (torsions <= 180.0)).all()
+        # each wrapped torsion differs from its channel by whole turns
+        turns = (raw - torsions) / 360.0
+        assert np.abs(turns - np.round(turns)).max() < 1e-9
+    assert list(out.phi[:4]) == [180.0, 180.0, 180.0, 170.0]
+    assert out.rotamers.shape == (n,) and set(out.rotamers.tolist()) <= {0, 1, 2}
+    again = inversion.decode_protein(state, grad, toy_cfg, seed=4)
+    assert again.to_text() == out.to_text()
+    assert out.to_text().count("\n") == n + 1
 
 
 def _train(cfg, mdl, surfaces, complexes, pre_params=None):

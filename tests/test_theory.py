@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dockinv import theory
+from dockinv.structures import Atom, Bond, MolecularStructure
 
 
 def test_metric_aar_counts_positional_matches():
@@ -84,3 +85,42 @@ def test_clash_count_matches_pairwise_count():
         and np.linalg.norm(pts[i] - pts[j]) < 1.7
     )
     assert theory.clash_count(pts, 1.7, bonded) == expected
+
+
+@pytest.mark.parametrize("phi, psi, favored", [
+    (-60.0, -45.0, True),      # alpha helix
+    (-120.0, 130.0, True),     # beta sheet
+    (60.0, 60.0, False),       # left-handed region, outside both
+    (-179.0, -170.0, False),
+    # the bounds are exclusive on both sides of both boxes
+    (-120.0, -45.0, False), (-30.0, -45.0, False), (-60.0, -80.0, False), (-60.0, 20.0, False),
+    (-170.0, 130.0, False), (-70.0, 130.0, False), (-120.0, 90.0, False), (-120.0, 180.0, False),
+    (-119.9, -79.9, True), (-30.1, 19.9, True), (-169.9, 179.9, True), (-69.9, 90.1, False),
+])
+def test_torsion_coherence_counts_helix_and_sheet_torsions(phi, psi, favored):
+    assert theory.torsion_coherence(np.array([phi]), np.array([psi])) == float(favored)
+
+
+def test_torsion_coherence_is_the_favored_fraction():
+    phi = np.array([-60.0, -120.0, 60.0, 0.0])
+    psi = np.array([-45.0, 130.0, 60.0, 0.0])
+    assert theory.torsion_coherence(phi, psi) == 0.5
+    assert theory.torsion_coherence(np.zeros(0), np.zeros(0)) == 0.0
+
+
+def test_accessibility_proxy_counts_heavy_atoms_and_aromatic_rings():
+    ring = [Atom("C", (math.cos(a), math.sin(a), 0.0), 1.7, "sp2")
+            for a in np.linspace(0.0, 2 * math.pi, 6, endpoint=False)]
+    hydrogens = [Atom("H", (2.0 * math.cos(a), 2.0 * math.sin(a), 0.0), 1.1)
+                 for a in np.linspace(0.0, 2 * math.pi, 6, endpoint=False)]
+    bonds = ([Bond(i, (i + 1) % 6, 1.5) for i in range(6)]
+             + [Bond(i, 6 + i, 1.0) for i in range(6)])
+    benzene = MolecularStructure(ring + hydrogens, bonds, molecule_type="small-molecule")
+    # 6 heavy atoms and one aromatic ring: 1 + 0.05 * 6 + 0.8 * 1
+    assert theory.accessibility_proxy(benzene) == pytest.approx(2.1)
+    water = MolecularStructure([Atom("O", (0.0, 0.0, 0.0), 1.52, "sp3"),
+                                Atom("H", (0.96, 0.0, 0.0), 1.1),
+                                Atom("H", (-0.24, 0.93, 0.0), 1.1)],
+                               [Bond(0, 1, 1.0), Bond(0, 2, 1.0)],
+                               molecule_type="small-molecule")
+    assert theory.accessibility_proxy(water) == pytest.approx(1.05)
